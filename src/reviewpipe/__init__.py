@@ -14,6 +14,7 @@ from .calibration import (
     CalibrationInputs,
     GridSpec,
     Hyperparams,
+    PosteriorCovariance,
     acceptance_probability,
     aggregate_calibrated,
     build_covariance,

@@ -5,25 +5,44 @@ Each stacked review score decomposes as
     s = q(paper) + b(reviewer) + noise,
     q ~ N(mu_q, sigma_q^2),  b ~ N(0, sigma_b^2),  noise ~ N(0, sigma_e^2)
 
-so the joint score vector is Gaussian with a covariance whose entries
-depend only on shared paper / shared reviewer structure.  Dividing through
-by sigma_q^2 leaves two ratio parameters explored on a grid while
-sigma_q^2 itself has a closed-form maximum-likelihood value per grid
-point.  The bias term is then removed by Gaussian conditioning, and a
-Monte-Carlo pass over the posterior turns ranked samples into per-paper
-acceptance probabilities.
+With unique (paper, reviewer) pairs the covariance of s, divided by
+sigma_q^2, is
 
-All dense linear algebra goes through symmetric positive-definite
-(Cholesky) factorizations; no explicit inverses.
+    K = Zp Zp^T + a Zr Zr^T + c I,   a = sigma_b^2 / sigma_q^2,  c = sigma_e^2 / sigma_q^2
+
+where Zp and Zr map score entries to papers and reviewers.  The two
+ratios are explored on a grid; sigma_q^2 has a closed-form maximum-
+likelihood value per grid point.
+
+No n x n matrix is formed.  D = Zp Zp^T + c I is block diagonal by paper,
+so Woodbury's identity and the matrix determinant lemma reduce everything
+to the R x R reviewer matrix M = Zr^T D^-1 Zr, built from the reviewer
+pairs that share a paper (Henderson's mixed-model equations).  One
+eigendecomposition M = V diag(lam) V^T per noise ratio c serves every
+bias ratio a, elementwise, with h = V^T Zr^T D^-1 (s - mu_q):
+
+    quad   = r^T D^-1 r - sum(a h^2 / (1 + a lam))
+    logdet = log|D| + sum(log1p(a lam))
+
+The bias term is removed by Gaussian conditioning in reviewer space,
+
+    E[b | s]   = a V diag(1 / (1 + a lam)) h
+    Cov(b | s) = sigma_q^2 a V diag(1 / (1 + a lam)) V^T,
+
+and Monte-Carlo draws of b turn ranked samples into per-paper acceptance
+probabilities.  Each noise ratio costs O(sum of n_p^2) to build M and one
+O(R^3) eigh; memory is O(R^2 + n), and the sampler's O(P x n_samples).
+
+``build_covariance``, ``nll`` and ``fit_sigma_q`` keep the dense O(n^3)
+formulas as a reference for tests; no pipeline path calls them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .scoring import DecisionConfig, normalize
 
@@ -31,10 +50,11 @@ __all__ = [
     "CalibrationInputs",
     "GridSpec",
     "Hyperparams",
-    "CalibrationFit",
+    "PosteriorCovariance",
     "AcceptanceEstimate",
     "DegenerateModelError",
     "UnidentifiableModelWarning",
+    "bias_identifiable",
     "build_covariance",
     "nll",
     "fit_sigma_q",
@@ -56,7 +76,11 @@ class UnidentifiableModelWarning(UserWarning):
 
 @dataclass
 class CalibrationInputs:
-    """Stacked score vector with paper/reviewer index labels per entry."""
+    """Stacked score vector with paper/reviewer index labels per entry.
+
+    Each (paper, reviewer) pair appears at most once: the model's noise
+    term is diagonal only under that condition.
+    """
 
     s: np.ndarray
     paper_idx: np.ndarray
@@ -74,6 +98,20 @@ class CalibrationInputs:
             raise ValueError("labels must align with the score vector")
         if n < 2:
             raise ValueError("calibration needs at least two stacked scores")
+        for idx, ids, what in (
+            (self.paper_idx, self.paper_ids, "paper"),
+            (self.reviewer_idx, self.reviewer_ids, "reviewer"),
+        ):
+            if idx.min() < 0 or idx.max() >= len(ids):
+                raise ValueError(f"{what} labels must index {what}_ids")
+        n_rev = len(self.reviewer_ids)
+        keys, counts = np.unique(self.paper_idx * n_rev + self.reviewer_idx, return_counts=True)
+        if np.any(counts > 1):
+            pairs = [
+                (self.paper_ids[k // n_rev], self.reviewer_ids[k % n_rev])
+                for k in keys[counts > 1]
+            ]
+            raise ValueError(f"duplicate (paper, reviewer) pairs: {pairs}")
         if self.confidences is None:
             self.confidences = np.ones(n)
         else:
@@ -128,32 +166,17 @@ class Hyperparams:
         return self.se2_hat * self.sigma_q2
 
 
-@dataclass
-class CalibrationFit:
-    hyperparams: Hyperparams
-    mu_y: np.ndarray
-    sigma_y: np.ndarray
-    calibrated_paper_scores: np.ndarray
-    nll: float
-    grid_table: list[dict] = field(default_factory=list)
-
-    def to_summary(self) -> dict:
-        hp = self.hyperparams
-        return {
-            "mu_q": hp.mu_q,
-            "sigma_q2": hp.sigma_q2,
-            "sigma_b2": hp.sigma_b2,
-            "sigma_e2": hp.sigma_e2,
-            "sb2_hat": hp.sb2_hat,
-            "se2_hat": hp.se2_hat,
-            "nll": self.nll,
-            "grid": self.grid_table,
-        }
+def bias_identifiable(reviewer_idx) -> bool:
+    """Whether the bias variance can be told apart from the noise: some
+    reviewer covers more than one paper.  When every reviewer scores a
+    single entry, only sigma_b^2 + sigma_e^2 is identified."""
+    return bool(np.any(np.bincount(np.asarray(reviewer_idx)) > 1))
 
 
 def build_covariance(paper_idx, reviewer_idx, sb2_hat: float, se2_hat: float) -> np.ndarray:
-    """Scaled covariance: 1 per shared paper, the bias ratio per shared
-    reviewer, the noise ratio on the diagonal."""
+    """Dense scaled covariance: 1 per shared paper, the bias ratio per
+    shared reviewer, the noise ratio on the diagonal.  O(n^2) memory; a
+    reference for tests, not used by the fit."""
     pi = np.asarray(paper_idx)
     ri = np.asarray(reviewer_idx)
     same_paper = (pi[:, None] == pi[None, :]).astype(float)
@@ -161,36 +184,77 @@ def build_covariance(paper_idx, reviewer_idx, sb2_hat: float, se2_hat: float) ->
     return same_paper + sb2_hat * same_reviewer + se2_hat * same_paper * same_reviewer
 
 
-def _chol_quad_logdet(k_hat: np.ndarray, r: np.ndarray) -> tuple[float, float]:
-    """(r^T K^-1 r, log|K|) via one Cholesky factorization."""
+def _dense_quad_logdet(k_hat: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    """(r^T K^-1 r, log|K|) via one dense Cholesky factor."""
     try:
-        c, low = cho_factor(k_hat, lower=True, check_finite=False)
+        low = np.linalg.cholesky(k_hat)
     except np.linalg.LinAlgError as exc:
         raise DegenerateModelError(f"covariance not positive definite: {exc}") from exc
-    alpha = cho_solve((c, low), r, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    return float(r @ alpha), logdet
+    z = np.linalg.solve(low, r)
+    return float(z @ z), 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
 def nll(s, k_hat, sigma_q2: float, mu_q: float) -> float:
-    """Negative log-likelihood of the stacked scores under the model."""
+    """Negative log-likelihood of the stacked scores under a dense scaled
+    covariance (reference formula)."""
     s = np.asarray(s, dtype=float)
     n = len(s)
     if sigma_q2 <= 0:
         raise DegenerateModelError("sigma_q^2 must be positive")
-    quad, logdet = _chol_quad_logdet(k_hat, s - mu_q)
+    quad, logdet = _dense_quad_logdet(k_hat, s - mu_q)
     return 0.5 * n * np.log(2.0 * np.pi * sigma_q2) + 0.5 * logdet + quad / (2.0 * sigma_q2)
 
 
 def fit_sigma_q(s, k_hat, mu_q: float) -> float:
-    """Closed-form maximizer of the likelihood in sigma_q^2 given the
-    ratio parameters: the K-whitened mean square of the centered scores."""
+    """Closed-form maximizer of the likelihood in sigma_q^2 given a dense
+    scaled covariance: the K-whitened mean square of the centered scores
+    (reference formula)."""
     s = np.asarray(s, dtype=float)
-    quad, _ = _chol_quad_logdet(k_hat, s - mu_q)
+    quad, _ = _dense_quad_logdet(k_hat, s - mu_q)
     sigma_q2 = quad / len(s)
     if sigma_q2 <= 0:
         raise DegenerateModelError("zero centered score vector: sigma_q^2 degenerate")
     return sigma_q2
+
+
+class _ReviewerSpace:
+    """The Woodbury reduction of K onto reviewers for one set of inputs."""
+
+    def __init__(self, inputs: CalibrationInputs):
+        self.inputs = inputs
+        self.n_per_paper = np.bincount(inputs.paper_idx, minlength=inputs.n_papers)
+        self.load = np.bincount(inputs.reviewer_idx, minlength=len(inputs.reviewer_ids))
+        # every ordered pair of entries on one paper, each entry with itself
+        # included, as a flat (reviewer, reviewer) index and the paper
+        order = np.argsort(inputs.paper_idx, kind="stable")
+        pi, ri = inputs.paper_idx[order], inputs.reviewer_idx[order]
+        size = self.n_per_paper[pi]
+        first = np.cumsum(self.n_per_paper) - self.n_per_paper
+        left = np.repeat(np.arange(len(pi)), size)
+        offset = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
+        right = first[pi[left]] + offset
+        self.pair_key = ri[left] * len(self.load) + ri[right]
+        self.pair_paper = pi[left]
+
+    def reduce(self, c: float, r: np.ndarray):
+        """For noise ratio c and centered scores r: the eigenvalues lam and
+        vectors V of M = Zr^T D^-1 Zr, h = V^T Zr^T D^-1 r, r^T D^-1 r and
+        log|D|."""
+        inp = self.inputs
+        n_rev = len(self.load)
+        w = 1.0 / (c + self.n_per_paper)
+        m = -np.bincount(
+            self.pair_key, weights=w[self.pair_paper], minlength=n_rev * n_rev
+        ).reshape(n_rev, n_rev)
+        m[np.diag_indices(n_rev)] += self.load
+        m /= c
+        lam, vecs = np.linalg.eigh(m)
+        lam = np.maximum(lam, 0.0)  # M is PSD; drop round-off below zero
+        paper_sum = np.bincount(inp.paper_idx, weights=r, minlength=inp.n_papers)
+        d_inv_r = (r - w[inp.paper_idx] * paper_sum[inp.paper_idx]) / c
+        h = vecs.T @ np.bincount(inp.reviewer_idx, weights=d_inv_r, minlength=n_rev)
+        logdet_d = inp.n * np.log(c) + float(np.sum(np.log1p(self.n_per_paper / c)))
+        return lam, vecs, h, float(r @ d_inv_r), logdet_d
 
 
 def fit_hyperparams(
@@ -202,58 +266,104 @@ def fit_hyperparams(
 
     mu_q is the sample mean of the stacked scores.  Each grid point gets
     its closed-form sigma_q^2 and profile NLL; the argmin wins.  Ties are
-    broken toward the earlier grid point, so duplicate points are
-    harmless.
+    broken toward the earlier grid point (bias ratio outer, noise ratio
+    inner), so duplicate points are harmless.  Warns with
+    :class:`UnidentifiableModelWarning` when no reviewer covers two papers.
     """
     grid = grid or GridSpec()
+    if not bias_identifiable(inputs.reviewer_idx):
+        warnings.warn(
+            "every reviewer covers a single paper: sigma_b^2 and sigma_e^2 are "
+            "not separately identified",
+            UnidentifiableModelWarning,
+            stacklevel=2,
+        )
     mu_q = float(np.mean(inputs.s))
-    values = grid.values()
-    best = None
-    table: list[dict] = []
-    for sb2 in values:
-        for se2 in values:
-            k_hat = build_covariance(inputs.paper_idx, inputs.reviewer_idx, sb2, se2)
-            try:
-                sq2 = fit_sigma_q(inputs.s, k_hat, mu_q)
-                val = nll(inputs.s, k_hat, sq2, mu_q)
-            except DegenerateModelError:
+    r = inputs.s - mu_q
+    n = inputs.n
+    values = np.asarray(grid.values(), dtype=float)
+    a = values[:, None]
+    space = _ReviewerSpace(inputs)
+    # rows: bias ratio, columns: noise ratio; NaN marks a point outside the model
+    quad = np.full((len(values), len(values)), np.nan)
+    logdet = np.full_like(quad, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, c in enumerate(values):
+            if c <= 0:
                 continue
-            if collect_grid:
-                table.append(
-                    {"sb2_hat": float(sb2), "se2_hat": float(se2), "sigma_q2": sq2, "nll": val}
-                )
-            if best is None or val < best[0]:
-                best = (val, sb2, se2, sq2)
-    if best is None:
+            lam, _, h, quad_d, logdet_d = space.reduce(c, r)
+            quad[:, j] = quad_d - np.sum(a * h**2 / (1.0 + a * lam), axis=1)
+            logdet[:, j] = logdet_d + np.sum(np.log1p(a * lam), axis=1)
+        sigma_q2 = quad / n
+        nll_grid = 0.5 * n * np.log(2.0 * np.pi * sigma_q2) + 0.5 * logdet + 0.5 * n
+    ok = (values[:, None] >= 0) & (sigma_q2 > 0) & np.isfinite(nll_grid)
+    if not ok.any():
         raise DegenerateModelError("all grid points degenerate")
-    hp = Hyperparams(sigma_q2=best[3], sb2_hat=float(best[1]), se2_hat=float(best[2]), mu_q=mu_q)
+    i, j = np.unravel_index(np.argmin(np.where(ok, nll_grid, np.inf)), ok.shape)
+    hp = Hyperparams(
+        sigma_q2=float(sigma_q2[i, j]), sb2_hat=float(values[i]), se2_hat=float(values[j]), mu_q=mu_q
+    )
     if collect_grid:
+        table = [
+            {
+                "sb2_hat": float(values[i]),
+                "se2_hat": float(values[j]),
+                "sigma_q2": float(sigma_q2[i, j]),
+                "nll": float(nll_grid[i, j]),
+            }
+            for i, j in zip(*np.nonzero(ok))
+        ]
         return hp, table
     return hp
 
 
-def posterior(inputs: CalibrationInputs, hp: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional Gaussian over bias-removed scores y = q + noise.
+@dataclass(frozen=True, eq=False)
+class PosteriorCovariance:
+    """Posterior covariance of the bias-removed scores, kept in reviewer
+    space: Cov(y | s) = Zr Cov(b | s) Zr^T with the R x R
+    Cov(b | s) = vecs diag(vals) vecs^T.
 
-    Cross-covariance between s and y equals the covariance of y, so
-
-        mu_y    = mu_q + K_y K^-1 (s - mu_q)
-        Sigma_y = K_y - K_y K^-1 K_y
+    ``np.asarray`` gives the dense n x n matrix, for small n only.
     """
-    pi, ri = inputs.paper_idx, inputs.reviewer_idx
-    same_paper = (pi[:, None] == pi[None, :]).astype(float)
-    both = same_paper * (ri[:, None] == ri[None, :]).astype(float)
-    k = hp.sigma_q2 * same_paper + hp.sigma_b2 * (ri[:, None] == ri[None, :]) + hp.sigma_e2 * both
-    k_y = hp.sigma_q2 * same_paper + hp.sigma_e2 * both
-    try:
-        c, low = cho_factor(k, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateModelError(f"covariance not positive definite: {exc}") from exc
-    r = inputs.s - hp.mu_q
-    mu_y = hp.mu_q + k_y @ cho_solve((c, low), r, check_finite=False)
-    sigma_y = k_y - k_y @ cho_solve((c, low), k_y, check_finite=False)
-    sigma_y = 0.5 * (sigma_y + sigma_y.T)  # symmetrize round-off
-    return mu_y, sigma_y
+
+    vecs: np.ndarray
+    vals: np.ndarray
+    reviewer_idx: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.reviewer_idx), len(self.reviewer_idx))
+
+    @property
+    def bias_cov(self) -> np.ndarray:
+        """Cov(b | s), R x R."""
+        return (self.vecs * self.vals) @ self.vecs.T
+
+    def factor(self) -> np.ndarray:
+        """F with F F^T = Cov(b | s)."""
+        return self.vecs * np.sqrt(self.vals)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.bias_cov[np.ix_(self.reviewer_idx, self.reviewer_idx)]
+        return dense if dtype is None else dense.astype(dtype)
+
+
+def posterior(inputs: CalibrationInputs, hp: Hyperparams) -> tuple[np.ndarray, PosteriorCovariance]:
+    """Conditional Gaussian over the bias-removed scores y = s - b(reviewer).
+
+    With a = sb2_hat, M = V diag(lam) V^T and h from the reviewer-space
+    reduction,
+
+        mu_y       = s - (a V diag(1 / (1 + a lam)) h)[reviewer]
+        Cov(b | s) = sigma_q^2 a V diag(1 / (1 + a lam)) V^T
+
+    which is exact at a = 0 and positive semidefinite by construction.
+    """
+    a = hp.sb2_hat
+    lam, vecs, h, _, _ = _ReviewerSpace(inputs).reduce(hp.se2_hat, inputs.s - hp.mu_q)
+    shrink = a / (1.0 + a * lam)
+    mu_y = inputs.s - (vecs @ (shrink * h))[inputs.reviewer_idx]
+    return mu_y, PosteriorCovariance(vecs, hp.sigma_q2 * shrink, inputs.reviewer_idx)
 
 
 def aggregate_calibrated(
@@ -275,20 +385,6 @@ def _aggregate_raw(values, paper_idx, confidences, n_papers) -> np.ndarray:
     return num / den
 
 
-def _psd_factor(sigma: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix, tolerating tiny negative eigenvalues.
-
-    Eigenvalues below -1e-8 * lambda_max indicate a real PSD violation and
-    raise; small negative round-off is clamped to zero.
-    """
-    w, v = np.linalg.eigh(sigma)
-    lam_max = max(float(w[-1]), 0.0)
-    if np.any(w < -1e-8 * max(lam_max, 1.0)):
-        raise DegenerateModelError(f"posterior covariance not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
-
-
 @dataclass
 class AcceptanceEstimate:
     """Monte-Carlo acceptance probabilities; counts/n_samples per paper."""
@@ -306,7 +402,7 @@ class AcceptanceEstimate:
 
 def acceptance_probability(
     mu_y: np.ndarray,
-    sigma_y: np.ndarray,
+    sigma_y: PosteriorCovariance,
     inputs: CalibrationInputs,
     cfg: DecisionConfig,
     n_samples: int = 1000,
@@ -315,29 +411,46 @@ def acceptance_probability(
     """Sample posterior score vectors, rank each sampled conference, and
     count how often each paper lands in the accepted top slice.
 
-    Each sample accepts exactly floor(a% of P) papers, so the probability
-    column sums to that number exactly.  Deterministic for a fixed seed.
+    Draws are taken in reviewer space (R dimensions) and aggregated per
+    paper directly, so no array exceeds P x n_samples.  Ties in a sample
+    go to the lexicographically smaller paper id.  Each sample accepts
+    exactly floor(a% of P) papers, so the probability column sums to that
+    number exactly.  Deterministic for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if len(mu_y) != inputs.n or sigma_y.shape != (inputs.n, inputs.n):
         raise ValueError("posterior dimensions do not match the inputs")
-    factor = _psd_factor(sigma_y)
     rng = np.random.default_rng(seed)
-    draws = mu_y[:, None] + factor @ rng.standard_normal((inputs.n, n_samples))
+    factor = sigma_y.factor()
+    bias_draws = factor @ rng.standard_normal((factor.shape[1], n_samples))
 
     p = inputs.n_papers
-    den = np.bincount(inputs.paper_idx, weights=inputs.confidences, minlength=p)
-    weights = inputs.confidences / den[inputs.paper_idx]
-    agg = np.zeros((p, n_samples))
-    np.add.at(agg, inputs.paper_idx, weights[:, None] * draws)
+    pi, ri = inputs.paper_idx, inputs.reviewer_idx
+    den = np.bincount(pi, weights=inputs.confidences, minlength=p)
+    weights = inputs.confidences / den[pi]
+    # negated per-paper aggregates with rows in paper-id order, so that a
+    # stable ascending sort ranks by score and breaks ties by id
+    by_id = np.argsort(inputs.paper_ids, kind="stable")
+    row_of = np.empty(p, dtype=int)
+    row_of[by_id] = np.arange(p)
+    rows_of_entries = row_of[pi]
+    neg = np.repeat(
+        -np.bincount(rows_of_entries, weights=weights * mu_y, minlength=p)[:, None], n_samples, 1
+    )
+    # add each paper's entries one position at a time: no paper repeats
+    # within a position, so the fancy-indexed update adds every entry
+    order = np.argsort(pi, kind="stable")
+    per_paper = np.bincount(pi)
+    position = np.empty(inputs.n, dtype=int)
+    position[order] = np.arange(inputs.n) - np.repeat(np.cumsum(per_paper) - per_paper, per_paper)
+    for pos in range(position.max() + 1):
+        entries = np.flatnonzero(position == pos)
+        neg[rows_of_entries[entries]] -= weights[entries, None] * bias_draws[ri[entries]]
 
     k = cfg.n_accept(p)
-    counts = np.zeros(p, dtype=int)
-    lex = np.argsort(np.argsort(inputs.paper_ids))  # rank of each paper id, lex order
-    for j in range(n_samples):
-        order = np.lexsort((lex, -agg[:, j]))
-        counts[order[:k]] += 1
+    ranked = np.argsort(neg, axis=0, kind="stable")
+    counts = np.bincount(by_id[ranked[:k]].ravel(), minlength=p)
     return AcceptanceEstimate(
         papers=list(inputs.paper_ids), counts=counts, n_samples=n_samples, seed=seed, n_accept=k
     )
@@ -361,8 +474,7 @@ def calibrate_meta(
     xi = np.asarray(xi, dtype=float)
     if len(xi) < 2:
         raise ValueError("meta calibration needs at least two entries")
-    loads = np.bincount(np.asarray(metareviewer_idx), minlength=len(metareviewer_ids))
-    if np.all(loads[np.unique(metareviewer_idx)] <= 1):
+    if not bias_identifiable(metareviewer_idx):
         warnings.warn(
             "every meta-reviewer covers a single paper: bias unidentifiable, "
             "returning uncalibrated scores",

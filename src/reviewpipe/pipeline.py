@@ -26,6 +26,7 @@ from .calibration import (
     GridSpec,
     acceptance_probability,
     aggregate_calibrated,
+    bias_identifiable,
     calibrate_meta,
     fit_hyperparams,
     posterior,
@@ -254,7 +255,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             estimate = acceptance_probability(
                 mu_y, sigma_y, inputs, cfg.decision, cfg.n_samples, cfg.seed
             )
+            values = cfg.grid.values()
+            edges = (float(values.min()), float(values.max()))
             fit_summary = {
+                "identifiable": bias_identifiable(inputs.reviewer_idx),
+                "argmin_on_grid_edge": hp.sb2_hat in edges or hp.se2_hat in edges,
                 "hyperparams": {
                     "mu_q": hp.mu_q,
                     "sigma_q2": hp.sigma_q2,

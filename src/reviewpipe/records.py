@@ -108,6 +108,8 @@ REVIEW_CSV_HEADER = [
 
 META_CSV_HEADER = ["paper_id", "metareviewer_id", "recommendation"]
 
+DUPLICATE_PAIR = "duplicate (reviewer, paper) pair"
+
 
 def _norm_label(label: str) -> str:
     return " ".join(label.strip().split()).lower()
@@ -284,6 +286,15 @@ def _check_header(fieldnames, expected, path):
         raise ValueError(f"{path}: missing column(s) {missing}")
 
 
+def _first_pair(seen: set, key: tuple, row: dict, report: ValidationReport) -> bool:
+    """Record ``key``; a repeat moves its row to ``report.rejected``."""
+    if key in seen:
+        report.rejected.append((dict(row), DUPLICATE_PAIR))
+        return False
+    seen.add(key)
+    return True
+
+
 def load_reviews(path, format: str = "csv", meta_path=None) -> LoadResult:
     """Load review (and optionally meta-review) exports into typed records.
 
@@ -292,8 +303,9 @@ def load_reviews(path, format: str = "csv", meta_path=None) -> LoadResult:
     ``meta_reviews`` arrays whose objects mirror the CSV column names.
 
     Rows with unknown labels or malformed fields are rejected record by
-    record (collected in the report); structural problems such as unknown
-    columns abort with ``ValueError``.
+    record (collected in the report), as is every repeat of a (reviewer,
+    paper) or (metareviewer, paper) pair after its first row; structural
+    problems such as unknown columns abort with ``ValueError``.
     """
     report = ValidationReport()
     review_rows: list[dict] = []
@@ -324,6 +336,8 @@ def load_reviews(path, format: str = "csv", meta_path=None) -> LoadResult:
 
     reviews: list[ReviewForm] = []
     metas: list[MetaReviewForm] = []
+    review_pairs: set[tuple[str, str]] = set()
+    meta_pairs: set[tuple[str, str]] = set()
     for row in review_rows:
         if row.get("confidence") in (None, ""):
             row = dict(row, confidence="Good")
@@ -332,18 +346,23 @@ def load_reviews(path, format: str = "csv", meta_path=None) -> LoadResult:
                 "missing confidence, defaulted to 'Good'"
             )
         try:
-            reviews.append(_parse_review_row(row))
+            form = _parse_review_row(row)
         except (UnknownLabelError, ValueError) as exc:
             report.rejected.append((dict(row), str(exc)))
+            continue
+        if _first_pair(review_pairs, (form.reviewer, form.paper), row, report):
+            reviews.append(form)
     for row in meta_rows:
         try:
-            metas.append(_parse_meta_row(row))
+            meta = _parse_meta_row(row)
         except (UnknownLabelError, ValueError) as exc:
             report.rejected.append((dict(row), str(exc)))
+            continue
+        if _first_pair(meta_pairs, (meta.metareviewer, meta.paper), row, report):
+            metas.append(meta)
 
     assignments = AssignmentSet(
-        review_pairs=frozenset((f.reviewer, f.paper) for f in reviews),
-        meta_pairs=frozenset((f.metareviewer, f.paper) for f in metas),
+        review_pairs=frozenset(review_pairs), meta_pairs=frozenset(meta_pairs)
     )
     _fill_counts(report, reviews, metas)
     return LoadResult(assignments, reviews, metas, report)

@@ -185,10 +185,10 @@ def build_score_table(
     papers = sorted(by_paper)
     missing_meta = [p for p in papers if p not in meta_by_paper]
     if missing_meta:
-        raise ValueError(f"papers without meta-review: {missing_meta[:5]}")
+        raise ValueError(f"papers without meta-review: {missing_meta}")
     extra_meta = sorted(set(meta_by_paper) - set(by_paper))
     if extra_meta:
-        raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta[:5]}")
+        raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
 
     s_p = np.empty(len(papers))
     xi_p = np.empty(len(papers))

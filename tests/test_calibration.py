@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kendalltau
@@ -11,6 +13,7 @@ from reviewpipe.calibration import (
     UnidentifiableModelWarning,
     acceptance_probability,
     aggregate_calibrated,
+    bias_identifiable,
     build_covariance,
     calibrate_meta,
     fit_hyperparams,
@@ -347,3 +350,158 @@ def test_bias_recovery_improves_ranking(rng):
     tau_raw = kendalltau(raw, quality).statistic
     tau_cal = kendalltau(cal, quality).statistic
     assert tau_cal > tau_raw
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle: the O(n^3) formulas the structured solver replaces.
+# ---------------------------------------------------------------------------
+
+
+def dense_grid(inputs, values):
+    """Grid NLL per (sb2, se2), sb2 outer, from dense Cholesky factors."""
+    mu_q = float(np.mean(inputs.s))
+    rows = []
+    for sb2 in values:
+        for se2 in values:
+            k = build_covariance(inputs.paper_idx, inputs.reviewer_idx, sb2, se2)
+            sq2 = fit_sigma_q(inputs.s, k, mu_q)
+            rows.append((float(sb2), float(se2), sq2, nll(inputs.s, k, sq2, mu_q)))
+    return rows
+
+
+def dense_posterior(inputs, hp):
+    """mu_y and Sigma_y by brute-force conditioning of the joint Gaussian."""
+    pi, ri = inputs.paper_idx, inputs.reviewer_idx
+    same_paper = (pi[:, None] == pi[None, :]).astype(float)
+    same_rev = (ri[:, None] == ri[None, :]).astype(float)
+    k_y = hp.sigma_q2 * same_paper + hp.sigma_e2 * same_paper * same_rev
+    k_s = k_y + hp.sigma_b2 * same_rev
+    k_inv = np.linalg.inv(k_s)
+    return hp.mu_q + k_y @ k_inv @ (inputs.s - hp.mu_q), k_y - k_y @ k_inv @ k_y
+
+
+def meta_shape(rng, n_papers=400, n_heavy=4, n_light=40):
+    """One entry per paper; a few heavy meta-reviewers take most papers."""
+    heavy = rng.random(n_papers) < 0.7
+    idx = np.where(
+        heavy, rng.integers(0, n_heavy, n_papers), rng.integers(n_heavy, n_heavy + n_light, n_papers)
+    )
+    offsets = rng.normal(0, 1, n_heavy + n_light)
+    s = rng.normal(0, 1, n_papers) + offsets[idx] + rng.normal(0, 0.3, n_papers)
+    return CalibrationInputs(
+        s,
+        np.arange(n_papers),
+        idx,
+        [f"P{i:04d}" for i in range(n_papers)],
+        [f"M{i:02d}" for i in range(n_heavy + n_light)],
+    )
+
+
+def reviewer_once_shape(rng, n_papers=200, per_paper=3):
+    """Every reviewer covers exactly one paper."""
+    n = n_papers * per_paper
+    return CalibrationInputs(
+        rng.normal(0, 2, n),
+        np.repeat(np.arange(n_papers), per_paper),
+        np.arange(n),
+        [f"P{i:04d}" for i in range(n_papers)],
+        [f"R{i:04d}" for i in range(n)],
+    )
+
+
+def sparse_ids_shape(rng, n=150):
+    """Papers and reviewers with no entries, as the desk-scale test draws them."""
+    pi, ri = random_labels(rng, n, n, n)
+    return CalibrationInputs(
+        rng.normal(0, 1.5, n), pi, ri, [f"P{i}" for i in range(n)], [f"R{i}" for i in range(n)]
+    )
+
+
+class TestStructuredMatchesDenseOracle:
+    GRID = GridSpec(1e-2, 1e2, 5)
+
+    def check(self, inputs):
+        hp, table = fit_hyperparams(inputs, self.GRID, collect_grid=True)
+        dense = dense_grid(inputs, self.GRID.values())
+        assert [(row["sb2_hat"], row["se2_hat"]) for row in table] == [d[:2] for d in dense]
+        for row, (_, _, sq2, val) in zip(table, dense):
+            assert abs(row["nll"] - val) <= 1e-10 * abs(val)
+            assert row["sigma_q2"] == pytest.approx(sq2, rel=1e-10)
+        best = min(dense, key=lambda d: d[3])
+        assert (hp.sb2_hat, hp.se2_hat) == best[:2]
+        mu_y, sigma_y = posterior(inputs, hp)
+        mu_ref, sigma_ref = dense_posterior(inputs, hp)
+        assert np.max(np.abs(mu_y - mu_ref)) <= 1e-9
+        assert sigma_y.shape == (inputs.n, inputs.n)
+        assert np.max(np.abs(np.asarray(sigma_y) - sigma_ref)) <= 1e-8
+
+    def test_planted_review_instances(self, rng):
+        for n_papers, n_reviewers in [(40, 12), (120, 40), (190, 60)]:
+            inputs, _, _ = planted_instance(rng, n_papers, n_reviewers)
+            self.check(inputs)
+
+    def test_meta_shape_with_heavy_reviewers(self, rng):
+        self.check(meta_shape(rng))
+
+    def test_every_reviewer_once(self, rng):
+        with pytest.warns(UnidentifiableModelWarning, match="every reviewer"):
+            self.check(reviewer_once_shape(rng))
+
+    def test_ids_without_entries(self, rng):
+        for n in (3, 40, 150):
+            self.check(sparse_ids_shape(rng, n))
+
+    def test_random_unique_pairs(self, rng):
+        for _ in range(5):
+            n = int(rng.integers(20, 600))
+            pi, ri = random_labels(rng, n, max(4, n // 3), max(4, n // 4))
+            inputs = CalibrationInputs(
+                rng.normal(0, 2, n),
+                pi,
+                ri,
+                [f"P{i}" for i in range(max(4, n // 3))],
+                [f"R{i}" for i in range(max(4, n // 4))],
+            )
+            self.check(inputs)
+
+
+class TestModelChecks:
+    def test_duplicate_pairs_rejected_and_named(self):
+        with pytest.raises(ValueError, match=r"duplicate \(paper, reviewer\) pairs.*'b', 'y'"):
+            CalibrationInputs(
+                s=[1.0, 2.0, 3.0, 4.0],
+                paper_idx=[0, 1, 1, 1],
+                reviewer_idx=[0, 1, 0, 1],
+                paper_ids=["a", "b"],
+                reviewer_ids=["x", "y"],
+            )
+
+    def test_labels_must_index_ids(self):
+        with pytest.raises(ValueError, match="reviewer labels"):
+            CalibrationInputs([1.0, 2.0], [0, 1], [0, 2], ["a", "b"], ["x", "y"])
+
+    def test_identifiability_rule(self):
+        assert not bias_identifiable([0, 1, 2])
+        assert bias_identifiable([0, 1, 0])
+
+    def test_review_fit_warns_when_bias_unidentifiable(self, rng):
+        with pytest.warns(UnidentifiableModelWarning, match="every reviewer"):
+            fit_hyperparams(reviewer_once_shape(rng, 30), GridSpec(points=3))
+
+
+def test_calibration_memory_below_one_dense_matrix():
+    # ~3,000 reviews: fit, posterior and sampling stay below the 72 MB of a
+    # single n x n float64 matrix
+    rng = np.random.default_rng(3)
+    inputs, _, _ = planted_instance(rng, 1000, 300)
+    dense_bytes = inputs.n * inputs.n * 8
+    tracemalloc.start()
+    try:
+        hp = fit_hyperparams(inputs, GridSpec(points=3))
+        mu_y, sigma_y = posterior(inputs, hp)
+        acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inputs.n == 3000
+    assert peak < dense_bytes

@@ -12,10 +12,11 @@ from reviewpipe.pipeline import (
     write_atomic,
 )
 from reviewpipe.plots import histogram_artifact, scatter_artifact
-from reviewpipe.records import export_metas_csv, export_reviews_csv
+from reviewpipe.calibration import GridSpec, UnidentifiableModelWarning
+from reviewpipe.records import DUPLICATE_PAIR, MetaReviewForm, export_metas_csv, export_reviews_csv
 from reviewpipe.scoring import Decision, DecisionConfig, DecisionList
 
-from conftest import random_corpus
+from conftest import RECS, random_corpus, random_review
 
 
 def make_decisions(accepted, rejected):
@@ -217,6 +218,75 @@ class TestRunPipeline:
         est = acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 500, seed=2)
         cal = aggregate_calibrated(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)
         assert spearmanr(cal, est.probability).statistic > 0.9
+
+    def test_duplicate_review_row_rejected_before_scoring(self, tmp_path, rng):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=20, n_reviewers=10)
+        lines = rpath.read_text(encoding="utf-8").splitlines()
+        paper, reviewer, rec = lines[1].split(",")[:3]
+        other = "Strong Reject" if rec != "Strong Reject" else "Strong Accept"
+        dup_path = tmp_path / "reviews_dup.csv"
+        dup_path.write_text(
+            "\n".join(lines + [",".join([paper, reviewer, other] + lines[1].split(",")[3:])]) + "\n",
+            encoding="utf-8",
+        )
+        outputs = []
+        for name, path in (("clean", rpath), ("dup", dup_path)):
+            out = tmp_path / name
+            run_pipeline(
+                PipelineConfig(
+                    reviews_path=str(path), meta_path=str(mpath), out_dir=str(out), dequantize=True
+                )
+            )
+            outputs.append(out)
+        for name in ("score_table.csv", "decisions.csv"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+        rejected = json.loads((outputs[1] / "validation.json").read_text())["rejected"]
+        assert [(r["row"]["reviewer_id"], r["reason"]) for r in rejected] == [
+            (reviewer, DUPLICATE_PAIR)
+        ]
+
+    def test_fit_summary_flags_unidentifiable_review_bias(self, tmp_path, rng):
+        # every reviewer covers one paper: only sigma_b^2 + sigma_e^2 is identified
+        reviews = [random_review(rng, f"P{p:02d}", f"R{p:02d}_{k}") for p in range(30) for k in range(3)]
+        metas = [MetaReviewForm(f"P{p:02d}", f"M{p % 3}", RECS[p % len(RECS)]) for p in range(30)]
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8")
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(tmp_path / "out"),
+            calibrate=True,
+            grid=GridSpec(points=3),
+            n_samples=20,
+        )
+        with pytest.warns(UnidentifiableModelWarning, match="every reviewer"):
+            result = run_pipeline(cfg)
+        assert result.fit_summary["identifiable"] is False
+        written = json.loads((tmp_path / "out" / "calibration_fit.json").read_text())
+        assert written["identifiable"] is False
+
+    def test_fit_summary_flags(self, tmp_path, rng):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=30, n_reviewers=12)
+        summaries = {}
+        for points in (1, 5):
+            cfg = PipelineConfig(
+                reviews_path=str(rpath),
+                meta_path=str(mpath),
+                out_dir=str(tmp_path / f"out{points}"),
+                calibrate=True,
+                grid=GridSpec(points=points),
+                n_samples=20,
+            )
+            summaries[points] = run_pipeline(cfg).fit_summary
+        # a one-point grid is all edge
+        assert summaries[1]["argmin_on_grid_edge"] is True
+        summary = summaries[5]
+        assert summary["identifiable"] is True
+        best = min(summary["grid"], key=lambda row: row["nll"])
+        edges = {GridSpec().lo, GridSpec().hi}
+        on_edge = best["sb2_hat"] in edges or best["se2_hat"] in edges
+        assert summary["argmin_on_grid_edge"] is on_edge
 
 
 class TestWriteAtomic:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reviewpipe.records import (
+    DUPLICATE_PAIR,
     MetaReviewForm,
     ReviewForm,
     UnknownLabelError,
@@ -135,6 +136,47 @@ class TestLoad:
         path.write_text(json.dumps(payload))
         result = load_reviews(path, format="json")
         assert len(result.reviews) == 1 and len(result.metas) == 1
+
+    def test_duplicate_review_pair_keeps_first_row(self, tmp_path):
+        path = write_reviews(
+            tmp_path,
+            [
+                review_row(reviewer="R1", rec="Accept"),
+                review_row(reviewer="R2", rec="Borderline"),
+                review_row(reviewer="R1", rec="Strong Reject"),
+            ],
+        )
+        result = load_reviews(path)
+        assert [(f.reviewer, f.recommendation) for f in result.reviews] == [
+            ("R1", "Accept"),
+            ("R2", "Borderline"),
+        ]
+        assert len(result.report.rejected) == 1
+        row, reason = result.report.rejected[0]
+        assert reason == DUPLICATE_PAIR
+        assert row["recommendation"] == "Strong Reject"
+        findings = validate(result.reviews, result.metas).findings
+        assert not [f for f in findings if f[0] == "duplicate assignment"]
+
+    def test_duplicate_meta_pair_keeps_first_row(self, tmp_path):
+        path = write_reviews(tmp_path, [review_row()])
+        meta = tmp_path / "meta.csv"
+        meta.write_text(
+            "paper_id,metareviewer_id,recommendation\nP1,M1,Accept\nP1,M2,Reject\nP1,M1,Reject\n"
+        )
+        result = load_reviews(path, meta_path=meta)
+        assert result.metas == [MetaReviewForm("P1", "M1", "Accept"), MetaReviewForm("P1", "M2", "Reject")]
+        assert [(row["metareviewer_id"], reason) for row, reason in result.report.rejected] == [
+            ("M1", DUPLICATE_PAIR)
+        ]
+
+    def test_same_ids_in_review_and_meta_roles_are_not_duplicates(self, tmp_path):
+        path = write_reviews(tmp_path, [review_row(reviewer="X1")])
+        meta = tmp_path / "meta.csv"
+        meta.write_text("paper_id,metareviewer_id,recommendation\nP1,X1,Accept\n")
+        result = load_reviews(path, meta_path=meta)
+        assert len(result.reviews) == 1 and len(result.metas) == 1
+        assert not result.report.rejected
 
 
 class TestValidate:

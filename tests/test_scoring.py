@@ -238,6 +238,24 @@ class TestBuildScoreTable:
         with pytest.raises(ValueError, match="without meta-review"):
             build_score_table([make_review("A", "R1")], [])
 
+    def test_every_missing_meta_named(self):
+        papers = [f"P{i}" for i in range(8)]
+        reviews = [make_review(p, "R1") for p in papers]
+        metas = [MetaReviewForm("P0", "M1", "Accept")]
+        with pytest.raises(ValueError, match="without meta-review") as info:
+            build_score_table(reviews, metas)
+        for p in papers[1:]:
+            assert repr(p) in str(info.value)
+
+    def test_every_unreviewed_meta_named(self):
+        reviews = [make_review("A", "R1")]
+        metas = [MetaReviewForm("A", "M1", "Accept")]
+        metas += [MetaReviewForm(f"Z{i}", "M1", "Accept") for i in range(7)]
+        with pytest.raises(ValueError, match="unreviewed papers") as info:
+            build_score_table(reviews, metas)
+        for i in range(7):
+            assert repr(f"Z{i}") in str(info.value)
+
     def test_aggregate_within_review_bounds(self, rng):
         reviews = []
         metas = []
