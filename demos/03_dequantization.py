@@ -31,6 +31,6 @@ print("Properties on display:")
 print(" - every score stays within 0.25 of its original (hard band)")
 print(" - unanimous papers never move (disagreement already zero)")
 print(" - movement shrinks monotonically as lambda grows")
-print(" - papers are independent subproblems, solved to the box-constrained")
-print("   optimum (clipping the unconstrained solution is polished further")
-print("   whenever a clipped coordinate interacts with interior ones)")
+print(" - papers are independent subproblems, each solved exactly: the paper")
+print("   mean is the root of a piecewise-linear equation, found in closed form")
+print("   between the breakpoints where scores start to clip")

@@ -24,7 +24,7 @@ from .calibration import (
     nll,
     posterior,
 )
-from .dequant import DequantConfig, DequantResult, dequantize, dq_cost
+from .dequant import DequantConfig, DequantResult, dequantize, dequantize_rows, dq_cost
 from .pipeline import (
     GrayAreaReport,
     PipelineConfig,
@@ -50,6 +50,7 @@ from .scoring import (
     DecisionConfig,
     DecisionList,
     ReviewScore,
+    ReviewTable,
     ScoreTable,
     build_score_table,
     meta_score,
@@ -57,7 +58,9 @@ from .scoring import (
     paper_score,
     rank_and_cut,
     review_score,
+    review_table,
     score_index,
+    score_table,
 )
 
 __version__ = "0.1.0"

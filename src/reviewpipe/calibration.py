@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import DecisionConfig, normalize
+from .scoring import DecisionConfig, normalize, paper_pairs, weighted_paper_mean
 
 __all__ = [
     "CalibrationInputs",
@@ -228,11 +228,7 @@ class _ReviewerSpace:
         # included, as a flat (reviewer, reviewer) index and the paper
         order = np.argsort(inputs.paper_idx, kind="stable")
         pi, ri = inputs.paper_idx[order], inputs.reviewer_idx[order]
-        size = self.n_per_paper[pi]
-        first = np.cumsum(self.n_per_paper) - self.n_per_paper
-        left = np.repeat(np.arange(len(pi)), size)
-        offset = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
-        right = first[pi[left]] + offset
+        left, right = paper_pairs(pi, self.n_per_paper)
         self.pair_key = ri[left] * len(self.load) + ri[right]
         self.pair_paper = pi[left]
 
@@ -374,15 +370,7 @@ def aggregate_calibrated(
 ) -> np.ndarray:
     """Confidence-weighted per-paper mean of the calibrated scores,
     normalized onto [0, 100]."""
-    return normalize(_aggregate_raw(mu_y, paper_idx, confidences, n_papers))
-
-
-def _aggregate_raw(values, paper_idx, confidences, n_papers) -> np.ndarray:
-    num = np.bincount(paper_idx, weights=confidences * values, minlength=n_papers)
-    den = np.bincount(paper_idx, weights=confidences, minlength=n_papers)
-    if np.any(den == 0):
-        raise ValueError("every paper needs at least one review entry")
-    return num / den
+    return normalize(weighted_paper_mean(mu_y, paper_idx, confidences, n_papers))
 
 
 @dataclass
@@ -468,20 +456,21 @@ def calibrate_meta(
     taking the reviewer role; returns normalized per-paper scores.
 
     When every meta-reviewer covers exactly one paper the bias term is
-    unidentifiable: the inputs are passed through (normalized) with a
+    unidentifiable, and when every score is equal there is no variance to
+    split: in both cases the inputs are passed through (normalized) with a
     warning instead of fitting.
     """
     xi = np.asarray(xi, dtype=float)
     if len(xi) < 2:
         raise ValueError("meta calibration needs at least two entries")
-    if not bias_identifiable(metareviewer_idx):
+    if not bias_identifiable(metareviewer_idx) or np.all(xi == xi[0]):
         warnings.warn(
-            "every meta-reviewer covers a single paper: bias unidentifiable, "
-            "returning uncalibrated scores",
+            "every meta-reviewer covers a single paper or every meta score is "
+            "equal: bias unidentifiable, returning uncalibrated scores",
             UnidentifiableModelWarning,
             stacklevel=2,
         )
-        agg = _aggregate_raw(xi, np.asarray(paper_idx), np.ones(len(xi)), len(paper_ids))
+        agg = weighted_paper_mean(xi, np.asarray(paper_idx), np.ones(len(xi)), len(paper_ids))
         return normalize(agg)
     inputs = CalibrationInputs(
         s=xi,

@@ -1,10 +1,10 @@
 """Command-line entry points for the review decision pipeline.
 
-Subcommands: validate, assign, score, dequantize, calibrate, rank,
-report, pipeline.  A config file of ``key = value`` lines (same keys as
-the long flag names, without dashes) can be passed with ``--config``;
-values from the file override the flags, so a checked-in config wins
-over ad-hoc command lines.
+Subcommands: validate, assign, dequantize, pipeline.  ``pipeline`` takes
+``--dequantize`` and ``--no-calibrate``.  A config file of ``key = value``
+lines (same keys as the long flag names, without dashes) can be passed
+with ``--config``; values from the file override the flags, so a
+checked-in config wins over ad-hoc command lines.
 """
 
 from __future__ import annotations
@@ -13,15 +13,14 @@ import argparse
 import csv
 import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 from .assignment import AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
-from .dequant import DequantConfig, dequantize
+from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, run_pipeline, write_atomic
 from .records import load_reviews, validate
-from .scoring import DecisionConfig, review_score
+from .scoring import DecisionConfig, review_table
 
 CONFIG_KEYS = {
     "input": str,
@@ -85,72 +84,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-papers", type=int, default=6)
     p.add_argument("--out", default="out")
 
-    p = sub.add_parser("score", help="compute the per-paper score table")
-    _add_common(p)
-    p.add_argument("--dequantize", action="store_true")
-    p.add_argument("--lambda", type=float, default=2.0, dest="lam")
-
     p = sub.add_parser("dequantize", help="emit per-review dequantized scores")
     _add_common(p)
     p.add_argument("--lambda", type=float, default=2.0, dest="lam")
 
-    p = sub.add_parser("calibrate", help="fit the bias model and emit calibrated columns")
-    _add_common(p)
-    _add_calibration_flags(p)
-
-    p = sub.add_parser("rank", help="rank papers and apply the acceptance cutoff")
-    _add_common(p)
-
-    p = sub.add_parser("report", help="full pipeline plus gray-area report (alias)")
-    _add_common(p)
-    _add_calibration_flags(p)
-    p.add_argument("--dequantize", action="store_true")
-    p.add_argument("--lambda", type=float, default=2.0, dest="lam")
-
     p = sub.add_parser("pipeline", help="run every stage end to end")
     _add_common(p)
-    _add_calibration_flags(p)
     p.add_argument("--dequantize", action="store_true")
-    p.add_argument("--no-calibrate", action="store_true")
     p.add_argument("--lambda", type=float, default=2.0, dest="lam")
-
-    return parser
-
-
-def _add_calibration_flags(p):
+    p.add_argument("--calibrate", action=argparse.BooleanOptionalAction, default=True,
+                   help="fit the bias model (--no-calibrate skips it)")
     p.add_argument("--grid-min", type=float, default=1e-2, dest="grid_min")
     p.add_argument("--grid-max", type=float, default=1e2, dest="grid_max")
     p.add_argument("--grid-points", type=int, default=13, dest="grid_points")
     p.add_argument("--samples", type=int, default=1000)
 
+    return parser
+
 
 def _apply_config(args):
     if getattr(args, "config", None):
         overrides = _load_config(args.config)
-        mapping = {"input": "input", "meta": "meta", "out": "out", "lambda": "lam"}
         for key, value in overrides.items():
-            setattr(args, mapping.get(key, key), value)
+            setattr(args, "lam" if key == "lambda" else key, value)
     return args
-
-
-def _pipeline_config(args, dequant=False, calibrate=False) -> PipelineConfig:
-    return PipelineConfig(
-        reviews_path=args.input,
-        meta_path=getattr(args, "meta", None),
-        format=args.format,
-        out_dir=args.out,
-        dequantize=dequant or bool(getattr(args, "dequantize", False)),
-        calibrate=calibrate,
-        dequant=DequantConfig(lam=getattr(args, "lam", 2.0)),
-        grid=GridSpec(
-            lo=getattr(args, "grid_min", 1e-2),
-            hi=getattr(args, "grid_max", 1e2),
-            points=getattr(args, "grid_points", 13),
-        ),
-        decision=DecisionConfig(acceptance_rate=args.acceptance_rate),
-        n_samples=getattr(args, "samples", 1000),
-        seed=args.seed,
-    )
 
 
 def cmd_validate(args) -> int:
@@ -208,45 +165,33 @@ def cmd_assign(args) -> int:
     return 0 if result.feasible and result.report.ok else 1
 
 
-def cmd_score(args) -> int:
-    result = run_pipeline(_pipeline_config(args))
-    sys.stdout.write(f"scored {len(result.table.papers)} papers -> {args.out}\n")
-    return 0
-
-
 def cmd_dequantize(args) -> int:
     loaded = load_reviews(args.input, args.format, args.meta)
-    scores = [review_score(f) for f in loaded.reviews]
-    groups = defaultdict(list)
-    for sc in scores:
-        groups[sc.paper].append((sc.reviewer, sc.value))
-    result = dequantize(dict(groups), DequantConfig(lam=args.lam))
+    rows = review_table(loaded.reviews)
+    s_dq = dequantize_rows(rows.paper, rows.s, DequantConfig(lam=args.lam))
     lines = ["paper_id,reviewer_id,s,s_dq"]
-    for sc in sorted(scores, key=lambda sc: (sc.paper, sc.reviewer)):
-        lines.append(f"{sc.paper},{sc.reviewer},{sc.value!r},{result.scores[(sc.reviewer, sc.paper)]!r}")
+    for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist()):
+        lines.append(f"{rows.paper_ids[p]},{rows.reviewer_ids[r]},{s!r},{x!r}")
     write_atomic(Path(args.out) / "dequantized.csv", "\n".join(lines) + "\n")
-    sys.stdout.write(f"dequantized {len(scores)} reviews (lambda={args.lam}) -> {args.out}\n")
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    result = run_pipeline(_pipeline_config(args, calibrate=True))
-    sys.stdout.write(f"calibrated {len(result.table.papers)} papers -> {args.out}\n")
-    return 0
-
-
-def cmd_rank(args) -> int:
-    result = run_pipeline(_pipeline_config(args))
-    sys.stdout.write(
-        f"accepted {result.decisions.n_accept} of {len(result.table.papers)} papers "
-        f"(rate {args.acceptance_rate}%) -> {args.out}\n"
-    )
+    sys.stdout.write(f"dequantized {len(lines) - 1} reviews (lambda={args.lam}) -> {args.out}\n")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    calibrate = not getattr(args, "no_calibrate", False)
-    result = run_pipeline(_pipeline_config(args, calibrate=calibrate))
+    cfg = PipelineConfig(
+        reviews_path=args.input,
+        meta_path=args.meta,
+        format=args.format,
+        out_dir=args.out,
+        dequantize=args.dequantize,
+        calibrate=args.calibrate,
+        dequant=DequantConfig(lam=args.lam),
+        grid=GridSpec(lo=args.grid_min, hi=args.grid_max, points=args.grid_points),
+        decision=DecisionConfig(acceptance_rate=args.acceptance_rate),
+        n_samples=args.samples,
+        seed=args.seed,
+    )
+    result = run_pipeline(cfg)
     counts = result.gray.counts
     sys.stdout.write(
         f"pipeline complete: {len(result.table.papers)} papers, "
@@ -261,11 +206,7 @@ def main(argv=None) -> int:
     handlers = {
         "validate": cmd_validate,
         "assign": cmd_assign,
-        "score": cmd_score,
         "dequantize": cmd_dequantize,
-        "calibrate": cmd_calibrate,
-        "rank": cmd_rank,
-        "report": cmd_pipeline,
         "pipeline": cmd_pipeline,
     }
     return handlers[args.command](args)

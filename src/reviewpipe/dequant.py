@@ -3,18 +3,24 @@ values inside a +/-0.25 band that reduce within-paper disagreement.
 
 Per paper the problem is the box-constrained quadratic
 
-    minimize  sum_r (s_hat_r - mean(s_hat))^2 + lambda * sum_r (s_hat_r - s_r)^2
-    subject   |s_hat_r - s_r| <= 0.25
+    minimize  sum_r (x_r - mean(x))^2 + lambda * sum_r (x_r - s_r)^2
+    subject   |x_r - s_r| <= band
 
-The closed form for the unconstrained optimum is
+It is convex, so the KKT conditions characterize its optimum: with
+m = mean(x),
 
-    y_r = (1 + n*lambda) / (n*(1+lambda)) * s_r + sum_{r' != r} s_r' / (n*(1+lambda))
+    x_r(m) = clip((m + lambda s_r) / (1 + lambda), s_r - band, s_r + band)
 
-clipped to the band.  Clipping alone is not always the constrained optimum
-(when some coordinates clip, the interior ones shift through the group
-mean), so the clipped point is polished with exact per-coordinate descent
-until the KKT conditions hold; the polish is a no-op whenever nothing
-clips.  Papers are independent throughout.
+and m is a root of g(m) = mean(x(m)) - m.  g is piecewise linear and
+nonincreasing, with breakpoints at s_r +/- band (1 + lambda), so the root
+lies between the last breakpoint where g > 0 and the first where g <= 0,
+and is solved for in closed form there.  At lambda = 0 the root can be an
+interval (when the paper's scores span at most 2 band); the point nearest
+mean(s) is taken, so identical scores come back unchanged.
+
+All papers are solved at once on flat arrays: evaluating g at every
+breakpoint costs O(sum of n_p^2) time and memory, n_p being the number of
+reviews of paper p.  Papers are independent throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DequantConfig", "DequantResult", "dequantize", "dq_cost"]
+from .scoring import paper_pairs
+
+__all__ = ["DequantConfig", "DequantResult", "dequantize", "dequantize_rows", "dq_cost"]
 
 BAND = 0.25
 
@@ -54,39 +62,54 @@ class DequantResult:
     cost: float
 
 
-def _closed_form(s: np.ndarray, lam: float) -> np.ndarray:
-    n = len(s)
-    total = s.sum()
-    # equivalent to the per-entry sum over the other reviews
-    return ((1 + n * lam) * s + (total - s)) / (n * (1 + lam))
+def dequantize_rows(paper, s, cfg: DequantConfig) -> np.ndarray:
+    """Dequantize flat score rows.  ``paper`` holds paper codes 0, 1, 2, ...
+    in nondecreasing order, so each paper's rows are contiguous.  Returns
+    the optimum, aligned with ``s``, within ``cfg.band`` of it."""
+    paper = np.asarray(paper, dtype=int)
+    s = np.asarray(s, dtype=float)
+    if len(paper) != len(s):
+        raise ValueError("paper codes must align with the scores")
+    if len(s) == 0:
+        return s.copy()
+    n = np.bincount(paper)
+    if (paper[1:] < paper[:-1]).any() or not n.all():
+        raise ValueError("paper codes must run 0, 1, 2, ... with each paper's rows together")
+    lam, band = cfg.lam, cfg.band
+    first = n.cumsum() - n
+    # offsets from each paper's lowest score: exact on the lattice, and all
+    # 0 for a paper whose scores are equal
+    t = s - np.minimum.reduceat(s, first)[paper]
+    lo, hi = t - band * (1 + lam), t + band * (1 + lam)  # breakpoints of g
 
-
-def _polish(s_hat: np.ndarray, s: np.ndarray, lam: float, band: float) -> np.ndarray:
-    """Exact coordinate descent to the constrained optimum.
-
-    Per-coordinate minimizer given the others: stationarity of
-    (x - mean) + lambda*(x - s_i) = 0 with mean = (x + T)/n, clipped to the
-    box.  Strictly convex for lambda > 0; for lambda = 0 the objective is
-    still convex and descent converges to a minimizer.
-    """
-    n = len(s_hat)
-    if n == 1:
-        return s_hat
-    lo, hi = s - band, s + band
-    total = s_hat.sum()
-    denom = (n - 1) / n + lam
-    for _ in range(10_000):
-        delta = 0.0
-        for i in range(n):
-            t = total - s_hat[i]
-            x = (t / n + lam * s[i]) / denom
-            x = min(max(x, lo[i]), hi[i])
-            delta = max(delta, abs(x - s_hat[i]))
-            total += x - s_hat[i]
-            s_hat[i] = x
-        if delta < 1e-14:
-            break
-    return s_hat
+    # g at both breakpoints of every row j: at m = lo_j each row i of the
+    # paper sits at t_i + clip((t_j - t_i) / (1 + lam), 0, 2 band) - band,
+    # and at m = hi_j at t_i + clip(same, -2 band, 0) + band
+    j, i = paper_pairs(paper, n)
+    t_i = t[i]
+    shift = (t[j] - t_i) / (1 + lam)
+    n_row = n[paper]
+    g_lo = np.bincount(j, weights=t_i + np.minimum(np.maximum(shift, 0), 2 * band)) / n_row
+    g_hi = np.bincount(j, weights=t_i + np.minimum(np.maximum(shift, -2 * band), 0)) / n_row
+    g_lo -= band + lo
+    g_hi += band - hi
+    # g is nonincreasing, so the root lies below lo where g(lo) <= 0 (the
+    # row is clipped low) and above hi where g(hi) > 0 (clipped high); with
+    # the rows so split, g(m) = 0 is linear in m
+    low = g_lo <= 0
+    high = (g_hi > 0) & ~low
+    inside = ~(low | high)
+    num = lam * np.bincount(paper, weights=np.where(inside, t, 0.0)) + (1 + lam) * np.bincount(
+        paper, weights=np.where(inside, 0.0, t) + band * (high.astype(float) - low)
+    )
+    den = (n - np.bincount(paper, weights=inside)) + n * lam
+    m = np.divide(num, den, out=np.zeros(len(n)), where=den > 0)
+    if lam == 0:
+        # every m in [max t - band, band] is a root: take the one nearest mean(t)
+        span = np.maximum.reduceat(t, first)
+        mean_t = np.bincount(paper, weights=t) / n
+        m = np.where(span <= 2 * band, np.clip(mean_t, span - band, band), m)
+    return s + np.minimum(np.maximum((m[paper] - t) / (1 + lam), -band), band)
 
 
 def dequantize(groups: dict[str, list[tuple[str, float]]], cfg: DequantConfig) -> DequantResult:
@@ -95,26 +118,21 @@ def dequantize(groups: dict[str, list[tuple[str, float]]], cfg: DequantConfig) -
     ``groups`` maps paper id -> list of (reviewer id, raw score).  Returns
     per-pair dequantized scores with |s_hat - s| <= band guaranteed.
     """
-    scores: dict[tuple[str, str], float] = {}
-    counts: dict[str, int] = {}
-    means: dict[str, float] = {}
-    for paper, entries in groups.items():
-        if not entries:
-            raise ValueError(f"paper {paper} has no reviews")
-        s = np.array([v for _, v in entries], dtype=float)
-        y = _closed_form(s, cfg.lam)
-        s_hat = np.clip(y, s - cfg.band, s + cfg.band)
-        s_hat = _polish(s_hat, s, cfg.lam, cfg.band)
-        for (reviewer, _), v in zip(entries, s_hat, strict=True):
-            scores[(reviewer, paper)] = float(v)
-        counts[paper] = len(entries)
-        means[paper] = float(s_hat.mean())
-    cost = dq_cost(
-        {k: v for k, v in scores.items()},
-        {(r, p): v for p, entries in groups.items() for r, v in entries},
-        cfg.lam,
+    empty = [paper for paper, entries in groups.items() if not entries]
+    if empty:
+        raise ValueError(f"paper {empty[0]} has no reviews")
+    sizes = np.array([len(entries) for entries in groups.values()], dtype=int)
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    s = np.array([v for entries in groups.values() for _, v in entries], dtype=float)
+    x = dequantize_rows(codes, s, cfg)
+    means = np.bincount(codes, weights=x, minlength=len(sizes)) / sizes
+    keys = [(r, p) for p, entries in groups.items() for r, _ in entries]
+    return DequantResult(
+        scores=dict(zip(keys, x.tolist())),
+        review_counts=dict(zip(groups, sizes.tolist())),
+        paper_means=dict(zip(groups, means.tolist())),
+        cost=float(((x - means[codes]) ** 2).sum() + cfg.lam * ((x - s) ** 2).sum()),
     )
-    return DequantResult(scores=scores, review_counts=counts, paper_means=means, cost=cost)
 
 
 def dq_cost(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,18 +30,18 @@ from .calibration import (
     fit_hyperparams,
     posterior,
 )
-from .dequant import DequantConfig, dequantize
+from .dequant import DequantConfig, dequantize_rows
 from .plots import histogram_artifact, scatter_artifact
-from .records import encode_likert, load_reviews, validate
+from .records import load_reviews, validate
 from .scoring import (
     DecisionConfig,
     DecisionList,
     ScoreTable,
-    build_score_table,
     decision_list_csv,
     rank_and_cut,
-    review_score,
+    review_table,
     score_index,
+    score_table,
     score_table_csv,
     score_table_json,
 )
@@ -230,27 +229,32 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         artifacts.append(str(out_dir / "validation.json"))
 
     with _stage("score"):
-        scores = [review_score(f) for f in loaded.reviews]
-        review_values = None
-        if cfg.dequantize:
-            groups = defaultdict(list)
-            for sc in scores:
-                groups[sc.paper].append((sc.reviewer, sc.value))
-            review_values = dequantize(dict(groups), cfg.dequant).scores
-        table = build_score_table(loaded.reviews, loaded.metas, review_values)
+        rows = review_table(loaded.reviews, loaded.metas)
+        values = dequantize_rows(rows.paper, rows.s, cfg.dequant) if cfg.dequantize else rows.s
+        table = score_table(rows, values)
 
     fit_summary = None
     estimate = None
     mu_y = None
     if cfg.calibrate:
         with _stage("calibrate"):
-            inputs = _calibration_inputs(loaded.reviews, scores, table, review_values)
+            inputs = CalibrationInputs(
+                s=values,
+                paper_idx=rows.paper,
+                reviewer_idx=rows.reviewer,
+                paper_ids=rows.paper_ids,
+                reviewer_ids=rows.reviewer_ids,
+                confidences=rows.confidence,
+            )
             hp, grid_table = fit_hyperparams(inputs, cfg.grid, collect_grid=True)
             mu_y, sigma_y = posterior(inputs, hp)
             table.sR_cal = aggregate_calibrated(
                 mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers
             )
-            table.sM_cal = _calibrated_meta(loaded.metas, table, cfg.grid)
+            table.sM_cal = calibrate_meta(
+                rows.xi, rows.meta_paper, rows.metareviewer,
+                rows.paper_ids, rows.metareviewer_ids, cfg.grid,
+            )
             table.SI_cal = np.asarray(score_index(table.sR_cal, table.sM_cal))
             estimate = acceptance_probability(
                 mu_y, sigma_y, inputs, cfg.decision, cfg.n_samples, cfg.seed
@@ -310,44 +314,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         gray=gray,
         fit_summary=fit_summary,
         artifacts=artifacts,
-    )
-
-
-def _calibration_inputs(reviews, scores, table: ScoreTable, review_values) -> CalibrationInputs:
-    """Stack per-review composite scores (optionally dequantized) with
-    paper/reviewer labels aligned to the score table's paper order."""
-    paper_ids = table.papers
-    pidx = {p: i for i, p in enumerate(paper_ids)}
-    reviewer_ids = sorted({sc.reviewer for sc in scores})
-    ridx = {r: i for i, r in enumerate(reviewer_ids)}
-    ordered = sorted(scores, key=lambda sc: (pidx[sc.paper], sc.reviewer))
-    s = np.array(
-        [
-            review_values[(sc.reviewer, sc.paper)] if review_values else sc.value
-            for sc in ordered
-        ]
-    )
-    return CalibrationInputs(
-        s=s,
-        paper_idx=np.array([pidx[sc.paper] for sc in ordered]),
-        reviewer_idx=np.array([ridx[sc.reviewer] for sc in ordered]),
-        paper_ids=list(paper_ids),
-        reviewer_ids=reviewer_ids,
-        confidences=np.array([sc.confidence for sc in ordered]),
-    )
-
-
-def _calibrated_meta(metas, table: ScoreTable, grid: GridSpec) -> np.ndarray:
-    pidx = {p: i for i, p in enumerate(table.papers)}
-    mids = sorted({m.metareviewer for m in metas})
-    midx = {m: i for i, m in enumerate(mids)}
-    ordered = sorted(metas, key=lambda m: (pidx[m.paper], m.metareviewer))
-    xi = np.array([encode_likert(m.recommendation, "recommendation") for m in ordered], dtype=float)
-    return calibrate_meta(
-        xi,
-        np.array([pidx[m.paper] for m in ordered]),
-        np.array([midx[m.metareviewer] for m in ordered]),
-        list(table.papers),
-        mids,
-        grid,
     )

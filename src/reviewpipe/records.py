@@ -173,13 +173,10 @@ class MetaReviewForm:
 
 @dataclass(frozen=True)
 class AssignmentSet:
-    """Reviewer-paper and meta-reviewer-paper pairings, with reviewer tags
-    and per-paper conflict lists."""
+    """Reviewer-paper and meta-reviewer-paper pairings."""
 
     review_pairs: frozenset[tuple[str, str]]
     meta_pairs: frozenset[tuple[str, str]]
-    reviewer_tags: dict[str, str] = field(default_factory=dict)
-    conflicts: frozenset[tuple[str, str]] = frozenset()
 
     @property
     def papers(self) -> set[str]:

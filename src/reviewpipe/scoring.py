@@ -16,8 +16,7 @@ import io
 import json
 import math
 import warnings
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,9 @@ __all__ = [
     "normalize",
     "score_index",
     "build_score_table",
+    "ReviewTable",
+    "review_table",
+    "score_table",
     "rank_and_cut",
     "score_table_csv",
     "score_table_json",
@@ -159,57 +161,133 @@ class ScoreTable:
     def calibrated(self) -> bool:
         return self.SI_cal is not None
 
-    def index_of(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.papers)}
 
+@dataclass(frozen=True)
+class ReviewTable:
+    """Every review and meta-review of a run as integer-coded arrays.
 
-def build_score_table(
-    reviews: list[ReviewForm],
-    metas: list[MetaReviewForm],
-    review_values: dict[tuple[str, str], float] | None = None,
-) -> ScoreTable:
-    """Aggregate reviews and meta-reviews into the per-paper score table.
-
-    ``review_values`` optionally replaces raw per-review scores, keyed by
-    (reviewer, paper) -- used for the dequantized variant of the pipeline.
-    Papers are ordered lexicographically.  Papers missing either a review
-    or a meta-review are rejected: fusion needs both sides.
+    ``paper``, ``reviewer`` and ``metareviewer`` are codes into the sorted
+    id lists.  Review rows are ordered by (paper, reviewer) and meta rows
+    by (paper, metareviewer), so the table does not depend on the order of
+    the input rows.  ``s_half`` is the composite score in half-steps and
+    ``xi`` the meta-reviewer's recommendation weight.
     """
-    by_paper: dict[str, list[ReviewScore]] = defaultdict(list)
-    for form in reviews:
-        by_paper[form.paper].append(review_score(form))
-    meta_by_paper: dict[str, list[MetaReviewForm]] = defaultdict(list)
-    for m in metas:
-        meta_by_paper[m.paper].append(m)
 
-    papers = sorted(by_paper)
-    missing_meta = [p for p in papers if p not in meta_by_paper]
-    if missing_meta:
-        raise ValueError(f"papers without meta-review: {missing_meta}")
-    extra_meta = sorted(set(meta_by_paper) - set(by_paper))
-    if extra_meta:
-        raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
+    paper_ids: list[str]
+    reviewer_ids: list[str]
+    metareviewer_ids: list[str]
+    paper: np.ndarray
+    reviewer: np.ndarray
+    s_half: np.ndarray
+    confidence: np.ndarray
+    meta_paper: np.ndarray
+    metareviewer: np.ndarray
+    xi: np.ndarray
 
-    s_p = np.empty(len(papers))
-    xi_p = np.empty(len(papers))
-    for i, p in enumerate(papers):
-        scores = by_paper[p]
-        vals = None
-        if review_values is not None:
-            vals = [review_values[(r.reviewer, r.paper)] for r in scores]
-        s_p[i] = paper_score(scores, vals)
-        xi_p[i] = meta_score(meta_by_paper[p])
+    @property
+    def s(self) -> np.ndarray:
+        """Composite review scores."""
+        return self.s_half / 2.0
 
+
+def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct ids and the code of each entry of ``ids``."""
+    uniq = sorted(set(ids))
+    index = {x: i for i, x in enumerate(uniq)}
+    return uniq, np.array([index[x] for x in ids], dtype=int)
+
+
+def review_table(
+    reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None
+) -> ReviewTable:
+    """Score every review once and code reviews and meta-reviews by id.
+
+    With ``metas`` given, every reviewed paper needs a meta-review and
+    every meta-reviewed paper a review: fusion needs both sides.  Without
+    it the meta arrays are empty.
+    """
+    scores = [review_score(f) for f in reviews]
+    paper_ids, paper = _codes([sc.paper for sc in scores])
+    if metas is None:
+        metas = []
+    else:
+        meta_papers = {m.paper for m in metas}
+        missing_meta = [p for p in paper_ids if p not in meta_papers]
+        if missing_meta:
+            raise ValueError(f"papers without meta-review: {missing_meta}")
+        extra_meta = sorted(meta_papers.difference(paper_ids))
+        if extra_meta:
+            raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
+    paper_index = {p: i for i, p in enumerate(paper_ids)}
+    meta_paper = np.array([paper_index[m.paper] for m in metas], dtype=int)
+    reviewer_ids, reviewer = _codes([sc.reviewer for sc in scores])
+    metareviewer_ids, metareviewer = _codes([m.metareviewer for m in metas])
+    rows = np.lexsort((reviewer, paper))
+    meta_rows = np.lexsort((metareviewer, meta_paper))
+    return ReviewTable(
+        paper_ids=paper_ids,
+        reviewer_ids=reviewer_ids,
+        metareviewer_ids=metareviewer_ids,
+        paper=paper[rows],
+        reviewer=reviewer[rows],
+        s_half=np.array([sc.s_half for sc in scores], dtype=int)[rows],
+        confidence=np.array([sc.confidence for sc in scores], dtype=float)[rows],
+        meta_paper=meta_paper[meta_rows],
+        metareviewer=metareviewer[meta_rows],
+        xi=np.array(
+            [encode_likert(m.recommendation, "recommendation") for m in metas], dtype=float
+        )[meta_rows],
+    )
+
+
+def weighted_paper_mean(values, paper, weights, n_papers: int) -> np.ndarray:
+    """Per-paper weighted mean of row values; every paper needs a row."""
+    num = np.bincount(paper, weights=weights * values, minlength=n_papers)
+    den = np.bincount(paper, weights=weights, minlength=n_papers)
+    if np.any(den == 0):
+        raise ValueError("every paper needs at least one review entry")
+    return num / den
+
+
+def paper_pairs(paper: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (i, j) of rows on one paper, each row paired with
+    itself too.  ``paper`` is sorted and ``counts`` is its bincount."""
+    size = counts[paper]
+    first = counts.cumsum() - counts
+    i = np.arange(len(paper)).repeat(size)
+    j = first[paper[i]] + np.arange(len(i)) - (size.cumsum() - size).repeat(size)
+    return i, j
+
+
+def score_table(rows: ReviewTable, values=None) -> ScoreTable:
+    """Aggregate a review table into the per-paper score table.
+
+    ``values`` optionally replaces the raw review scores, aligned with the
+    table's rows -- used for the dequantized variant of the pipeline.
+    Papers are ordered lexicographically.
+    """
+    values = rows.s if values is None else np.asarray(values, dtype=float)
+    n_papers = len(rows.paper_ids)
+    s_p = weighted_paper_mean(values, rows.paper, rows.confidence, n_papers)
+    xi_p = weighted_paper_mean(rows.xi, rows.meta_paper, np.ones(len(rows.xi)), n_papers)
     sR = normalize(s_p)
     sM = normalize(xi_p)
     return ScoreTable(
-        papers=papers,
+        papers=list(rows.paper_ids),
         s_p=s_p,
         xi_p=xi_p,
         sR_norm=sR,
         sM_norm=sM,
         SI=np.asarray(score_index(sR, sM)),
     )
+
+
+def build_score_table(reviews: list[ReviewForm], metas: list[MetaReviewForm]) -> ScoreTable:
+    """Aggregate reviews and meta-reviews into the per-paper score table.
+
+    Papers missing either a review or a meta-review are rejected.
+    """
+    return score_table(review_table(reviews, metas))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reviewpipe.dequant import BAND, DequantConfig, dequantize, dq_cost
+from reviewpipe.dequant import BAND, DequantConfig, dequantize, dequantize_rows, dq_cost
 
 
 def one_paper(values):
@@ -59,6 +59,47 @@ class TestClosedForm:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             DequantConfig(lam=-1.0)
+
+
+class TestExactSolver:
+    def test_kkt_conditions_on_random_instances(self, rng):
+        # with m the paper mean, r = (x - m) + lambda (x - s) is zero inside
+        # the band, >= 0 on its lower edge and <= 0 on its upper edge
+        for trial in range(200):
+            lam = 0.0 if trial % 4 == 0 else float(rng.uniform(0.0, 10.0))
+            sizes = rng.integers(1, 8, size=int(rng.integers(1, 30)))
+            paper = np.repeat(np.arange(len(sizes)), sizes)
+            if trial % 2:
+                s = random_lattice_scores(rng, len(paper))
+            else:
+                s = rng.uniform(-7.0, 8.0, len(paper))
+            x = dequantize_rows(paper, s, DequantConfig(lam=lam))
+            assert np.all(np.abs(x - s) <= BAND + 1e-12)
+            m = (np.bincount(paper, weights=x) / sizes)[paper]
+            r = (x - m) + lam * (x - s)
+            at_low = x - (s - BAND) <= 1e-12
+            at_high = (s + BAND) - x <= 1e-12
+            inside = ~(at_low | at_high)
+            assert np.all(np.abs(r[inside]) <= 1e-12)
+            assert np.all(r[at_low & ~at_high] >= -1e-12)
+            assert np.all(r[at_high & ~at_low] <= 1e-12)
+            assert np.array_equal(x[sizes[paper] == 1], s[sizes[paper] == 1])
+
+    def test_identical_scores_unchanged_at_lambda_zero(self):
+        result = dequantize(one_paper([2.0, 2.0]), DequantConfig(lam=0.0))
+        assert paper_scores(result, "p", 2).tolist() == [2.0, 2.0]
+
+    def test_lambda_zero_takes_the_root_nearest_the_mean(self):
+        # the roots are [max s - band, min s + band]: one point for the first
+        # paper, [1.0, 1.25] around the mean 1.125 for the second
+        result = dequantize(one_paper([0.0, 0.0, 0.0, 0.5]), DequantConfig(lam=0.0))
+        assert paper_scores(result, "p", 4) == pytest.approx([0.25] * 4, abs=1e-15)
+        result = dequantize(one_paper([1.0, 1.25]), DequantConfig(lam=0.0))
+        assert paper_scores(result, "p", 2) == pytest.approx([1.125, 1.125], abs=1e-15)
+
+    def test_rows_must_be_grouped_by_paper(self):
+        with pytest.raises(ValueError):
+            dequantize_rows([0, 1, 0], [1.0, 2.0, 3.0], DequantConfig())
 
 
 class TestCost:

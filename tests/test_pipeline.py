@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
+
+import reviewpipe.scoring
 
 from reviewpipe.pipeline import (
     GrayAreaReport,
@@ -289,6 +298,100 @@ class TestRunPipeline:
         assert summary["argmin_on_grid_edge"] is on_edge
 
 
+    def test_review_score_runs_once_per_review(self, tmp_path, rng, monkeypatch):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=20, n_reviewers=10)
+        original = reviewpipe.scoring.review_score
+        calls = []
+
+        def counted(form):
+            calls.append(form)
+            return original(form)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("reviewpipe") and getattr(module, "review_score", None) is original:
+                monkeypatch.setattr(module, "review_score", counted)
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(tmp_path / "out"),
+            dequantize=True,
+            calibrate=True,
+            grid=GridSpec(points=3),
+            n_samples=20,
+        )
+        run_pipeline(cfg)
+        assert len(calls) == 60
+
+    def test_constant_meta_scores_pass_through(self, tmp_path, rng):
+        _, _, reviews, metas = random_corpus(rng, 30, 12)
+        metas = [MetaReviewForm(m.paper, m.metareviewer, "Accept") for m in metas]
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8")
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(tmp_path / "out"),
+            calibrate=True,
+            grid=GridSpec(points=3),
+            n_samples=20,
+        )
+        with pytest.warns(UnidentifiableModelWarning, match="every meta score is equal"):
+            result = run_pipeline(cfg)
+        assert result.table.sM_cal.tolist() == [50.0] * 30
+        assert (tmp_path / "out" / "decisions_calibrated.csv").exists()
+
+
+SHUFFLE_CORPUS = random_corpus(np.random.default_rng(2024), 24, 10)
+
+
+def _run_exports(review_lines, meta_lines) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        rpath, mpath, out = tmp / "reviews.csv", tmp / "metas.csv", tmp / "out"
+        rpath.write_text("\n".join(review_lines) + "\n", encoding="utf-8")
+        mpath.write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(out),
+            dequantize=True,
+            calibrate=True,
+            grid=GridSpec(points=3),
+            n_samples=50,
+            seed=4,
+        )
+        run_pipeline(cfg)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_shuffled_input_rows_give_byte_identical_artifacts(random):
+    _, _, reviews, metas = SHUFFLE_CORPUS
+    review_lines = export_reviews_csv(reviews).splitlines()
+    meta_lines = export_metas_csv(metas).splitlines()
+    reference = _run_exports(review_lines, meta_lines)
+    body, meta_body = review_lines[1:], meta_lines[1:]
+    random.shuffle(body)
+    random.shuffle(meta_body)
+    assert _run_exports(review_lines[:1] + body, meta_lines[:1] + meta_body) == reference
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, reviewpipe; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestWriteAtomic:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "sub" / "x.txt"
@@ -368,7 +471,8 @@ class TestCli:
         config.write_text(f"out = {tmp_path / 'from_config'}\nacceptance_rate = 50\n")
         code = self.run(
             [
-                "rank",
+                "pipeline",
+                "--no-calibrate",
                 "--input", str(rpath),
                 "--meta", str(mpath),
                 "--out", str(tmp_path / "ignored"),
@@ -378,6 +482,26 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "from_config" / "decisions.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+    def test_config_calibrate_false_skips_calibration(self, tmp_path, rng):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        config = tmp_path / "run.cfg"
+        config.write_text("calibrate = false\n")
+        out = tmp_path / "o"
+        code = self.run(
+            [
+                "pipeline",
+                "--input", str(rpath),
+                "--meta", str(mpath),
+                "--out", str(out),
+                "--config", str(config),
+            ]
+        )
+        assert code == 0
+        assert (out / "decisions.csv").exists()
+        assert not (out / "decisions_calibrated.csv").exists()
+        assert not (out / "calibration_fit.json").exists()
 
 
 def test_gray_area_report_serialization():

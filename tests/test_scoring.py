@@ -15,11 +15,13 @@ from reviewpipe.scoring import (
     paper_score,
     rank_and_cut,
     review_score,
+    review_table,
     score_index,
+    score_table,
     score_table_csv,
 )
 
-from conftest import CONFS, CRITS, RECS, make_review, random_review
+from conftest import CONFS, CRITS, RECS, make_review, random_corpus, random_review
 
 
 class TestReviewScore:
@@ -269,6 +271,56 @@ class TestBuildScoreTable:
             by_paper.setdefault(f.paper, []).append(review_score(f).value)
         for i, p in enumerate(table.papers):
             assert min(by_paper[p]) - 1e-12 <= table.s_p[i] <= max(by_paper[p]) + 1e-12
+
+
+class TestReviewTable:
+    def test_codes_follow_sorted_ids_and_rows_are_ordered(self):
+        reviews = [
+            make_review("B", "R2", rec="Accept"),
+            make_review("A", "R3"),
+            make_review("B", "R1", rec="Reject", conf="Excellent"),
+            make_review("A", "R1", award=1),
+        ]
+        metas = [
+            MetaReviewForm("B", "M2", "Accept"),
+            MetaReviewForm("A", "M2", "Reject"),
+            MetaReviewForm("A", "M1", "Borderline"),
+        ]
+        rows = review_table(reviews, metas)
+        assert rows.paper_ids == ["A", "B"]
+        assert rows.reviewer_ids == ["R1", "R2", "R3"]
+        assert rows.metareviewer_ids == ["M1", "M2"]
+        assert rows.paper.tolist() == [0, 0, 1, 1]
+        assert rows.reviewer.tolist() == [0, 2, 0, 1]
+        assert rows.s_half.tolist() == [2, 0, -4, 4]
+        assert rows.s.tolist() == [1.0, 0.0, -2.0, 2.0]
+        assert rows.confidence.tolist() == [1.0, 1.0, 1.2, 1.0]
+        assert rows.meta_paper.tolist() == [0, 0, 1]
+        assert rows.metareviewer.tolist() == [0, 1, 1]
+        assert rows.xi.tolist() == [0.0, -2.0, 2.0]
+
+    def test_independent_of_input_order(self, rng):
+        _, _, reviews, metas = random_corpus(rng, 12, 6)
+        a = review_table(reviews, metas)
+        order = rng.permutation(len(reviews))
+        b = review_table([reviews[i] for i in order], metas[::-1])
+        for name in ("paper_ids", "reviewer_ids", "metareviewer_ids"):
+            assert getattr(a, name) == getattr(b, name)
+        for name in ("paper", "reviewer", "s_half", "confidence", "meta_paper", "metareviewer", "xi"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_without_metas_skips_the_meta_checks(self):
+        rows = review_table([make_review("A", "R1"), make_review("B", "R1")])
+        assert rows.paper_ids == ["A", "B"]
+        assert len(rows.meta_paper) == len(rows.xi) == 0
+
+    def test_score_table_values_replace_raw_scores(self):
+        reviews = [make_review("A", "R1", conf="Excellent"), make_review("A", "R2", conf="Poor")]
+        reviews.append(make_review("B", "R1"))
+        metas = [MetaReviewForm("A", "M1", "Accept"), MetaReviewForm("B", "M1", "Reject")]
+        table = score_table(review_table(reviews, metas), values=[1.0, 3.0, 0.5])
+        assert table.s_p == pytest.approx([(1.2 * 1.0 + 0.8 * 3.0) / 2.0, 0.5], abs=1e-15)
+        assert table.xi_p.tolist() == [2.0, -2.0]
 
 
 class TestExports:
