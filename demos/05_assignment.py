@@ -3,9 +3,11 @@
 Reviewer-paper affinity blends three sources — bids (0.2), an external
 affinity score (0.3), and subject-area overlap (0.5); when the external
 score is missing its weight is renormalized onto the other two.  The solver
-greedily covers every paper to the 4-reviewer floor, then improves by local
-replacement, always respecting reviewer capacity, conflicts, and the cap of
-at most one author-reviewer per paper.
+is one linear program over the candidate pairs: it fills as many of the
+4-reviewer slots per paper as the constraints allow, then maximizes total
+similarity, always respecting reviewer capacity, conflicts, and the cap of
+at most one author-reviewer per paper.  Its constraint matrix is totally
+unimodular, so the optimum is an integral assignment.
 """
 
 import numpy as np

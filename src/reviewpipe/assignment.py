@@ -1,23 +1,28 @@
-"""Reviewer-paper assignment: similarity-weighted greedy construction with
-swap local search, under load, coverage, and misconduct constraints.
+"""Reviewer-paper assignment as one exact linear program, under load,
+coverage, and misconduct constraints.
 
 Pair similarity is a convex combination of reviewer bid, matching-service
 affinity, and subject-area relevance (default weights 0.2 / 0.3 / 0.5).
 Hard constraints: a minimum number of reviewers per paper, a per-reviewer
 paper capacity, at most one author-reviewer (tag Rev2) per paper, and no
-conflicted pairs.  The solver is deterministic: candidate order is fixed
-by (similarity desc, reviewer id, paper id).
+conflicted pairs.  :func:`assign` solves one sparse LP over the candidate
+pairs with the HiGHS dual simplex.  Its constraint matrix is totally
+unimodular, so the optimal vertex is an integral assignment: the fewest
+coverage shortfalls, then the largest total similarity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "SimilaritySources",
     "AssignmentConstraints",
     "AssignmentResult",
     "ConstraintReport",
+    "InfeasibleInstanceError",
     "combined_similarity",
     "assign",
     "check_constraints",
@@ -108,17 +113,6 @@ class InfeasibleInstanceError(ValueError):
     """Aggregate reviewer capacity cannot cover the paper demand."""
 
 
-def _similarity_map(papers, reviewers, sources, weights) -> dict[tuple[str, str], float]:
-    sim = {}
-    for r in reviewers:
-        for p in papers:
-            src = sources.get((r, p))
-            if src is None:
-                continue
-            sim[(r, p)] = combined_similarity(src, weights)
-    return sim
-
-
 def assign(
     papers: list[str],
     reviewers: list[str],
@@ -127,17 +121,30 @@ def assign(
     tags: dict[str, str] | None = None,
     weights=DEFAULT_WEIGHTS,
 ) -> AssignmentResult:
-    """Build an assignment maximizing total pair similarity.
+    """Build the assignment that fills the most reviewer slots and, among
+    those, has the largest total pair similarity.
 
-    Greedy pass over candidates in similarity order, then swap local
-    search (replacing an assigned reviewer with a better feasible one)
-    until no improving move remains.  Papers that cannot reach the minimum
-    coverage are reported as shortfalls rather than silently violated.
-    Raises :class:`InfeasibleInstanceError` when aggregate capacity is
-    short of aggregate demand.
+    One LP variable in [0, 1] per non-conflicted candidate pair of
+    ``sources``, in sorted (reviewer, paper) order.  Rows: at most k
+    reviewers per paper, at most the capacity per reviewer, and at most
+    ``max_author_reviewers_per_paper`` author-reviewers per paper.  Each
+    pair is worth ``similarity + 1 + k·P``; no assignment has a total
+    similarity above k·P, so one more filled slot outweighs any similarity.
+    When a full cover exists the result is the exact-coverage optimum;
+    otherwise the reported shortfalls are the fewest possible.
+
+    The paper rows, with the author rows nested inside them, and the
+    reviewer rows form two laminar families, so the constraint matrix is
+    totally unimodular and the dual simplex vertex is integral.  Raises
+    :class:`InfeasibleInstanceError` when aggregate capacity is short of
+    aggregate demand.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     tags = tags or {}
-    demand = constraints.min_reviewers_per_paper * len(papers)
+    k = constraints.min_reviewers_per_paper
+    demand = k * len(papers)
     capacity = constraints.max_papers_per_reviewer * len(reviewers)
     if capacity < demand:
         raise InfeasibleInstanceError(
@@ -145,80 +152,53 @@ def assign(
             f"(binding constraint: max {constraints.max_papers_per_reviewer} papers/reviewer)"
         )
 
-    sim = _similarity_map(papers, reviewers, sources, weights)
-    candidates = sorted(sim, key=lambda k: (-sim[k], k[0], k[1]))
-    candidates = [k for k in candidates if k not in constraints.conflicts]
+    paper_code = {p: i for i, p in enumerate(papers)}
+    reviewer_code = {r: i for i, r in enumerate(reviewers)}
+    pairs = sorted(
+        (r, p)
+        for r, p in sources
+        if r in reviewer_code and p in paper_code and (r, p) not in constraints.conflicts
+    )
+    sim = np.array([combined_similarity(sources[pair], weights) for pair in pairs])
+    paper = np.array([paper_code[p] for _, p in pairs], dtype=np.intp)
+    chosen = np.zeros(0, dtype=np.intp)
+    if pairs:
+        n_papers, n_reviewers = len(papers), len(reviewers)
+        col = np.arange(len(pairs))
+        author = np.array([tags.get(r) == AUTHOR_TAG for r, _ in pairs])
+        reviewer = np.array([reviewer_code[r] for r, _ in pairs], dtype=np.intp)
+        # rows: papers, then reviewers, then the author-reviewers of each paper
+        rows = np.concatenate(
+            [paper, n_papers + reviewer, n_papers + n_reviewers + paper[author]]
+        )
+        a_ub = csr_matrix(
+            (np.ones(len(rows)), (rows, np.concatenate([col, col, col[author]]))),
+            shape=(2 * n_papers + n_reviewers, len(pairs)),
+        )
+        b_ub = np.concatenate(
+            [
+                np.full(n_papers, k),
+                np.full(n_reviewers, constraints.max_papers_per_reviewer),
+                np.full(n_papers, constraints.max_author_reviewers_per_paper),
+            ]
+        )
+        res = linprog(
+            -(sim + 1 + demand), A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs-ds"
+        )
+        if res.status != 0:
+            raise RuntimeError(f"assignment LP failed: {res.message}")
+        x = np.round(res.x)
+        if np.max(np.abs(res.x - x)) > 1e-6:
+            raise RuntimeError("assignment LP returned a fractional vertex")
+        chosen = np.flatnonzero(x)
 
-    assigned: set[tuple[str, str]] = set()
-    load: dict[str, int] = {r: 0 for r in reviewers}
-    cover: dict[str, int] = {p: 0 for p in papers}
-    rev2: dict[str, int] = {p: 0 for p in papers}
-
-    def feasible_add(r, p):
-        if (r, p) in assigned:
-            return False
-        if load[r] >= constraints.max_papers_per_reviewer:
-            return False
-        if tags.get(r) == AUTHOR_TAG and rev2[p] >= constraints.max_author_reviewers_per_paper:
-            return False
-        return True
-
-    def add(r, p):
-        assigned.add((r, p))
-        load[r] += 1
-        cover[p] += 1
-        if tags.get(r) == AUTHOR_TAG:
-            rev2[p] += 1
-
-    def remove(r, p):
-        assigned.discard((r, p))
-        load[r] -= 1
-        cover[p] -= 1
-        if tags.get(r) == AUTHOR_TAG:
-            rev2[p] -= 1
-
-    # greedy: fill papers up to the minimum coverage in similarity order
-    for r, p in candidates:
-        if cover[p] < constraints.min_reviewers_per_paper and feasible_add(r, p):
-            add(r, p)
-
-    # local search: replace an assigned reviewer with a better unassigned one
-    # whenever the swap stays feasible
-    improved = True
-    while improved:
-        improved = False
-        for r, p in sorted(assigned):
-            best_gain, best_new = 0.0, None
-            for r2, p2 in candidates:
-                if p2 != p or (r2, p2) in assigned or r2 == r:
-                    continue
-                if load[r2] >= constraints.max_papers_per_reviewer:
-                    continue
-                if (
-                    tags.get(r2) == AUTHOR_TAG
-                    and rev2[p] - (tags.get(r) == AUTHOR_TAG)
-                    >= constraints.max_author_reviewers_per_paper
-                ):
-                    continue
-                gain = sim[(r2, p)] - sim[(r, p)]
-                if gain > best_gain + 1e-12:
-                    best_gain, best_new = gain, r2
-            if best_new is not None:
-                remove(r, p)
-                add(best_new, p)
-                improved = True
-
-    total = sum(sim[k] for k in assigned)
-    shortfalls = {
-        p: constraints.min_reviewers_per_paper - cover[p]
-        for p in papers
-        if cover[p] < constraints.min_reviewers_per_paper
-    }
-    report = check_constraints(assigned, papers, constraints, tags)
+    assigned = {pairs[i] for i in chosen.tolist()}
+    cover = np.bincount(paper[chosen], minlength=len(papers)).tolist()
+    shortfalls = {p: k - c for p, c in zip(papers, cover) if c < k}
     return AssignmentResult(
         pairs=assigned,
-        total_similarity=total,
-        report=report,
+        total_similarity=float(np.sum(sim[chosen])),
+        report=check_constraints(assigned, papers, constraints, tags),
         feasible=not shortfalls,
         shortfalls=shortfalls,
     )

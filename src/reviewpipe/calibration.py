@@ -264,9 +264,15 @@ def fit_hyperparams(
     its closed-form sigma_q^2 and profile NLL; the argmin wins.  Ties are
     broken toward the earlier grid point (bias ratio outer, noise ratio
     inner), so duplicate points are harmless.  Warns with
-    :class:`UnidentifiableModelWarning` when no reviewer covers two papers.
+    :class:`UnidentifiableModelWarning` when no reviewer covers two papers,
+    and raises :class:`DegenerateModelError` when every score is equal.
     """
     grid = grid or GridSpec()
+    if np.all(inputs.s == inputs.s[0]):
+        raise DegenerateModelError(
+            f"every score equals {float(inputs.s[0])!r}: no variance to split "
+            "between papers, reviewer bias and noise"
+        )
     if not bias_identifiable(inputs.reviewer_idx):
         warnings.warn(
             "every reviewer covers a single paper: sigma_b^2 and sigma_e^2 are "

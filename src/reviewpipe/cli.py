@@ -123,10 +123,12 @@ def cmd_validate(args) -> int:
 
 def cmd_assign(args) -> int:
     sources: dict[tuple[str, str], SimilaritySources] = {}
-    papers, reviewers = set(), set()
+    papers, reviewers, repeated = set(), set(), set()
     with open(args.similarities, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             r, p = row["reviewer_id"], row["paper_id"]
+            if (r, p) in sources:
+                repeated.add((r, p))
             papers.add(p)
             reviewers.add(r)
             tpms = row.get("tpms", "")
@@ -135,6 +137,9 @@ def cmd_assign(args) -> int:
                 subject=float(row["subject_relevance"]),
                 tpms=float(tpms) if tpms not in ("", None) else None,
             )
+    if repeated:
+        named = ", ".join(f"({r}, {p})" for r, p in sorted(repeated))
+        raise SystemExit(f"{args.similarities}: repeated (reviewer, paper) rows: {named}")
     tags = {}
     if args.tags:
         with open(args.tags, newline="", encoding="utf-8") as fh:

@@ -92,7 +92,7 @@ class TestAssign:
         assert result.report.checks["conflicts"] == []
 
     def test_local_search_beats_pure_greedy(self, rng):
-        # swap phase can only add similarity on top of the greedy pass
+        # the exact optimum can only match or beat a greedy fill
         for seed in range(10):
             import numpy as np
 
@@ -114,6 +114,26 @@ class TestAssign:
         a = assign(papers, reviewers, sources, constraints)
         b = assign(papers, reviewers, sources, constraints)
         assert a.pairs == b.pairs and a.total_similarity == b.total_similarity
+
+    def test_full_cover_found_where_greedy_falls_short(self):
+        # Filling in similarity order spends R0 and R1 on P0 and P1 and
+        # leaves only R2 for P2, but a full cover needs every reviewer at
+        # capacity, R2 included.
+        papers, reviewers = ["P0", "P1", "P2"], ["R0", "R1", "R2"]
+        value = {"P0": 0.9, "P1": 0.8, "P2": 0.7}
+        sources = {
+            (r, p): SimilaritySources(bid=v, subject=v, tpms=v)
+            for r in reviewers
+            for p in papers
+            for v in [0.1 if r == "R2" else value[p]]
+        }
+        constraints = AssignmentConstraints(min_reviewers_per_paper=2, max_papers_per_reviewer=2)
+        result = assign(papers, reviewers, sources, constraints)
+        assert result.feasible and result.shortfalls == {} and result.report.ok
+        assert len(result.pairs) == 6
+        # best full cover: R0 and R1 both on P0, R2 on P1 and P2
+        assert result.total_similarity == pytest.approx(2 * 0.9 + 0.8 + 0.7 + 2 * 0.1, abs=1e-12)
+        assert {r for r, p in result.pairs if p == "P0"} == {"R0", "R1"}
 
     def test_capacity_shortfall_is_infeasible(self):
         papers = [f"P{i}" for i in range(10)]
@@ -190,3 +210,75 @@ def test_random_feasible_instances_satisfy_all_constraints(rng):
         result = assign(papers, reviewers, full_sources(papers, reviewers, local), constraints, tags)
         assert result.feasible, f"seed {seed} unexpectedly infeasible"
         assert result.report.ok
+
+
+def _milp_oracle(pairs, sim, papers, reviewers, tags, constraints):
+    """Fewest uncovered slots, then the largest similarity, by two integer
+    programs over a dense constraint matrix."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(pairs)
+    rows, ub = [], []
+    for p in papers:
+        rows.append([float(q == p) for _, q in pairs])
+        ub.append(constraints.min_reviewers_per_paper)
+        rows.append([float(q == p and tags.get(r) == "Rev2") for r, q in pairs])
+        ub.append(constraints.max_author_reviewers_per_paper)
+    for r in reviewers:
+        rows.append([float(s == r) for s, _ in pairs])
+        ub.append(constraints.max_papers_per_reviewer)
+    limits = LinearConstraint(np.array(rows), -np.inf, np.array(ub, dtype=float))
+    ones = np.ones(n)
+    binary = dict(integrality=ones, bounds=Bounds(0, 1), options={"mip_rel_gap": 0})
+    most = milp(-ones, constraints=[limits], **binary)
+    n_pairs = round(-most.fun)
+    fixed = LinearConstraint(ones[None, :], n_pairs, n_pairs)
+    best = milp(-np.asarray(sim), constraints=[limits, fixed], **binary)
+    assert most.status == 0 and best.status == 0
+    deficit = constraints.min_reviewers_per_paper * len(papers) - n_pairs
+    return -best.fun, deficit
+
+
+def test_matches_integer_program_oracle():
+    import numpy as np
+
+    tight = short = 0
+    for seed in range(30):
+        local = np.random.default_rng(1000 + seed)
+        n_papers = int(local.integers(2, 6))
+        n_reviewers = int(local.integers(2, 8))
+        k = int(local.integers(1, 4))
+        cap = max(int(local.integers(1, 4)), -(-k * n_papers // n_reviewers))
+        papers = [f"P{i}" for i in range(n_papers)]
+        reviewers = [f"R{i}" for i in range(n_reviewers)]
+        density = local.uniform(0.4, 1.0)
+        sources = {
+            (r, p): SimilaritySources(
+                bid=float(local.uniform()), subject=float(local.uniform()), tpms=float(local.uniform())
+            )
+            for r in reviewers
+            for p in papers
+            if local.uniform() < density
+        }
+        tags = {r: "Rev2" for r in reviewers if local.uniform() < 0.3}
+        conflicts = frozenset(pair for pair in sorted(sources) if local.uniform() < 0.1)
+        constraints = AssignmentConstraints(
+            min_reviewers_per_paper=k, max_papers_per_reviewer=cap, conflicts=conflicts
+        )
+        result = assign(papers, reviewers, sources, constraints, tags)
+
+        pairs = sorted(pair for pair in sources if pair not in conflicts)
+        sim = [combined_similarity(sources[pair]) for pair in pairs]
+        objective, deficit = _milp_oracle(pairs, sim, papers, reviewers, tags, constraints)
+        assert abs(result.total_similarity - objective) <= 1e-9, seed
+        assert sum(result.shortfalls.values()) == deficit, seed
+        assert result.feasible == (deficit == 0)
+        assert result.report.checks["minimum reviewers per paper"] == sorted(
+            (p, k - d) for p, d in result.shortfalls.items()
+        )
+        others = {n: v for n, v in result.report.checks.items() if n != "minimum reviewers per paper"}
+        assert all(not v for v in others.values()), seed
+        tight += cap * n_reviewers == k * n_papers
+        short += deficit > 0
+    assert tight >= 3 and short >= 5  # the draw covers both hard cases

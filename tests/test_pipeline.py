@@ -341,6 +341,30 @@ class TestRunPipeline:
         assert result.table.sM_cal.tolist() == [50.0] * 30
         assert (tmp_path / "out" / "decisions_calibrated.csv").exists()
 
+    def test_constant_review_scores_name_the_cause(self, tmp_path, rng):
+        from dataclasses import replace
+
+        from reviewpipe.pipeline import PipelineStageError
+
+        _, _, reviews, metas = random_corpus(rng, 30, 12)
+        reviews = [
+            replace(r, recommendation="Borderline", criteria=("Good",) * 4, award=0)
+            for r in reviews
+        ]
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8")
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(tmp_path / "out"),
+            calibrate=True,
+            grid=GridSpec(points=3),
+            n_samples=20,
+        )
+        with pytest.raises(PipelineStageError, match="stage 'calibrate'.*every score equals"):
+            run_pipeline(cfg)
+
 
 SHUFFLE_CORPUS = random_corpus(np.random.default_rng(2024), 24, 10)
 
@@ -464,6 +488,45 @@ class TestCli:
         assert code == 0
         audit = json.loads((tmp_path / "o" / "assignment_audit.json").read_text())
         assert audit["feasible"] is True
+
+    def test_assign_rejects_repeated_similarity_rows(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]
+        rows += [f"R{r},P0,0.5,0.8," for r in range(4)]
+        rows += ["R2,P0,0.9,0.9,", "R0,P0,0.1,0.1,", "R2,P0,0.2,0.2,"]
+        sim.write_text("\n".join(rows) + "\n")
+        argv = ["assign", "--similarities", str(sim), "--min-reviewers", "2",
+                "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match=r"repeated .*: \(R0, P0\), \(R2, P0\)$"):
+            self.run(argv)
+        assert not (tmp_path / "o").exists()
+
+    def test_assign_reruns_are_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        sim = tmp_path / "sim.csv"
+        rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]
+        for r in range(30):
+            for p in range(12):
+                bid, subject, tpms = rng.uniform(size=3).tolist()
+                rows.append(f"R{r:02d},P{p:02d},{bid!r},{subject!r},{tpms!r}")
+        sim.write_text("\n".join(rows) + "\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"o{hash_seed}"
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "reviewpipe.cli", "assign", "--similarities", str(sim),
+                 "--max-papers", "2", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_config_file_overrides_flags(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
