@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -110,6 +111,15 @@ def _apply_config(args):
     return args
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text with quoted fields where needed and ``\\n`` line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_validate(args) -> int:
     loaded = load_reviews(args.input, args.format, args.meta)
     report = validate(loaded.reviews, loaded.metas)
@@ -142,8 +152,14 @@ def cmd_assign(args) -> int:
         raise SystemExit(f"{args.similarities}: repeated (reviewer, paper) rows: {named}")
     tags = {}
     if args.tags:
+        repeated = set()
         with open(args.tags, newline="", encoding="utf-8") as fh:
-            tags = {row["reviewer_id"]: row["tag"] for row in csv.DictReader(fh)}
+            for row in csv.DictReader(fh):
+                if row["reviewer_id"] in tags:
+                    repeated.add(row["reviewer_id"])
+                tags[row["reviewer_id"]] = row["tag"]
+        if repeated:
+            raise SystemExit(f"{args.tags}: repeated reviewer rows: {', '.join(sorted(repeated))}")
     conflicts = set()
     if args.conflicts:
         with open(args.conflicts, newline="", encoding="utf-8") as fh:
@@ -154,9 +170,10 @@ def cmd_assign(args) -> int:
         conflicts=frozenset(conflicts),
     )
     result = assign(sorted(papers), sorted(reviewers), sources, constraints, tags)
-    lines = ["reviewer_id,paper_id"]
-    lines += [f"{r},{p}" for r, p in sorted(result.pairs)]
-    write_atomic(Path(args.out) / "assignment.csv", "\n".join(lines) + "\n")
+    write_atomic(
+        Path(args.out) / "assignment.csv",
+        _csv_text(["reviewer_id", "paper_id"], sorted(result.pairs)),
+    )
     audit = {
         "total_similarity": result.total_similarity,
         "feasible": result.feasible,
@@ -174,11 +191,15 @@ def cmd_dequantize(args) -> int:
     loaded = load_reviews(args.input, args.format, args.meta)
     rows = review_table(loaded.reviews)
     s_dq = dequantize_rows(rows.paper, rows.s, DequantConfig(lam=args.lam))
-    lines = ["paper_id,reviewer_id,s,s_dq"]
-    for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist()):
-        lines.append(f"{rows.paper_ids[p]},{rows.reviewer_ids[r]},{s!r},{x!r}")
-    write_atomic(Path(args.out) / "dequantized.csv", "\n".join(lines) + "\n")
-    sys.stdout.write(f"dequantized {len(lines) - 1} reviews (lambda={args.lam}) -> {args.out}\n")
+    entries = [
+        (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))
+        for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist())
+    ]
+    write_atomic(
+        Path(args.out) / "dequantized.csv",
+        _csv_text(["paper_id", "reviewer_id", "s", "s_dq"], entries),
+    )
+    sys.stdout.write(f"dequantized {len(entries)} reviews (lambda={args.lam}) -> {args.out}\n")
     return 0
 
 

@@ -13,6 +13,7 @@ arithmetic works in integer half-steps (see :mod:`reviewpipe.scoring`).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from collections import Counter
@@ -115,12 +116,15 @@ def _norm_label(label: str) -> str:
     return " ".join(label.strip().split()).lower()
 
 
+@functools.lru_cache(maxsize=1024)
 def encode_likert(label: str, scale: str) -> float:
     """Map a Likert label to its numeric weight on the named scale.
 
     ``scale`` is one of ``recommendation``, ``criterion``, ``confidence``.
     Matching is case-insensitive after trimming; anything else raises
-    :class:`UnknownLabelError`.
+    :class:`UnknownLabelError`.  Results are cached per (label, scale), so
+    an export's few distinct labels are normalized once each; errors are
+    not cached and raise on every call.
     """
     try:
         table = _SCALES[scale]
@@ -398,11 +402,10 @@ def validate(
                 ("below minimum reviews", f"paper {paper} has {n} review(s)")
             )
     dup = Counter((f.reviewer, f.paper) for f in reviews)
-    for (r, p), n in sorted(dup.items()):
-        if n > 1:
-            report.findings.append(
-                ("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times")
-            )
+    for (r, p), n in sorted(item for item in dup.items() if item[1] > 1):
+        report.findings.append(
+            ("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times")
+        )
     meta_papers = {f.paper for f in metas}
     for paper in sorted(per_paper):
         if paper not in meta_papers:

@@ -342,14 +342,17 @@ def rank_and_cut(
     sm = table.sM_cal if use_calibrated else table.sM_norm
     if si is None:
         raise ValueError("requested calibrated ranking but table is uncalibrated")
-    order = sorted(
-        range(len(table.papers)),
-        key=lambda i: (-si[i], -sm[i], table.papers[i]),
-    )
-    k = cfg.n_accept(len(order))
+    n = len(table.papers)
+    # each paper's position in id order; a numpy string array would drop
+    # trailing NULs and tie "a\x00" with "a"
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=table.papers.__getitem__)] = np.arange(n)
+    si = np.asarray(si, dtype=float)
+    order = np.lexsort((id_rank, -np.asarray(sm, dtype=float), -si))
+    k = cfg.n_accept(n)
     decisions = [
-        Decision(rank=pos + 1, paper=table.papers[i], score_index=float(si[i]), accept=pos < k)
-        for pos, i in enumerate(order)
+        Decision(rank=pos + 1, paper=table.papers[i], score_index=x, accept=pos < k)
+        for pos, (i, x) in enumerate(zip(order.tolist(), si[order].tolist()))
     ]
     return DecisionList(decisions, n_accept=k, acceptance_rate=cfg.acceptance_rate)
 
@@ -358,45 +361,37 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _float_columns(table: ScoreTable) -> dict[str, list[float]]:
+    """The table's float columns in CSV header order, as Python floats."""
+    names = ["s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
+    if table.calibrated:
+        names += ["sR_cal", "sM_cal", "SI_cal"]
+    return {name: np.asarray(getattr(table, name), dtype=float).tolist() for name in names}
+
+
 def score_table_csv(table: ScoreTable) -> str:
+    columns = _float_columns(table)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["paper_id", "s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
-    if table.calibrated:
-        header += ["sR_cal", "sM_cal", "SI_cal"]
-    writer.writerow(header)
-    for i, p in enumerate(table.papers):
-        row = [
-            p,
-            _fmt(table.s_p[i]),
-            _fmt(table.xi_p[i]),
-            _fmt(table.sR_norm[i]),
-            _fmt(table.sM_norm[i]),
-            _fmt(table.SI[i]),
-        ]
-        if table.calibrated:
-            row += [_fmt(table.sR_cal[i]), _fmt(table.sM_cal[i]), _fmt(table.SI_cal[i])]
-        writer.writerow(row)
+    writer.writerow(["paper_id", *columns])
+    writer.writerows(zip(table.papers, *([repr(x) for x in col] for col in columns.values())))
     return buf.getvalue()
 
 
 def score_table_json(table: ScoreTable) -> str:
-    rows = []
-    for i, p in enumerate(table.papers):
-        row = {
-            "paper_id": p,
-            "s_p": float(table.s_p[i]),
-            "xi_p": float(table.xi_p[i]),
-            "sR_norm": float(table.sR_norm[i]),
-            "sM_norm": float(table.sM_norm[i]),
-            "SI": float(table.SI[i]),
-        }
-        if table.calibrated:
-            row["sR_cal"] = float(table.sR_cal[i])
-            row["sM_cal"] = float(table.sM_cal[i])
-            row["SI_cal"] = float(table.SI_cal[i])
-        rows.append(row)
-    return json.dumps({"papers": rows}, indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps({"papers": rows}, indent=2, sort_keys=True)``
+    plus a newline, written column by column: json's C float formatter
+    (NaN, Infinity) for the scores, its ASCII string escaper for the ids."""
+    if not table.papers:
+        return '{\n  "papers": []\n}\n'
+    text = {
+        name: json.dumps(col)[1:-1].split(", ") for name, col in _float_columns(table).items()
+    }
+    text["paper_id"] = [json.encoder.encode_basestring_ascii(p) for p in table.papers]
+    keys = sorted(text)
+    row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
+    body = ",\n".join(row % values for values in zip(*(text[key] for key in keys)))
+    return '{\n  "papers": [\n' + body + "\n  ]\n}\n"
 
 
 def decision_list_csv(decisions: DecisionList) -> str:

@@ -1,8 +1,10 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +404,71 @@ def test_shuffled_input_rows_give_byte_identical_artifacts(random):
     assert _run_exports(review_lines[:1] + body, meta_lines[:1] + meta_body) == reference
 
 
+def _tied_corpus():
+    """Reviews on two recommendation levels and neutral criteria, so many
+    papers tie on SI and on the meta score and the paper id decides."""
+    rng = np.random.default_rng(77)
+    _, _, reviews, metas = random_corpus(rng, 24, 10)
+    reviews = [
+        replace(f, recommendation=("Accept", "Reject")[rng.integers(2)],
+                criteria=("Good",) * 4, confidence="Good", award=0)
+        for f in reviews
+    ]
+    return reviews, metas
+
+
+TIED_CORPUS = _tied_corpus()
+# no whitespace, which ingestion strips from ids; no NUL, which Python 3.10's csv rejects
+ID_ALPHABET = "Pab09,;'\"\\-éß€"
+
+
+def _ordered_ids(n):
+    ids = st.text(ID_ALPHABET, min_size=1, max_size=4)
+    return st.lists(ids, min_size=n, max_size=n, unique=True).map(sorted)
+
+
+def _renamed_outputs(paper_names, reviewer_names) -> tuple[list, dict]:
+    """decisions.csv rows and gray_area.json of the tied corpus with its
+    ids renamed, mapped back to the original ids."""
+    reviews, metas = TIED_CORPUS
+    papers = dict(zip(sorted({f.paper for f in reviews}), paper_names))
+    reviewers = dict(zip(sorted({f.reviewer for f in reviews}), reviewer_names))
+    back = {new: old for old, new in papers.items()}
+    reviews = [replace(f, paper=papers[f.paper], reviewer=reviewers[f.reviewer]) for f in reviews]
+    metas = [replace(m, paper=papers[m.paper]) for m in metas]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        rpath, mpath, out = tmp / "reviews.csv", tmp / "metas.csv", tmp / "out"
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8")
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(out),
+            calibrate=True,
+            grid=GridSpec(points=3),
+            n_samples=50,
+            seed=4,
+        )
+        run_pipeline(cfg)
+        with open(out / "decisions.csv", newline="", encoding="utf-8") as fh:
+            decisions = [[rank, back.get(p, p), si, d] for rank, p, si, d in csv.reader(fh)]
+        gray = json.loads((out / "gray_area.json").read_text(encoding="utf-8"))
+    for key in ("agree_accept", "agree_reject", "disagree"):
+        gray[key] = [back[p] for p in gray[key]]
+    return decisions, gray
+
+
+@settings(max_examples=10, deadline=None)
+@given(_ordered_ids(24), _ordered_ids(10))
+def test_order_preserving_renaming_keeps_decisions(paper_names, reviewer_names):
+    reviews, _ = TIED_CORPUS
+    reference = _renamed_outputs(
+        sorted({f.paper for f in reviews}), sorted({f.reviewer for f in reviews})
+    )
+    assert _renamed_outputs(paper_names, reviewer_names) == reference
+
+
 def test_import_leaves_scipy_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -500,6 +567,48 @@ class TestCli:
         with pytest.raises(SystemExit, match=r"repeated .*: \(R0, P0\), \(R2, P0\)$"):
             self.run(argv)
         assert not (tmp_path / "o").exists()
+
+    def test_assign_rejects_repeated_tag_rows(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]
+        rows += [f"R{r},P0,0.5,0.8," for r in range(4)]
+        sim.write_text("\n".join(rows) + "\n")
+        tags = tmp_path / "tags.csv"
+        tags.write_text("reviewer_id,tag\nR1,Rev2\nR3,Rev1\nR1,Rev1\nR0,Rev2\nR3,Rev1\n")
+        argv = ["assign", "--similarities", str(sim), "--tags", str(tags),
+                "--min-reviewers", "2", "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match=r"repeated reviewer rows: R1, R3$"):
+            self.run(argv)
+        assert not (tmp_path / "o").exists()
+
+    def test_assign_quotes_ids_with_commas(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]
+        rows += [f'"R,{r}","P,{p}",0.5,0.8,' for r in range(2) for p in range(2)]
+        sim.write_text("\n".join(rows) + "\n")
+        argv = ["assign", "--similarities", str(sim), "--min-reviewers", "2",
+                "--max-papers", "2", "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 0
+        with open(tmp_path / "o" / "assignment.csv", newline="", encoding="utf-8") as fh:
+            got = list(csv.reader(fh))
+        assert got == [["reviewer_id", "paper_id"]] + [
+            [f"R,{r}", f"P,{p}"] for r in range(2) for p in range(2)
+        ]
+
+    def test_dequantize_quotes_ids_with_commas(self, tmp_path, rng):
+        _, _, reviews, _ = random_corpus(rng, 6, 5)
+        reviews = [replace(f, paper=f"P,{f.paper}", reviewer=f'R"{f.reviewer}') for f in reviews]
+        rpath = tmp_path / "reviews.csv"
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
+        code = self.run(["dequantize", "--input", str(rpath), "--out", str(tmp_path / "o")])
+        assert code == 0
+        with open(tmp_path / "o" / "dequantized.csv", newline="", encoding="utf-8") as fh:
+            got = list(csv.reader(fh))
+        assert got[0] == ["paper_id", "reviewer_id", "s", "s_dq"]
+        assert all(len(row) == 4 for row in got)
+        assert sorted((p, r) for p, r, _, _ in got[1:]) == sorted(
+            (f.paper, f.reviewer) for f in reviews
+        )
 
     def test_assign_reruns_are_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -252,3 +252,24 @@ def test_encode_rejects_arbitrary_text(scale, text):
 def test_award_flag_domain():
     with pytest.raises(ValueError):
         ReviewForm("P1", "R1", "Accept", ("Good",) * 4, "Good", award=2)
+
+
+def test_encode_cache_keeps_scales_apart():
+    for _ in range(3):
+        assert encode_likert("Excellent", "criterion") == 1.0
+        assert encode_likert("Excellent", "confidence") == 1.2
+        assert encode_likert("Poor", "confidence") == 0.8
+        assert encode_likert("Poor", "criterion") == -1.0
+        assert encode_likert(" strong  ACCEPT ", "recommendation") == 3
+
+
+def test_encode_errors_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(UnknownLabelError):
+            encode_likert("Superb", "criterion")
+        with pytest.raises(UnknownLabelError):
+            encode_likert("Accept", "criterion")
+        with pytest.raises(ValueError, match="unknown scale"):
+            encode_likert("Good", "quality")
+        with pytest.raises(UnknownLabelError):
+            make_review("P1", "R1", crit="Superb")

@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -8,6 +12,7 @@ from reviewpipe.scoring import (
     DecisionConfig,
     DegenerateScaleWarning,
     ReviewScore,
+    ScoreTable,
     build_score_table,
     decision_list_csv,
     meta_score,
@@ -19,6 +24,7 @@ from reviewpipe.scoring import (
     score_index,
     score_table,
     score_table_csv,
+    score_table_json,
 )
 
 from conftest import CONFS, CRITS, RECS, make_review, random_corpus, random_review
@@ -335,3 +341,127 @@ class TestExports:
         dlines = decision_list_csv(decisions).strip().splitlines()
         assert dlines[0] == "rank,paper_id,SI,decision"
         assert dlines[1].endswith("accept") and dlines[2].endswith("reject")
+
+
+# The row-by-row writers and the tuple-key sort that the column writers
+# and the lexsort replaced, kept as oracles.
+def oracle_score_table_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["paper_id", "s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
+    if table.calibrated:
+        header += ["sR_cal", "sM_cal", "SI_cal"]
+    writer.writerow(header)
+    for i, p in enumerate(table.papers):
+        row = [p] + [repr(float(getattr(table, name)[i])) for name in header[1:]]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def oracle_score_table_json(table):
+    names = ["s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
+    if table.calibrated:
+        names += ["sR_cal", "sM_cal", "SI_cal"]
+    rows = [
+        {"paper_id": p, **{name: float(getattr(table, name)[i]) for name in names}}
+        for i, p in enumerate(table.papers)
+    ]
+    return json.dumps({"papers": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def oracle_rank_order(table, use_calibrated=False):
+    si = table.SI_cal if use_calibrated else table.SI
+    sm = table.sM_cal if use_calibrated else table.sM_norm
+    order = sorted(range(len(table.papers)), key=lambda i: (-si[i], -sm[i], table.papers[i]))
+    return [(pos + 1, table.papers[i], float(si[i])) for pos, i in enumerate(order)]
+
+
+AWKWARD_IDS = ['P"1"', "P\\2", "P,3", "Pä4", "P€5", "P\t6", "P\n7", "a", "a\x00", "", "Z 9"]
+
+
+def random_score_table(rng, papers, calibrated, levels=None):
+    """Score table over ``papers`` in the given order; with ``levels`` every
+    column takes one of that many values, so ties are common."""
+    n = len(papers)
+
+    def column():
+        if levels is None:
+            return rng.uniform(0, 100, n)
+        return np.round(rng.integers(levels, size=n) * (100.0 / max(levels - 1, 1)), 6)
+
+    cols = {name: column() for name in ("s_p", "xi_p", "sR_norm", "sM_norm", "SI")}
+    if calibrated:
+        cols.update(sR_cal=column(), sM_cal=column(), SI_cal=column())
+    return ScoreTable(papers=list(papers), **cols)
+
+
+class TestColumnWriters:
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_match_row_writers_on_awkward_ids(self, rng, calibrated):
+        table = random_score_table(rng, AWKWARD_IDS, calibrated)
+        assert score_table_csv(table) == oracle_score_table_csv(table)
+        assert score_table_json(table) == oracle_score_table_json(table)
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_match_row_writers_on_random_tables(self, rng, calibrated):
+        for n in (1, 2, 7, 40):
+            papers = [f"P{i:03d}" for i in rng.permutation(n)]
+            table = random_score_table(rng, papers, calibrated, levels=int(rng.integers(1, 4)))
+            assert score_table_csv(table) == oracle_score_table_csv(table)
+            assert score_table_json(table) == oracle_score_table_json(table)
+
+    def test_nan_and_infinity_match(self, rng):
+        table = random_score_table(rng, ["A", "B", "C", "D"], calibrated=True)
+        table.s_p[:] = [np.nan, np.inf, -np.inf, -0.0]
+        table.SI_cal[1] = np.nan
+        table.xi_p[2] = 1e-300
+        table.sM_norm[3] = 1.5e16
+        text = score_table_json(table)
+        assert "NaN" in text and "-Infinity" in text
+        assert text == oracle_score_table_json(table)
+        assert score_table_csv(table) == oracle_score_table_csv(table)
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_zero_papers(self, calibrated):
+        empty = np.zeros(0)
+        cal = dict(sR_cal=empty, sM_cal=empty, SI_cal=empty) if calibrated else {}
+        table = ScoreTable(
+            papers=[], s_p=empty, xi_p=empty, sR_norm=empty, sM_norm=empty, SI=empty, **cal
+        )
+        assert score_table_json(table) == '{\n  "papers": []\n}\n'
+        assert score_table_json(table) == oracle_score_table_json(table)
+        assert score_table_csv(table) == oracle_score_table_csv(table)
+
+    def test_pipeline_table_matches(self, rng):
+        _, _, reviews, metas = random_corpus(rng, 30, 12)
+        table = build_score_table(reviews, metas)
+        assert score_table_csv(table) == oracle_score_table_csv(table)
+        assert score_table_json(table) == oracle_score_table_json(table)
+
+
+class TestRankOracle:
+    def ranked(self, table, use_calibrated=False):
+        result = rank_and_cut(table, DecisionConfig(40.0), use_calibrated=use_calibrated)
+        return [(d.rank, d.paper, d.score_index) for d in result.decisions]
+
+    def test_heavy_ties_and_shuffled_ids(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(0, 40))
+            papers = [f"P{i:02d}" for i in rng.permutation(n)]
+            table = random_score_table(rng, papers, calibrated=True, levels=int(rng.integers(1, 4)))
+            assert self.ranked(table) == oracle_rank_order(table)
+            assert self.ranked(table, True) == oracle_rank_order(table, True)
+
+    def test_ids_that_differ_by_a_trailing_nul(self, rng):
+        base = ["a", "a\x00", "a\x00\x00", "b", "", "\x00", "ab", "a\x00b"]
+        for trial in range(30):
+            papers = [base[i] for i in rng.permutation(len(base))]
+            table = random_score_table(rng, papers, calibrated=False, levels=1)
+            assert self.ranked(table) == oracle_rank_order(table)
+        assert [p for _, p, _ in self.ranked(table)] == sorted(base)
+
+    def test_awkward_ids_with_ties(self, rng):
+        for trial in range(30):
+            papers = [AWKWARD_IDS[i] for i in rng.permutation(len(AWKWARD_IDS))]
+            table = random_score_table(rng, papers, calibrated=False, levels=2)
+            assert self.ranked(table) == oracle_rank_order(table)
