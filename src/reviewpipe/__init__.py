@@ -34,7 +34,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .records import (
-    AssignmentSet,
+    Exports,
     MetaReviewForm,
     ReviewForm,
     ValidationReport,
@@ -44,6 +44,7 @@ from .records import (
     export_reviews_csv,
     likert_labels,
     load_reviews,
+    read_exports,
     validate,
 )
 from .scoring import (
@@ -53,6 +54,7 @@ from .scoring import (
     ReviewTable,
     ScoreTable,
     build_score_table,
+    exports_table,
     meta_score,
     normalize,
     paper_score,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -20,8 +19,8 @@ from .assignment import AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, run_pipeline, write_atomic
-from .records import load_reviews, validate
-from .scoring import DecisionConfig, review_table
+from .records import _csv_text, read_exports
+from .scoring import DecisionConfig, exports_table
 
 CONFIG_KEYS = {
     "input": str,
@@ -111,20 +110,8 @@ def _apply_config(args):
     return args
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """CSV text with quoted fields where needed and ``\\n`` line ends."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_validate(args) -> int:
-    loaded = load_reviews(args.input, args.format, args.meta)
-    report = validate(loaded.reviews, loaded.metas)
-    report.rejected = loaded.report.rejected
-    report.warnings = loaded.report.warnings + report.warnings
+    report = read_exports(args.input, args.format, args.meta).report
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     write_atomic(Path(args.out) / "validation.json", text)
     sys.stdout.write(text)
@@ -188,8 +175,7 @@ def cmd_assign(args) -> int:
 
 
 def cmd_dequantize(args) -> int:
-    loaded = load_reviews(args.input, args.format, args.meta)
-    rows = review_table(loaded.reviews)
+    rows = exports_table(read_exports(args.input, args.format, args.meta), metas=False)
     s_dq = dequantize_rows(rows.paper, rows.s, DequantConfig(lam=args.lam))
     entries = [
         (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))

@@ -32,14 +32,14 @@ from .calibration import (
 )
 from .dequant import DequantConfig, dequantize_rows
 from .plots import histogram_artifact, scatter_artifact
-from .records import load_reviews, validate
+from .records import read_exports
 from .scoring import (
     DecisionConfig,
     DecisionList,
     ScoreTable,
     decision_list_csv,
+    exports_table,
     rank_and_cut,
-    review_table,
     score_index,
     score_table,
     score_table_csv,
@@ -218,18 +218,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     artifacts: list[str] = []
 
     with _stage("load"):
-        loaded = load_reviews(cfg.reviews_path, cfg.format, cfg.meta_path)
-        report = validate(loaded.reviews, loaded.metas)
-        report.rejected = loaded.report.rejected
-        report.warnings = loaded.report.warnings + report.warnings
+        exports = read_exports(cfg.reviews_path, cfg.format, cfg.meta_path)
         write_atomic(
             out_dir / "validation.json",
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(exports.report.to_dict(), indent=2, sort_keys=True) + "\n",
         )
         artifacts.append(str(out_dir / "validation.json"))
 
     with _stage("score"):
-        rows = review_table(loaded.reviews, loaded.metas)
+        rows = exports_table(exports)
         values = dequantize_rows(rows.paper, rows.s, cfg.dequant) if cfg.dequantize else rows.s
         table = score_table(rows, values)
 

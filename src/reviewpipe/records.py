@@ -1,9 +1,11 @@
 """Typed review records and ingestion of raw review exports.
 
-Raw exports (CSV or JSON) are parsed into immutable :class:`ReviewForm` /
-:class:`MetaReviewForm` records plus an :class:`AssignmentSet`.  Every input
-row either becomes exactly one record or one rejection entry in the
-:class:`ValidationReport`; nothing is dropped silently.
+Raw exports (CSV or JSON) are read into the columns of :class:`Exports`,
+which :func:`load_reviews` turns into immutable :class:`ReviewForm` /
+:class:`MetaReviewForm` records.  Every input row either becomes exactly
+one accepted row or one rejection entry in the :class:`ValidationReport`;
+nothing is dropped silently.  Each distinct label tuple of an export is
+checked once, by building one form.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -16,19 +18,21 @@ import csv
 import functools
 import io
 import json
+import operator
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = [
     "UnknownLabelError",
     "ReviewForm",
     "MetaReviewForm",
-    "AssignmentSet",
     "ValidationReport",
+    "Exports",
     "LoadResult",
     "encode_likert",
     "likert_labels",
+    "read_exports",
     "load_reviews",
     "validate",
     "export_reviews_csv",
@@ -175,26 +179,6 @@ class MetaReviewForm:
         encode_likert(self.recommendation, "recommendation")
 
 
-@dataclass(frozen=True)
-class AssignmentSet:
-    """Reviewer-paper and meta-reviewer-paper pairings."""
-
-    review_pairs: frozenset[tuple[str, str]]
-    meta_pairs: frozenset[tuple[str, str]]
-
-    @property
-    def papers(self) -> set[str]:
-        return {p for _, p in self.review_pairs} | {p for _, p in self.meta_pairs}
-
-    @property
-    def reviewers(self) -> set[str]:
-        return {r for r, _ in self.review_pairs}
-
-    @property
-    def metareviewers(self) -> set[str]:
-        return {m for m, _ in self.meta_pairs}
-
-
 @dataclass
 class ValidationReport:
     """Counts, findings, and rejected rows produced by ingestion/validation."""
@@ -233,155 +217,258 @@ class ValidationReport:
 
 
 @dataclass
+class Exports:
+    """The accepted rows of review exports as columns, and their report.
+
+    Review row ``i`` is ``paper[i]``, ``reviewer[i]``, the labels of
+    ``labels[label[i]]`` and ``comments[i]``; ``labels`` holds one checked
+    form, with blank ids, per distinct label tuple (recommendation,
+    criteria, confidence, award).
+    """
+
+    paper: list[str] = field(default_factory=list)
+    reviewer: list[str] = field(default_factory=list)
+    label: list[int] = field(default_factory=list)
+    comments: list[str] = field(default_factory=list)
+    labels: list[ReviewForm] = field(default_factory=list)
+    meta_paper: list[str] = field(default_factory=list)
+    metareviewer: list[str] = field(default_factory=list)
+    meta_recommendation: list[str] = field(default_factory=list)
+    report: ValidationReport = field(default_factory=ValidationReport)
+
+    @classmethod
+    def from_forms(cls, reviews: list[ReviewForm], metas: list[MetaReviewForm] = ()):
+        """Columns of typed records, with an empty report."""
+        index: dict[tuple, int] = {}
+        keys = [(f.recommendation, tuple(f.criteria), f.confidence, f.award) for f in reviews]
+        label = [index.setdefault(key, len(index)) for key in keys]
+        return cls(
+            [f.paper for f in reviews],
+            [f.reviewer for f in reviews],
+            label,
+            [f.comments for f in reviews],
+            [ReviewForm("", "", *key) for key in index],
+            [m.paper for m in metas],
+            [m.metareviewer for m in metas],
+            [m.recommendation for m in metas],
+        )
+
+
+@dataclass
 class LoadResult:
     """Outcome of :func:`load_reviews`."""
 
-    assignments: AssignmentSet
     reviews: list[ReviewForm]
     metas: list[MetaReviewForm]
     report: ValidationReport
 
 
-def _parse_review_row(row: dict) -> ReviewForm:
-    for col in REVIEW_CSV_HEADER[:-3]:  # confidence/award/comments may default
-        if row.get(col) in (None, ""):
-            raise UnknownLabelError(f"missing required field {col!r}")
-    award_raw = row.get("award", "")
-    if award_raw in (None, ""):
-        award = 0
-    else:
-        try:
-            award = int(str(award_raw).strip())
-        except ValueError:
-            raise UnknownLabelError(f"award flag not 0/1: {award_raw!r}") from None
-    return ReviewForm(
-        paper=str(row["paper_id"]).strip(),
-        reviewer=str(row["reviewer_id"]).strip(),
-        recommendation=str(row["recommendation"]),
-        criteria=(str(row["c1"]), str(row["c2"]), str(row["c3"]), str(row["c4"])),
-        confidence=str(row["confidence"]),
-        award=award,
-        comments=str(row.get("comments", "") or ""),
-    )
-
-
-def _parse_meta_row(row: dict) -> MetaReviewForm:
-    for col in META_CSV_HEADER:
-        if row.get(col) in (None, ""):
-            raise UnknownLabelError(f"missing required field {col!r}")
-    return MetaReviewForm(
-        paper=str(row["paper_id"]).strip(),
-        metareviewer=str(row["metareviewer_id"]).strip(),
-        recommendation=str(row["recommendation"]),
-    )
-
-
-def _check_header(fieldnames, expected, path):
-    if fieldnames is None:
+def _check_header(header, expected, path):
+    if header is None:
         raise ValueError(f"{path}: empty file, header required")
-    unknown = [c for c in fieldnames if c not in expected]
-    missing = [c for c in expected if c not in fieldnames and c not in ("award", "confidence", "comments")]
+    unknown = [c for c in header if c not in expected]
+    missing = [c for c in expected if c not in header and c not in ("award", "confidence", "comments")]
+    repeated = sorted(c for c, n in Counter(header).items() if n > 1)
     if unknown:
         raise ValueError(f"{path}: unknown column(s) {unknown}")
     if missing:
         raise ValueError(f"{path}: missing column(s) {missing}")
+    if repeated:
+        raise ValueError(f"{path}: repeated column(s) {repeated}")
 
 
-def _first_pair(seen: set, key: tuple, row: dict, report: ValidationReport) -> bool:
-    """Record ``key``; a repeat moves its row to ``report.rejected``."""
-    if key in seen:
-        report.rejected.append((dict(row), DUPLICATE_PAIR))
-        return False
-    seen.add(key)
-    return True
+def _csv_rows(path, schema: list[str]):
+    """A CSV export as (values, raw, overlong, key): each row's values in
+    ``schema`` order, ``None`` where short or absent; ``raw(i)``, row ``i``
+    as the report shows it, fields beyond the header as ``extra_fields``;
+    why rows with non-empty such fields are rejected, by row index; and the
+    cache key of label values.  Blank lines are skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _check_header(header, schema, path)
+        rows = [row for row in reader if row]
+    n = len(header)
+    columns = header + [c for c in schema if c not in header]
+    extra: dict[int, list[str]] = {}
+    for i, row in enumerate(rows):
+        if len(row) > n:
+            extra[i] = row[n:]
+            del row[n:]
+        if len(row) < len(columns):
+            row += [None] * (len(columns) - len(row))
+
+    def raw(i: int) -> dict:
+        row = dict(zip(header, rows[i]))
+        if i in extra:
+            row["extra_fields"] = extra[i]
+        return row
+
+    overlong = {
+        i: f"row has {n + len(e)} fields, header has {n}" for i, e in extra.items() if any(e)
+    }
+    return map(operator.itemgetter(*map(columns.index, schema)), rows), raw, overlong, tuple
 
 
-def load_reviews(path, format: str = "csv", meta_path=None) -> LoadResult:
-    """Load review (and optionally meta-review) exports into typed records.
+def _json_rows(rows: list[dict], schema: list[str], path):
+    """:func:`_csv_rows` for the objects of a JSON export."""
+    for row in rows:
+        unknown = [c for c in row if c not in schema]
+        if unknown:
+            raise ValueError(f"{path}: unknown field(s) {unknown}")
+    # repr keys: JSON values may be lists, and True == 1 as a dict key
+    return (tuple(map(row.get, schema)) for row in rows), lambda i: dict(rows[i]), {}, repr
+
+
+def _missing(values, names) -> str | None:
+    for name, value in zip(names, values):
+        if value in (None, ""):
+            return f"missing required field {name!r}"
+    return None
+
+
+def _check_labels(labels: list, forms: list[ReviewForm]) -> int | str:
+    """Check one raw label tuple (recommendation, c1-c4, confidence, award)
+    by appending its form to ``forms``: the form's index, or why rows
+    carrying the tuple are rejected."""
+    rec, c1, c2, c3, c4, conf, award = labels
+    reason = _missing(labels, REVIEW_CSV_HEADER[2:7])
+    if reason is not None:
+        return reason
+    try:
+        award = 0 if award in (None, "") else int(str(award).strip())
+    except ValueError:
+        return f"award flag not 0/1: {labels[6]!r}"
+    try:
+        criteria = (str(c1), str(c2), str(c3), str(c4))
+        forms.append(ReviewForm("", "", str(rec), criteria, str(conf), award))
+    except ValueError as exc:  # UnknownLabelError included
+        return str(exc)
+    return len(forms) - 1
+
+
+def _take_reviews(values, raw, overlong, key, out: Exports):
+    """Append each review row to ``out``'s columns or, with its reason, to
+    its report's rejections."""
+    checked: dict[Hashable, int | str] = {}
+    seen: set[tuple[str, str]] = set()
+    for i, (paper, reviewer, *labels, comments) in enumerate(values):
+        if labels[5] in (None, ""):
+            labels[5] = "Good"
+            out.report.warnings.append(
+                f"review ({reviewer}, {paper}): missing confidence, defaulted to 'Good'"
+            )
+        k = key(labels)
+        if k not in checked:
+            checked[k] = _check_labels(labels, out.labels)
+        pair = (str(reviewer).strip(), str(paper).strip())
+        ids_ok = paper not in (None, "") and reviewer not in (None, "") and i not in overlong
+        if ids_ok and type(checked[k]) is int and pair not in seen:
+            seen.add(pair)
+            out.reviewer.append(pair[0])
+            out.paper.append(pair[1])
+            out.label.append(checked[k])
+            out.comments.append(str(comments or ""))
+            continue
+        row = raw(i)
+        if row.get("confidence") in (None, ""):
+            row["confidence"] = "Good"
+        reason = overlong.get(i) or _missing((paper, reviewer), REVIEW_CSV_HEADER)
+        if reason is None:
+            reason = checked[k] if type(checked[k]) is str else DUPLICATE_PAIR
+        out.report.rejected.append((row, reason))
+
+
+def _take_metas(values, raw, overlong, key, out: Exports):
+    """:func:`_take_reviews` for meta-review rows."""
+    checked: dict[Hashable, str | None] = {}
+    seen: set[tuple[str, str]] = set()
+    for i, (paper, metareviewer, rec) in enumerate(values):
+        k = key([rec])
+        if k not in checked:
+            try:
+                MetaReviewForm("", "", str(rec))  # the form is the label check
+                checked[k] = None
+            except ValueError as exc:
+                checked[k] = str(exc)
+        pair = (str(metareviewer).strip(), str(paper).strip())
+        ids_ok = paper not in (None, "") and metareviewer not in (None, "") and i not in overlong
+        if ids_ok and checked[k] is None and pair not in seen:
+            seen.add(pair)
+            out.metareviewer.append(pair[0])
+            out.meta_paper.append(pair[1])
+            out.meta_recommendation.append(str(rec))
+            continue
+        reason = overlong.get(i) or _missing((paper, metareviewer, rec), META_CSV_HEADER)
+        out.report.rejected.append((raw(i), reason or checked[k] or DUPLICATE_PAIR))
+
+
+def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
+    """Read review (and optionally meta-review) exports into columns.
 
     CSV mode reads reviews from ``path`` and, if given, meta-reviews from
     ``meta_path``.  JSON mode reads a single file with ``reviews`` and
     ``meta_reviews`` arrays whose objects mirror the CSV column names.
 
-    Rows with unknown labels or malformed fields are rejected record by
-    record (collected in the report), as is every repeat of a (reviewer,
-    paper) or (metareviewer, paper) pair after its first row; structural
-    problems such as unknown columns abort with ``ValueError``.
+    Rows with unknown labels, malformed fields or non-empty fields beyond
+    the header are rejected record by record (collected in the report), as
+    is every repeat of a (reviewer, paper) or (metareviewer, paper) pair
+    after its first row; structural problems such as unknown or repeated
+    columns abort with ``ValueError``.  Each distinct label tuple is
+    checked once.  The report also holds the counts and findings of
+    :func:`validate` for the accepted rows.
     """
-    report = ValidationReport()
-    review_rows: list[dict] = []
-    meta_rows: list[dict] = []
-
+    out = Exports()
     if format == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            _check_header(reader.fieldnames, REVIEW_CSV_HEADER, path)
-            review_rows = list(reader)
+        _take_reviews(*_csv_rows(path, REVIEW_CSV_HEADER), out)
         if meta_path is not None:
-            with open(meta_path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                _check_header(reader.fieldnames, META_CSV_HEADER, meta_path)
-                meta_rows = list(reader)
+            _take_metas(*_csv_rows(meta_path, META_CSV_HEADER), out)
     elif format == "json":
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        review_rows = payload.get("reviews", [])
-        meta_rows = payload.get("meta_reviews", [])
-        for rows, allowed in ((review_rows, REVIEW_CSV_HEADER), (meta_rows, META_CSV_HEADER)):
-            for row in rows:
-                unknown = [c for c in row if c not in allowed]
-                if unknown:
-                    raise ValueError(f"{path}: unknown field(s) {unknown}")
+        reviews = _json_rows(payload.get("reviews", []), REVIEW_CSV_HEADER, path)
+        metas = _json_rows(payload.get("meta_reviews", []), META_CSV_HEADER, path)
+        _take_reviews(*reviews, out)
+        _take_metas(*metas, out)
     else:
         raise ValueError(f"unknown format {format!r}")
-
-    reviews: list[ReviewForm] = []
-    metas: list[MetaReviewForm] = []
-    review_pairs: set[tuple[str, str]] = set()
-    meta_pairs: set[tuple[str, str]] = set()
-    for row in review_rows:
-        if row.get("confidence") in (None, ""):
-            row = dict(row, confidence="Good")
-            report.warnings.append(
-                f"review ({row.get('reviewer_id')}, {row.get('paper_id')}): "
-                "missing confidence, defaulted to 'Good'"
-            )
-        try:
-            form = _parse_review_row(row)
-        except (UnknownLabelError, ValueError) as exc:
-            report.rejected.append((dict(row), str(exc)))
-            continue
-        if _first_pair(review_pairs, (form.reviewer, form.paper), row, report):
-            reviews.append(form)
-    for row in meta_rows:
-        try:
-            meta = _parse_meta_row(row)
-        except (UnknownLabelError, ValueError) as exc:
-            report.rejected.append((dict(row), str(exc)))
-            continue
-        if _first_pair(meta_pairs, (meta.metareviewer, meta.paper), row, report):
-            metas.append(meta)
-
-    assignments = AssignmentSet(
-        review_pairs=frozenset(review_pairs), meta_pairs=frozenset(meta_pairs)
-    )
-    _fill_counts(report, reviews, metas)
-    return LoadResult(assignments, reviews, metas, report)
+    _audit(out)
+    return out
 
 
-def _fill_counts(report: ValidationReport, reviews, metas):
-    papers = {f.paper for f in reviews} | {f.paper for f in metas}
-    report.n_papers = len(papers)
-    report.n_reviewers = len({f.reviewer for f in reviews})
-    report.n_reviews = len(reviews)
-    report.n_metareviewers = len({f.metareviewer for f in metas})
-    report.n_metareviews = len(metas)
-    per_paper = Counter(f.paper for f in reviews)
-    hist = Counter(per_paper.values())
-    for p in papers:
-        if p not in per_paper:
-            hist[0] += 1
-    report.reviews_per_paper = dict(hist)
+def load_reviews(path, format: str = "csv", meta_path=None) -> LoadResult:
+    """:func:`read_exports` as typed records."""
+    ex = read_exports(path, format, meta_path)
+    labels = map(ex.labels.__getitem__, ex.label)
+    reviews = [
+        ReviewForm(p, r, t.recommendation, t.criteria, t.confidence, t.award, c)
+        for p, r, t, c in zip(ex.paper, ex.reviewer, labels, ex.comments)
+    ]
+    metas = list(map(MetaReviewForm, ex.meta_paper, ex.metareviewer, ex.meta_recommendation))
+    return LoadResult(reviews, metas, ex.report)
+
+
+def _audit(ex: Exports, min_reviews: int = 2, duplicates=()):
+    """Fill the report's counts and findings from the id columns."""
+    report = ex.report
+    per_paper = Counter(ex.paper)
+    meta_papers = set(ex.meta_paper)
+    unreviewed = len(meta_papers.difference(per_paper))
+    report.n_papers = len(per_paper) + unreviewed
+    report.n_reviewers = len(set(ex.reviewer))
+    report.n_reviews = len(ex.paper)
+    report.n_metareviewers = len(set(ex.metareviewer))
+    report.n_metareviews = len(ex.meta_paper)
+    report.reviews_per_paper = dict(Counter(per_paper.values()) + Counter({0: unreviewed}))
+    report.findings = [
+        ("below minimum reviews", f"paper {p} has {n} review(s)")
+        for p, n in sorted(per_paper.items())
+        if n < min_reviews
+    ]
+    report.findings += duplicates
+    report.findings += [
+        ("missing meta-review", f"paper {p}") for p in sorted(per_paper) if p not in meta_papers
+    ]
 
 
 def validate(
@@ -391,86 +478,52 @@ def validate(
 ) -> ValidationReport:
     """Audit loaded records: review-count floor, duplicate assignments,
     papers without a meta-review.  Purely reporting, never raises."""
-    metas = metas or []
-    report = ValidationReport()
-    _fill_counts(report, reviews, metas)
-
-    per_paper = Counter(f.paper for f in reviews)
-    for paper, n in sorted(per_paper.items()):
-        if n < min_reviews:
-            report.findings.append(
-                ("below minimum reviews", f"paper {paper} has {n} review(s)")
-            )
-    dup = Counter((f.reviewer, f.paper) for f in reviews)
-    for (r, p), n in sorted(item for item in dup.items() if item[1] > 1):
-        report.findings.append(
-            ("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times")
-        )
-    meta_papers = {f.paper for f in metas}
-    for paper in sorted(per_paper):
-        if paper not in meta_papers:
-            report.findings.append(("missing meta-review", f"paper {paper}"))
-    return report
+    ex = Exports.from_forms(reviews, metas or [])
+    duplicates = [
+        ("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times")
+        for (r, p), n in sorted(Counter(zip(ex.reviewer, ex.paper)).items())
+        if n > 1
+    ]
+    _audit(ex, min_reviews, duplicates)
+    return ex.report
 
 
 def _canon(label: str) -> str:
     return _CANONICAL[_norm_label(label)]
 
 
-def export_reviews_csv(reviews: list[ReviewForm]) -> str:
-    """Canonical CSV text for review records (round-trips via load_reviews)."""
+def _review_row(f: ReviewForm) -> list:
+    """A review's fields in ``REVIEW_CSV_HEADER`` order, labels canonical."""
+    labels = [_canon(f.recommendation), *map(_canon, f.criteria), _canon(f.confidence)]
+    return [f.paper, f.reviewer, *labels, f.award, f.comments]
+
+
+def _meta_row(f: MetaReviewForm) -> list:
+    return [f.paper, f.metareviewer, _canon(f.recommendation)]
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text with quoted fields where needed and ``\\n`` line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REVIEW_CSV_HEADER)
-    for f in reviews:
-        writer.writerow(
-            [
-                f.paper,
-                f.reviewer,
-                _canon(f.recommendation),
-                *(_canon(c) for c in f.criteria),
-                _canon(f.confidence),
-                f.award,
-                f.comments,
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def export_reviews_csv(reviews: list[ReviewForm]) -> str:
+    """Canonical CSV text for review records (round-trips via load_reviews)."""
+    return _csv_text(REVIEW_CSV_HEADER, map(_review_row, reviews))
 
 
 def export_metas_csv(metas: list[MetaReviewForm]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(META_CSV_HEADER)
-    for f in metas:
-        writer.writerow([f.paper, f.metareviewer, _canon(f.recommendation)])
-    return buf.getvalue()
+    return _csv_text(META_CSV_HEADER, map(_meta_row, metas))
 
 
 def export_json(reviews: list[ReviewForm], metas: list[MetaReviewForm]) -> str:
     """Canonical JSON text mirroring the CSV schemas 1:1."""
     payload = {
-        "reviews": [
-            {
-                "paper_id": f.paper,
-                "reviewer_id": f.reviewer,
-                "recommendation": _canon(f.recommendation),
-                "c1": _canon(f.criteria[0]),
-                "c2": _canon(f.criteria[1]),
-                "c3": _canon(f.criteria[2]),
-                "c4": _canon(f.criteria[3]),
-                "confidence": _canon(f.confidence),
-                "award": f.award,
-                "comments": f.comments,
-            }
-            for f in reviews
-        ],
-        "meta_reviews": [
-            {
-                "paper_id": f.paper,
-                "metareviewer_id": f.metareviewer,
-                "recommendation": _canon(f.recommendation),
-            }
-            for f in metas
-        ],
+        "reviews": [dict(zip(REVIEW_CSV_HEADER, _review_row(f))) for f in reviews],
+        "meta_reviews": [dict(zip(META_CSV_HEADER, _meta_row(f))) for f in metas],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

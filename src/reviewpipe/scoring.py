@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import MetaReviewForm, ReviewForm, encode_likert
+from .records import Exports, MetaReviewForm, ReviewForm, encode_likert
 
 __all__ = [
     "ReviewScore",
@@ -36,6 +36,7 @@ __all__ = [
     "score_index",
     "build_score_table",
     "ReviewTable",
+    "exports_table",
     "review_table",
     "score_table",
     "rank_and_cut",
@@ -197,31 +198,34 @@ def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
     return uniq, np.array([index[x] for x in ids], dtype=int)
 
 
-def review_table(
-    reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None
-) -> ReviewTable:
-    """Score every review once and code reviews and meta-reviews by id.
+def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
+    """Score each distinct label tuple of accepted rows once and code
+    reviews and meta-reviews by id.
 
-    With ``metas`` given, every reviewed paper needs a meta-review and
-    every meta-reviewed paper a review: fusion needs both sides.  Without
-    it the meta arrays are empty.
+    With ``metas`` set, every reviewed paper needs a meta-review and every
+    meta-reviewed paper a review: fusion needs both sides.  Without it the
+    meta columns are ignored and the meta arrays are empty.
     """
-    scores = [review_score(f) for f in reviews]
-    paper_ids, paper = _codes([sc.paper for sc in scores])
-    if metas is None:
-        metas = []
-    else:
-        meta_papers = {m.paper for m in metas}
-        missing_meta = [p for p in paper_ids if p not in meta_papers]
+    used, label = np.unique(np.asarray(exports.label, dtype=int), return_inverse=True)
+    scores = [review_score(exports.labels[k]) for k in used.tolist()]
+    paper_ids, paper = _codes(exports.paper)
+    if metas:
+        meta_papers = exports.meta_paper
+        metareviewers = exports.metareviewer
+        recommendations = exports.meta_recommendation
+        meta_set = set(meta_papers)
+        missing_meta = [p for p in paper_ids if p not in meta_set]
         if missing_meta:
             raise ValueError(f"papers without meta-review: {missing_meta}")
-        extra_meta = sorted(meta_papers.difference(paper_ids))
+        extra_meta = sorted(meta_set.difference(paper_ids))
         if extra_meta:
             raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
+    else:
+        meta_papers, metareviewers, recommendations = [], [], []
     paper_index = {p: i for i, p in enumerate(paper_ids)}
-    meta_paper = np.array([paper_index[m.paper] for m in metas], dtype=int)
-    reviewer_ids, reviewer = _codes([sc.reviewer for sc in scores])
-    metareviewer_ids, metareviewer = _codes([m.metareviewer for m in metas])
+    meta_paper = np.array([paper_index[p] for p in meta_papers], dtype=int)
+    reviewer_ids, reviewer = _codes(exports.reviewer)
+    metareviewer_ids, metareviewer = _codes(metareviewers)
     rows = np.lexsort((reviewer, paper))
     meta_rows = np.lexsort((metareviewer, meta_paper))
     return ReviewTable(
@@ -230,14 +234,22 @@ def review_table(
         metareviewer_ids=metareviewer_ids,
         paper=paper[rows],
         reviewer=reviewer[rows],
-        s_half=np.array([sc.s_half for sc in scores], dtype=int)[rows],
-        confidence=np.array([sc.confidence for sc in scores], dtype=float)[rows],
+        s_half=np.array([sc.s_half for sc in scores], dtype=int)[label][rows],
+        confidence=np.array([sc.confidence for sc in scores], dtype=float)[label][rows],
         meta_paper=meta_paper[meta_rows],
         metareviewer=metareviewer[meta_rows],
         xi=np.array(
-            [encode_likert(m.recommendation, "recommendation") for m in metas], dtype=float
+            [encode_likert(r, "recommendation") for r in recommendations], dtype=float
         )[meta_rows],
     )
+
+
+def review_table(
+    reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None
+) -> ReviewTable:
+    """:func:`exports_table` of typed records; without ``metas`` the meta
+    arrays are empty."""
+    return exports_table(Exports.from_forms(reviews, metas or []), metas=metas is not None)
 
 
 def weighted_paper_mean(values, paper, weights, n_papers: int) -> np.ndarray:

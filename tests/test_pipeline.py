@@ -324,6 +324,39 @@ class TestRunPipeline:
         run_pipeline(cfg)
         assert len(calls) == 60
 
+    def test_review_score_runs_once_per_distinct_accepted_label_tuple(
+        self, tmp_path, rng, monkeypatch
+    ):
+        _, _, reviews, metas = random_corpus(rng, 20, 10)
+        pool = reviews[:4]
+        reviews = [
+            replace(pool[i % 4], paper=f.paper, reviewer=f.reviewer) for i, f in enumerate(reviews)
+        ]
+        # a repeated pair and an unknown label, each with a tuple no accepted row carries
+        repeat = replace(reviews[0], recommendation="Strong Accept", criteria=("Poor",) * 4)
+        distinct = {(f.recommendation, f.criteria, f.confidence, f.award) for f in reviews}
+        assert (repeat.recommendation, repeat.criteria, repeat.confidence, repeat.award) not in distinct
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        text = export_reviews_csv(reviews + [repeat]) + "P0000,R0099,Maybe,Good,Good,Good,Good,Good,0,\n"
+        rpath.write_text(text, encoding="utf-8")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8")
+        original = reviewpipe.scoring.review_score
+        calls = []
+
+        def counted(form):
+            calls.append(form)
+            return original(form)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("reviewpipe") and getattr(module, "review_score", None) is original:
+                monkeypatch.setattr(module, "review_score", counted)
+        out = tmp_path / "out"
+        run_pipeline(
+            PipelineConfig(reviews_path=str(rpath), meta_path=str(mpath), out_dir=str(out), dequantize=True)
+        )
+        assert len(calls) == len(distinct) < len(reviews)
+        assert len(json.loads((out / "validation.json").read_text())["rejected"]) == 2
+
     def test_constant_meta_scores_pass_through(self, tmp_path, rng):
         _, _, reviews, metas = random_corpus(rng, 30, 12)
         metas = [MetaReviewForm(m.paper, m.metareviewer, "Accept") for m in metas]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -72,7 +73,7 @@ class TestLoad:
         result = load_reviews(path)
         assert len(result.reviews) == 3
         assert not result.report.rejected
-        assert result.assignments.review_pairs == {(f"R{i}", "P1") for i in range(3)}
+        assert {(f.reviewer, f.paper) for f in result.reviews} == {(f"R{i}", "P1") for i in range(3)}
 
     def test_unknown_label_rejected_not_aborted(self, tmp_path):
         path = write_reviews(
@@ -89,6 +90,59 @@ class TestLoad:
         path.write_text(REVIEW_HEADER + ",sentiment\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown column"):
             load_reviews(path)
+
+    def test_repeated_columns_abort(self, tmp_path):
+        # DictReader would keep the later column: R1's Strong Reject read as Strong Accept
+        row = "P1,R1,Strong Reject,Good,Good,Good,Good,Good,0,,Strong Accept"
+        path = tmp_path / "dup.csv"
+        path.write_text(REVIEW_HEADER + ",recommendation\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("repeated column(s) ['recommendation']")):
+            load_reviews(path)
+        path.write_text("paper_id,reviewer_id,reviewer_id,recommendation,c1,c2,c3,c4,c1\n")
+        with pytest.raises(ValueError, match=re.escape("repeated column(s) ['c1', 'reviewer_id']")):
+            load_reviews(path)
+        meta = tmp_path / "meta.csv"
+        meta.write_text("paper_id,metareviewer_id,recommendation,recommendation\nP1,M1,Reject,Accept\n")
+        with pytest.raises(ValueError, match=re.escape("repeated column(s) ['recommendation']")):
+            load_reviews(write_reviews(tmp_path, [review_row()]), meta_path=meta)
+
+    def test_row_with_surplus_fields_rejected(self, tmp_path):
+        path = write_reviews(
+            tmp_path, [review_row(), "P1,R2,Accept,Good,Good,Good,Good,Good,0,great, really"]
+        )
+        result = load_reviews(path)
+        assert [f.reviewer for f in result.reviews] == ["R1"]
+        [(row, reason)] = result.report.rejected
+        assert reason == "row has 11 fields, header has 10"
+        assert row["comments"] == "great" and row["extra_fields"] == [" really"]
+
+    def test_trailing_empty_fields_accepted(self, tmp_path):
+        path = write_reviews(tmp_path, ["P1,R1,Accept,Good,Good,Good,Good,Good,0,,,"])
+        result = load_reviews(path)
+        assert result.reviews == [make_review("P1", "R1", rec="Accept")]
+        assert not result.report.rejected
+
+    def test_long_rejected_rows_serialize(self, tmp_path):
+        path = write_reviews(
+            tmp_path,
+            [
+                review_row(),
+                "P1,R2,Maybe,Good,Good,Good,Good,Good,0,,",
+                "P1,R1,Accept,Good,Good,Good,Good,Good,0,,",
+            ],
+        )
+        meta = tmp_path / "meta.csv"
+        meta.write_text("paper_id,metareviewer_id,recommendation\nP1,M1,Accept\nP1,M1,Accept,\n")
+        report = load_reviews(path, meta_path=meta).report
+        payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+        assert [
+            (r["row"].get("reviewer_id", r["row"].get("metareviewer_id")), r["row"]["extra_fields"], r["reason"])
+            for r in payload["rejected"]
+        ] == [
+            ("R2", [""], "unknown label 'Maybe' for scale 'recommendation'"),
+            ("R1", [""], DUPLICATE_PAIR),
+            ("M1", [""], DUPLICATE_PAIR),
+        ]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,0 +1,336 @@
+"""The columnar reader against the row-by-row loader it replaced.
+
+The oracle below is that loader: ``csv.DictReader`` rows, one
+``ReviewForm`` per row, one ``review_score`` per review in the table, and a
+separate ``validate`` pass merged with the loader's rejections and
+warnings.  On messy CSV and JSON exports both paths must give the same
+forms, the same ``ReviewTable`` and the same ``validation.json`` text.
+Rows longer than their header are left out: the oracle drops their surplus
+fields or fails on them, which the reader now rejects by design.
+"""
+
+import csv
+import io
+import json
+import re
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reviewpipe.records import (
+    DUPLICATE_PAIR,
+    META_CSV_HEADER,
+    REVIEW_CSV_HEADER,
+    MetaReviewForm,
+    ReviewForm,
+    UnknownLabelError,
+    ValidationReport,
+    encode_likert,
+    load_reviews,
+    read_exports,
+)
+from reviewpipe.scoring import ReviewTable, exports_table, review_score
+
+# --- the oracle -------------------------------------------------------------
+
+
+def oracle_review(row: dict) -> ReviewForm:
+    for col in REVIEW_CSV_HEADER[:-3]:
+        if row.get(col) in (None, ""):
+            raise UnknownLabelError(f"missing required field {col!r}")
+    award_raw = row.get("award", "")
+    if award_raw in (None, ""):
+        award = 0
+    else:
+        try:
+            award = int(str(award_raw).strip())
+        except ValueError:
+            raise UnknownLabelError(f"award flag not 0/1: {award_raw!r}") from None
+    return ReviewForm(
+        paper=str(row["paper_id"]).strip(),
+        reviewer=str(row["reviewer_id"]).strip(),
+        recommendation=str(row["recommendation"]),
+        criteria=(str(row["c1"]), str(row["c2"]), str(row["c3"]), str(row["c4"])),
+        confidence=str(row["confidence"]),
+        award=award,
+        comments=str(row.get("comments", "") or ""),
+    )
+
+
+def oracle_meta(row: dict) -> MetaReviewForm:
+    for col in META_CSV_HEADER:
+        if row.get(col) in (None, ""):
+            raise UnknownLabelError(f"missing required field {col!r}")
+    return MetaReviewForm(
+        paper=str(row["paper_id"]).strip(),
+        metareviewer=str(row["metareviewer_id"]).strip(),
+        recommendation=str(row["recommendation"]),
+    )
+
+
+def oracle_validate(reviews, metas, min_reviews=2) -> ValidationReport:
+    report = ValidationReport()
+    papers = {f.paper for f in reviews} | {f.paper for f in metas}
+    report.n_papers = len(papers)
+    report.n_reviewers = len({f.reviewer for f in reviews})
+    report.n_reviews = len(reviews)
+    report.n_metareviewers = len({f.metareviewer for f in metas})
+    report.n_metareviews = len(metas)
+    per_paper = Counter(f.paper for f in reviews)
+    hist = Counter(per_paper.values())
+    for p in papers:
+        if p not in per_paper:
+            hist[0] += 1
+    report.reviews_per_paper = dict(hist)
+    for paper, n in sorted(per_paper.items()):
+        if n < min_reviews:
+            report.findings.append(("below minimum reviews", f"paper {paper} has {n} review(s)"))
+    dup = Counter((f.reviewer, f.paper) for f in reviews)
+    for (r, p), n in sorted(item for item in dup.items() if item[1] > 1):
+        report.findings.append(("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times"))
+    meta_papers = {f.paper for f in metas}
+    for paper in sorted(per_paper):
+        if paper not in meta_papers:
+            report.findings.append(("missing meta-review", f"paper {paper}"))
+    return report
+
+
+def oracle_load(path, format="csv", meta_path=None):
+    """(reviews, metas, the report pipeline and CLI wrote as validation.json)."""
+    if format == "csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            review_rows = list(csv.DictReader(fh))
+        meta_rows = []
+        if meta_path is not None:
+            with open(meta_path, newline="", encoding="utf-8") as fh:
+                meta_rows = list(csv.DictReader(fh))
+    else:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        review_rows = payload.get("reviews", [])
+        meta_rows = payload.get("meta_reviews", [])
+    rejected, warnings = [], []
+    reviews, metas = [], []
+    for rows, parse, out in ((review_rows, oracle_review, reviews), (meta_rows, oracle_meta, metas)):
+        seen = set()
+        for row in rows:
+            if parse is oracle_review and row.get("confidence") in (None, ""):
+                row = dict(row, confidence="Good")
+                warnings.append(
+                    f"review ({row.get('reviewer_id')}, {row.get('paper_id')}): "
+                    "missing confidence, defaulted to 'Good'"
+                )
+            try:
+                form = parse(row)
+            except (UnknownLabelError, ValueError) as exc:
+                rejected.append((dict(row), str(exc)))
+                continue
+            pair = (getattr(form, "reviewer", None) or getattr(form, "metareviewer", None), form.paper)
+            if pair in seen:
+                rejected.append((dict(row), DUPLICATE_PAIR))
+                continue
+            seen.add(pair)
+            out.append(form)
+    report = oracle_validate(reviews, metas)
+    report.rejected = rejected
+    report.warnings = warnings
+    return reviews, metas, report
+
+
+def oracle_table(reviews, metas=None) -> ReviewTable:
+    scores = [review_score(f) for f in reviews]
+
+    def codes(ids):
+        uniq = sorted(set(ids))
+        index = {x: i for i, x in enumerate(uniq)}
+        return uniq, np.array([index[x] for x in ids], dtype=int)
+
+    paper_ids, paper = codes([sc.paper for sc in scores])
+    if metas is None:
+        metas = []
+    else:
+        meta_papers = {m.paper for m in metas}
+        missing_meta = [p for p in paper_ids if p not in meta_papers]
+        if missing_meta:
+            raise ValueError(f"papers without meta-review: {missing_meta}")
+        extra_meta = sorted(meta_papers.difference(paper_ids))
+        if extra_meta:
+            raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
+    paper_index = {p: i for i, p in enumerate(paper_ids)}
+    meta_paper = np.array([paper_index[m.paper] for m in metas], dtype=int)
+    reviewer_ids, reviewer = codes([sc.reviewer for sc in scores])
+    metareviewer_ids, metareviewer = codes([m.metareviewer for m in metas])
+    rows = np.lexsort((reviewer, paper))
+    meta_rows = np.lexsort((metareviewer, meta_paper))
+    return ReviewTable(
+        paper_ids=paper_ids,
+        reviewer_ids=reviewer_ids,
+        metareviewer_ids=metareviewer_ids,
+        paper=paper[rows],
+        reviewer=reviewer[rows],
+        s_half=np.array([sc.s_half for sc in scores], dtype=int)[rows],
+        confidence=np.array([sc.confidence for sc in scores], dtype=float)[rows],
+        meta_paper=meta_paper[meta_rows],
+        metareviewer=metareviewer[meta_rows],
+        xi=np.array(
+            [encode_likert(m.recommendation, "recommendation") for m in metas], dtype=float
+        )[meta_rows],
+    )
+
+
+# --- comparison -------------------------------------------------------------
+
+
+def assert_tables_equal(a: ReviewTable, b: ReviewTable):
+    for name in ("paper_ids", "reviewer_ids", "metareviewer_ids"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("paper", "reviewer", "s_half", "confidence", "meta_paper", "metareviewer", "xi"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_matches_oracle(path, format="csv", meta_path=None):
+    reviews, metas, report = oracle_load(path, format, meta_path)
+    loaded = load_reviews(path, format, meta_path)
+    assert loaded.reviews == reviews
+    assert loaded.metas == metas
+    exports = read_exports(path, format, meta_path)
+    assert json.dumps(exports.report.to_dict(), indent=2, sort_keys=True) == json.dumps(
+        report.to_dict(), indent=2, sort_keys=True
+    )
+    assert_tables_equal(exports_table(exports, metas=False), oracle_table(reviews))
+    try:
+        want = oracle_table(reviews, metas)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            exports_table(exports)
+    else:
+        assert_tables_equal(exports_table(exports), want)
+
+
+# --- messy exports ----------------------------------------------------------
+
+# column -> (well-formed values, malformed values)
+POOLS = {
+    "paper_id": (["P1", "P2", "P3", " P1", "P,4"], [""]),
+    "reviewer_id": (["R1", "R2", "R3", "R4", "R5", "R6", "R2 "], [""]),
+    "recommendation": (["Accept", " accept", "Strong Reject", "weak  ACCEPT"], ["Maybe", ""]),
+    **{c: (["Good", "excellent", " Poor", "Fair"], ["Superb", ""]) for c in ("c1", "c2", "c3", "c4")},
+    "confidence": (["Good", "Very good", "poor"], ["", "Bad"]),
+    "award": (["0", "1", "", " 1"], ["2", "x", "1.0"]),
+    "comments": (["", "fine", "a, b", 'say "hi"', "two\nlines"], []),
+}
+META_POOLS = {
+    "paper_id": POOLS["paper_id"],
+    "metareviewer_id": (["M1", "M2", " M1"], [""]),
+    "recommendation": POOLS["recommendation"],
+}
+# JSON exports also carry numbers, booleans, lists, objects and null
+JSON_VALUES = [0, 1, 2, 1.0, True, False, None, ["Accept"], [1], {"a": 1}]
+
+
+def field_value(rnd, pools, column, extra=()):
+    """Mostly a well-formed value, one time in sixteen a malformed one."""
+    good, bad = pools[column]
+    bad = [*bad, *extra]
+    return rnd.choice(bad if bad and rnd.random() < 1 / 16 else good)
+
+
+@st.composite
+def csv_export(draw, pools, optional):
+    """CSV text: a shuffled header without some optional columns, rows
+    drawn from ``pools``, some cut short, and blank lines."""
+    rnd = draw(st.randoms(use_true_random=True))
+    header = [c for c in pools if c not in optional or rnd.random() < 0.7]
+    rnd.shuffle(header)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(rnd.randrange(15)):
+        row = [field_value(rnd, pools, c) for c in header]
+        kind = rnd.choice(["row"] * 8 + ["short", "blank"])
+        if kind == "short":
+            row = row[: rnd.randrange(1, len(row) + 1)]
+        writer.writerow([] if kind == "blank" else row)
+    return buf.getvalue()
+
+
+@st.composite
+def json_objects(draw, pools):
+    """Export objects that may lack any field and hold any JSON value."""
+    rnd = draw(st.randoms(use_true_random=True))
+    return [
+        {c: field_value(rnd, pools, c, JSON_VALUES) for c in pools if rnd.random() < 0.95}
+        for _ in range(rnd.randrange(13))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    reviews=csv_export(POOLS, ("confidence", "award", "comments")),
+    metas=st.none() | csv_export(META_POOLS, ()),
+)
+def test_csv_reader_matches_oracle(reviews, metas):
+    with tempfile.TemporaryDirectory() as tmp:
+        rpath, mpath = Path(tmp) / "r.csv", Path(tmp) / "m.csv"
+        rpath.write_text(reviews, encoding="utf-8")
+        if metas is not None:
+            mpath.write_text(metas, encoding="utf-8")
+        assert_matches_oracle(rpath, "csv", mpath if metas is not None else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reviews=json_objects(POOLS), metas=json_objects(META_POOLS))
+def test_json_reader_matches_oracle(reviews, metas):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.json"
+        path.write_text(json.dumps({"reviews": reviews, "meta_reviews": metas}), encoding="utf-8")
+        assert_matches_oracle(path, "json")
+
+
+def test_every_messy_case_at_once(tmp_path):
+    """Each case the generators draw, written out once."""
+    rpath = tmp_path / "r.csv"
+    rpath.write_text(
+        "c4,c3,recommendation,paper_id,reviewer_id,c1,c2,award\n"  # reordered, no confidence/comments
+        "Good,Good,Accept,P1,R1,Good,Good,0\n"
+        "Good,Good,accept ,P1,R1,Good,Good,1\n"  # repeated pair
+        "Good,Good,Maybe,P1,R2,Good,Good,0\n"  # unknown label
+        "Good,Good,Accept, P2 , R2 ,Good,Good,x\n"  # bad award, whitespace ids
+        "\n"
+        "Good,Good,Accept,P2,R3,Good,\n"  # missing c2 and award
+        "Good,Good\n"  # short row
+        "Good,Good,Reject,P2,R1,Excellent,Poor,1\n",
+        encoding="utf-8",
+    )
+    mpath = tmp_path / "m.csv"
+    mpath.write_text(
+        "recommendation,paper_id,metareviewer_id\nAccept,P1,M1\nReject,P1,M1\nBad,P2,M2\n,P2,M2\n",
+        encoding="utf-8",
+    )
+    assert_matches_oracle(rpath, "csv", mpath)
+    assert_matches_oracle(rpath, "csv")
+    jpath = tmp_path / "e.json"
+    review = {"paper_id": "P1", "reviewer_id": "R1", "recommendation": "Accept"}
+    review.update(c1="Good", c2="Good", c3="Good", c4="Good")
+    jpath.write_text(
+        json.dumps(
+            {
+                "reviews": [
+                    review,
+                    dict(review, reviewer_id="R2", award=True, confidence=None),
+                    dict(review, reviewer_id="R3", award=1, comments=0),
+                    dict(review, reviewer_id="R4", award="1", c1=["Good"]),
+                    dict(review, reviewer_id=5, award=1.0),
+                    dict(review, paper_id=None),
+                ],
+                "meta_reviews": [{"paper_id": "P1", "metareviewer_id": "M1", "recommendation": ["x"]}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert_matches_oracle(jpath, "json")
