@@ -55,9 +55,7 @@ from .scoring import (
     ScoreTable,
     build_score_table,
     exports_table,
-    meta_score,
     normalize,
-    paper_score,
     rank_and_cut,
     review_score,
     review_table,

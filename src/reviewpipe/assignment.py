@@ -119,7 +119,6 @@ def assign(
     sources: dict[tuple[str, str], SimilaritySources],
     constraints: AssignmentConstraints,
     tags: dict[str, str] | None = None,
-    weights=DEFAULT_WEIGHTS,
 ) -> AssignmentResult:
     """Build the assignment that fills the most reviewer slots and, among
     those, has the largest total pair similarity.
@@ -159,7 +158,7 @@ def assign(
         for r, p in sources
         if r in reviewer_code and p in paper_code and (r, p) not in constraints.conflicts
     )
-    sim = np.array([combined_similarity(sources[pair], weights) for pair in pairs])
+    sim = np.array([combined_similarity(sources[pair]) for pair in pairs])
     paper = np.array([paper_code[p] for _, p in pairs], dtype=np.intp)
     chosen = np.zeros(0, dtype=np.intp)
     if pairs:

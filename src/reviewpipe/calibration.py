@@ -128,15 +128,20 @@ class CalibrationInputs:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Logarithmic grid over the two variance ratios."""
+    """Logarithmic grid over the two variance ratios, from ``lo`` to ``hi``
+    (either may be the larger); both bounds positive and finite."""
 
     lo: float = 1e-2
     hi: float = 1e2
     points: int = 13
 
-    def values(self) -> np.ndarray:
+    def __post_init__(self):
+        if not (0 < self.lo < np.inf and 0 < self.hi < np.inf):
+            raise ValueError(f"grid bounds must be positive and finite: {self.lo!r}, {self.hi!r}")
         if self.points < 1:
             raise ValueError("grid needs at least one point")
+
+    def values(self) -> np.ndarray:
         return np.geomspace(self.lo, self.hi, self.points)
 
 
@@ -286,19 +291,17 @@ def fit_hyperparams(
     values = np.asarray(grid.values(), dtype=float)
     a = values[:, None]
     space = _ReviewerSpace(inputs)
-    # rows: bias ratio, columns: noise ratio; NaN marks a point outside the model
-    quad = np.full((len(values), len(values)), np.nan)
-    logdet = np.full_like(quad, np.nan)
+    # rows: bias ratio, columns: noise ratio
+    quad = np.empty((len(values), len(values)))
+    logdet = np.empty_like(quad)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, c in enumerate(values):
-            if c <= 0:
-                continue
             lam, _, h, quad_d, logdet_d = space.reduce(c, r)
             quad[:, j] = quad_d - np.sum(a * h**2 / (1.0 + a * lam), axis=1)
             logdet[:, j] = logdet_d + np.sum(np.log1p(a * lam), axis=1)
         sigma_q2 = quad / n
         nll_grid = 0.5 * n * np.log(2.0 * np.pi * sigma_q2) + 0.5 * logdet + 0.5 * n
-    ok = (values[:, None] >= 0) & (sigma_q2 > 0) & np.isfinite(nll_grid)
+    ok = (sigma_q2 > 0) & np.isfinite(nll_grid)
     if not ok.any():
         raise DegenerateModelError("all grid points degenerate")
     i, j = np.unravel_index(np.argmin(np.where(ok, nll_grid, np.inf)), ok.shape)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 from .assignment import AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
-from .pipeline import PipelineConfig, run_pipeline, write_atomic
+from .pipeline import PipelineConfig, _json_text, run_pipeline, write_atomic
 from .records import _csv_text, read_exports
 from .scoring import DecisionConfig, exports_table
 
@@ -57,11 +56,8 @@ def _load_config(path) -> dict:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="reviews CSV/JSON export")
-    p.add_argument("--meta", help="meta-reviews CSV (CSV format only)")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--acceptance-rate", type=float, default=40.0, dest="acceptance_rate")
     p.add_argument("--config", help="key = value config file overriding flags")
 
 
@@ -74,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="ingest exports and report findings")
     _add_common(p)
+    p.add_argument("--meta", help="meta-reviews CSV (CSV format only)")
 
     p = sub.add_parser("assign", help="build a reviewer-paper assignment")
     p.add_argument("--similarities", required=True,
@@ -90,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     _add_common(p)
+    p.add_argument("--meta", help="meta-reviews CSV (CSV format only)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--acceptance-rate", type=float, default=40.0, dest="acceptance_rate")
     p.add_argument("--dequantize", action="store_true")
     p.add_argument("--lambda", type=float, default=2.0, dest="lam")
     p.add_argument("--calibrate", action=argparse.BooleanOptionalAction, default=True,
@@ -112,7 +112,7 @@ def _apply_config(args):
 
 def cmd_validate(args) -> int:
     report = read_exports(args.input, args.format, args.meta).report
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    text = _json_text(report.to_dict())
     write_atomic(Path(args.out) / "validation.json", text)
     sys.stdout.write(text)
     return 0 if not report.rejected else 1
@@ -167,15 +167,12 @@ def cmd_assign(args) -> int:
         "shortfalls": result.shortfalls,
         "constraints": result.report.to_dict(),
     }
-    write_atomic(
-        Path(args.out) / "assignment_audit.json",
-        json.dumps(audit, indent=2, sort_keys=True) + "\n",
-    )
+    write_atomic(Path(args.out) / "assignment_audit.json", _json_text(audit))
     return 0 if result.feasible and result.report.ok else 1
 
 
 def cmd_dequantize(args) -> int:
-    rows = exports_table(read_exports(args.input, args.format, args.meta), metas=False)
+    rows = exports_table(read_exports(args.input, args.format), metas=False)
     s_dq = dequantize_rows(rows.paper, rows.s, DequantConfig(lam=args.lam))
     entries = [
         (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))

@@ -1,5 +1,6 @@
 """Score dequantization: replace half-point-quantized review scores with
-values inside a +/-0.25 band that reduce within-paper disagreement.
+values that reduce within-paper disagreement, each within a band fixed at
++/-0.25 (half the 0.5 lattice step) of its raw score.
 
 Per paper the problem is the box-constrained quadratic
 
@@ -43,13 +44,10 @@ class DequantConfig:
     limit where only within-paper spread matters."""
 
     lam: float = 2.0
-    band: float = BAND
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if self.band <= 0:
-            raise ValueError("band half-width must be positive")
 
 
 @dataclass
@@ -65,7 +63,7 @@ class DequantResult:
 def dequantize_rows(paper, s, cfg: DequantConfig) -> np.ndarray:
     """Dequantize flat score rows.  ``paper`` holds paper codes 0, 1, 2, ...
     in nondecreasing order, so each paper's rows are contiguous.  Returns
-    the optimum, aligned with ``s``, within ``cfg.band`` of it."""
+    the optimum, aligned with ``s``, within the +/-0.25 band of it."""
     paper = np.asarray(paper, dtype=int)
     s = np.asarray(s, dtype=float)
     if len(paper) != len(s):
@@ -75,7 +73,7 @@ def dequantize_rows(paper, s, cfg: DequantConfig) -> np.ndarray:
     n = np.bincount(paper)
     if (paper[1:] < paper[:-1]).any() or not n.all():
         raise ValueError("paper codes must run 0, 1, 2, ... with each paper's rows together")
-    lam, band = cfg.lam, cfg.band
+    lam, band = cfg.lam, BAND
     first = n.cumsum() - n
     # offsets from each paper's lowest score: exact on the lattice, and all
     # 0 for a paper whose scores are equal
@@ -116,7 +114,7 @@ def dequantize(groups: dict[str, list[tuple[str, float]]], cfg: DequantConfig) -
     """Dequantize scores grouped by paper.
 
     ``groups`` maps paper id -> list of (reviewer id, raw score).  Returns
-    per-pair dequantized scores with |s_hat - s| <= band guaranteed.
+    per-pair dequantized scores with |s_hat - s| <= 0.25 guaranteed.
     """
     empty = [paper for paper, entries in groups.items() if not entries]
     if empty:

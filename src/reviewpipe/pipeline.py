@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,8 +117,9 @@ class PipelineResult:
     artifacts: list[str]
 
 
-def write_atomic(path, text: str):
-    """Write text to ``path`` via a temp file in the same directory."""
+def write_atomic(path, text: str) -> str:
+    """Write text to ``path`` via a temp file in the same directory;
+    returns the path as a string."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -129,6 +131,12 @@ def write_atomic(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return str(path)
+
+
+def _json_text(obj) -> str:
+    """The artifact form of JSON: indented, keys sorted, newline-ended."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def gray_area(raw: DecisionList, calibrated: DecisionList) -> GrayAreaReport:
@@ -159,9 +167,8 @@ def emit_plots(table: ScoreTable, mu_y, estimate, meta_raw, out_dir) -> list[str
     written = []
 
     def emit(name, artifact):
-        write_atomic(out_dir / f"{name}.csv", artifact.csv_text)
-        write_atomic(out_dir / f"{name}.svg", artifact.svg_text)
-        written.extend([str(out_dir / f"{name}.csv"), str(out_dir / f"{name}.svg")])
+        written.append(write_atomic(out_dir / f"{name}.csv", artifact.csv_text))
+        written.append(write_atomic(out_dir / f"{name}.svg", artifact.svg_text))
 
     emit(
         "calibrated_score_histogram",
@@ -192,19 +199,13 @@ def emit_plots(table: ScoreTable, mu_y, estimate, meta_raw, out_dir) -> list[str
     return written
 
 
+@contextmanager
 def _stage(name: str):
-    """Decorator-free stage context: wrap exceptions with the stage name."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineStageError):
-                raise PipelineStageError(f"stage {name!r} failed: {exc}") from exc
-            return False
-
-    return _Ctx()
+    """Re-raise an exception from the stage's body with the stage named."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineStageError(f"stage {name!r} failed: {exc}") from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -213,17 +214,17 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     Deterministic: the same config and seed produce byte-identical
     outputs.  Calibration off leaves the calibrated columns absent and
     the gray-area report empty-by-construction with a notice.
+    ``artifacts`` lists the written files in write order.
     """
     out_dir = Path(cfg.out_dir)
     artifacts: list[str] = []
 
+    def write(name: str, text: str):
+        artifacts.append(write_atomic(out_dir / name, text))
+
     with _stage("load"):
         exports = read_exports(cfg.reviews_path, cfg.format, cfg.meta_path)
-        write_atomic(
-            out_dir / "validation.json",
-            json.dumps(exports.report.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
-        artifacts.append(str(out_dir / "validation.json"))
+        write("validation.json", _json_text(exports.report.to_dict()))
 
     with _stage("score"):
         rows = exports_table(exports)
@@ -231,8 +232,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         table = score_table(rows, values)
 
     fit_summary = None
-    estimate = None
-    mu_y = None
     if cfg.calibrate:
         with _stage("calibrate"):
             inputs = CalibrationInputs(
@@ -256,8 +255,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             estimate = acceptance_probability(
                 mu_y, sigma_y, inputs, cfg.decision, cfg.n_samples, cfg.seed
             )
-            values = cfg.grid.values()
-            edges = (float(values.min()), float(values.max()))
+            edges = (cfg.grid.lo, cfg.grid.hi)
             fit_summary = {
                 "identifiable": bias_identifiable(inputs.reviewer_idx),
                 "argmin_on_grid_edge": hp.sb2_hat in edges or hp.se2_hat in edges,
@@ -271,37 +269,23 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                 "n_samples": cfg.n_samples,
                 "seed": cfg.seed,
             }
-            write_atomic(
-                out_dir / "calibration_fit.json",
-                json.dumps(fit_summary, indent=2, sort_keys=True) + "\n",
-            )
-            artifacts.append(str(out_dir / "calibration_fit.json"))
+            write("calibration_fit.json", _json_text(fit_summary))
 
     with _stage("rank"):
         decisions = rank_and_cut(table, cfg.decision)
         decisions_cal = rank_and_cut(table, cfg.decision, use_calibrated=True) if cfg.calibrate else None
 
     with _stage("report"):
-        if decisions_cal is not None:
+        if cfg.calibrate:
             gray = gray_area(decisions, decisions_cal)
         else:
             gray = GrayAreaReport(notice="calibration disabled: no gray-area comparison")
-        write_atomic(out_dir / "score_table.csv", score_table_csv(table))
-        write_atomic(out_dir / "score_table.json", score_table_json(table))
-        write_atomic(out_dir / "decisions.csv", decision_list_csv(decisions))
-        if decisions_cal is not None:
-            write_atomic(out_dir / "decisions_calibrated.csv", decision_list_csv(decisions_cal))
-            artifacts.append(str(out_dir / "decisions_calibrated.csv"))
-        write_atomic(
-            out_dir / "gray_area.json", json.dumps(gray.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        artifacts += [
-            str(out_dir / "score_table.csv"),
-            str(out_dir / "score_table.json"),
-            str(out_dir / "decisions.csv"),
-            str(out_dir / "gray_area.json"),
-        ]
+        write("score_table.csv", score_table_csv(table))
+        write("score_table.json", score_table_json(table))
+        write("decisions.csv", decision_list_csv(decisions))
+        write("gray_area.json", _json_text(gray.to_dict()))
         if cfg.calibrate:
+            write("decisions_calibrated.csv", decision_list_csv(decisions_cal))
             artifacts += emit_plots(table, mu_y, estimate, table.sM_norm, out_dir)
 
     return PipelineResult(

@@ -310,9 +310,14 @@ def _csv_rows(path, schema: list[str]):
     return map(operator.itemgetter(*map(columns.index, schema)), rows), raw, overlong, tuple
 
 
-def _json_rows(rows: list[dict], schema: list[str], path):
-    """:func:`_csv_rows` for the objects of a JSON export."""
-    for row in rows:
+def _json_rows(payload: dict, key: str, schema: list[str], path):
+    """:func:`_csv_rows` for the objects of a JSON export's ``key`` array."""
+    rows = payload.get(key, [])
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: {key!r} is not an array")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: {key}[{i}] is not an object")
         unknown = [c for c in row if c not in schema]
         if unknown:
             raise ValueError(f"{path}: unknown field(s) {unknown}")
@@ -407,8 +412,9 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     """Read review (and optionally meta-review) exports into columns.
 
     CSV mode reads reviews from ``path`` and, if given, meta-reviews from
-    ``meta_path``.  JSON mode reads a single file with ``reviews`` and
-    ``meta_reviews`` arrays whose objects mirror the CSV column names.
+    ``meta_path``.  JSON mode reads a single object with ``reviews`` and
+    ``meta_reviews`` arrays whose objects mirror the CSV column names, and
+    takes no ``meta_path``.
 
     Rows with unknown labels, malformed fields or non-empty fields beyond
     the header are rejected record by record (collected in the report), as
@@ -424,10 +430,14 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
         if meta_path is not None:
             _take_metas(*_csv_rows(meta_path, META_CSV_HEADER), out)
     elif format == "json":
+        if meta_path is not None:
+            raise ValueError(f"{meta_path}: JSON exports carry their own meta_reviews")
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        reviews = _json_rows(payload.get("reviews", []), REVIEW_CSV_HEADER, path)
-        metas = _json_rows(payload.get("meta_reviews", []), META_CSV_HEADER, path)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: top level is not an object")
+        reviews = _json_rows(payload, "reviews", REVIEW_CSV_HEADER, path)
+        metas = _json_rows(payload, "meta_reviews", META_CSV_HEADER, path)
         _take_reviews(*reviews, out)
         _take_metas(*metas, out)
     else:

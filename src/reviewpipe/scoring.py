@@ -30,8 +30,6 @@ __all__ = [
     "DecisionList",
     "DegenerateScaleWarning",
     "review_score",
-    "paper_score",
-    "meta_score",
     "normalize",
     "score_index",
     "build_score_table",
@@ -81,30 +79,6 @@ def review_score(form: ReviewForm) -> ReviewScore:
         s_half=s_half,
         confidence=encode_likert(form.confidence, "confidence"),
     )
-
-
-def paper_score(reviews: list[ReviewScore], values=None) -> float:
-    """Confidence-weighted mean of one paper's review scores.
-
-    ``values`` optionally overrides the raw scores (e.g. with dequantized
-    ones), aligned with ``reviews``.
-    """
-    if not reviews:
-        raise ValueError("paper_score requires at least one review")
-    if values is None:
-        values = [r.value for r in reviews]
-    num = sum(r.confidence * v for r, v in zip(reviews, values, strict=True))
-    den = sum(r.confidence for r in reviews)
-    return num / den
-
-
-def meta_score(metas: list[MetaReviewForm]) -> float:
-    """Meta-reviewer score: the recommendation weight, averaged when a
-    paper has more than one meta-reviewer."""
-    if not metas:
-        raise ValueError("meta_score requires at least one meta-review")
-    weights = [encode_likert(m.recommendation, "recommendation") for m in metas]
-    return sum(weights) / len(weights)
 
 
 def normalize(v) -> np.ndarray:

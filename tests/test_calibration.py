@@ -150,6 +150,20 @@ class TestFitHyperparams:
             Hyperparams(sigma_q2=1.0, sb2_hat=1.0, se2_hat=0.0, mu_q=0.0)
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize(
+        "lo, hi, points",
+        [(-1.0, 1e2, 13), (0.0, 1e2, 13), (1e-2, 0.0, 13), (1e-2, np.inf, 13), (np.nan, 1e2, 13),
+         (1e-2, 1e2, 0)],
+    )
+    def test_rejected_at_construction(self, lo, hi, points):
+        with pytest.raises(ValueError):
+            GridSpec(lo, hi, points)
+
+    def test_descending_grid_allowed(self):
+        assert GridSpec(1e2, 1e-2, 3).values().tolist() == pytest.approx([1e2, 1.0, 1e-2])
+
+
 class TestPosterior:
     def test_zero_bias_identity(self):
         inputs = CalibrationInputs(

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+import reviewpipe.pipeline
 import reviewpipe.scoring
 
 from reviewpipe.pipeline import (
@@ -211,6 +212,35 @@ class TestRunPipeline:
 
         with pytest.raises(PipelineStageError, match="stage 'load'"):
             run_pipeline(cfg)
+
+    def test_keyboard_interrupt_reaches_the_caller_unchanged(self, tmp_path, rng, monkeypatch):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(reviewpipe.pipeline, "exports_table", interrupt)
+        cfg = PipelineConfig(
+            reviews_path=str(rpath), meta_path=str(mpath), out_dir=str(tmp_path / "o")
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(cfg)
+
+    @pytest.mark.parametrize("calibrate", [False, True])
+    def test_artifacts_are_the_written_files(self, tmp_path, rng, calibrate):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=30, n_reviewers=12)
+        out = tmp_path / "out"
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(out),
+            calibrate=calibrate,
+            grid=GridSpec(points=3),
+            n_samples=50,
+        )
+        artifacts = run_pipeline(cfg).artifacts
+        assert len(artifacts) == len(set(artifacts))
+        assert set(artifacts) == {str(path) for path in out.iterdir()}
 
     def test_acceptance_probability_tracks_score(self, rng):
         # ranking-based acceptance: probability should rise with the score
@@ -556,6 +586,29 @@ class TestCli:
         assert code == 0
         assert "accepted" in capsys.readouterr().out
         assert (tmp_path / "o" / "gray_area.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--seed", "1"],
+            ["validate", "--acceptance-rate", "50"],
+            ["dequantize", "--seed", "1"],
+            ["dequantize", "--acceptance-rate", "50"],
+            ["dequantize", "--meta", "m.csv"],
+        ],
+    )
+    def test_options_the_command_does_not_read_are_usage_errors(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run([*argv, "--input", str(tmp_path / "r.csv"), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bad_grid_rejected_before_any_write(self, tmp_path, rng):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        with pytest.raises(ValueError, match="grid bounds must be positive"):
+            self.run([*argv, "--grid-min", "-1"])
+        assert not (tmp_path / "o").exists()
 
     def test_dequantize_command(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)

@@ -16,6 +16,7 @@ from reviewpipe.records import (
     export_reviews_csv,
     likert_labels,
     load_reviews,
+    read_exports,
     validate,
 )
 
@@ -190,6 +191,28 @@ class TestLoad:
         path.write_text(json.dumps(payload))
         result = load_reviews(path, format="json")
         assert len(result.reviews) == 1 and len(result.metas) == 1
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ([1, 2], "top level is not an object"),
+            ({"reviews": [["paper_id"]]}, "reviews[0] is not an object"),
+            ({"reviews": [1]}, "reviews[0] is not an object"),
+            ({"reviews": {"a": 1}}, "'reviews' is not an array"),
+            ({"reviews": [], "meta_reviews": [None]}, "meta_reviews[0] is not an object"),
+        ],
+    )
+    def test_json_of_the_wrong_shape_names_the_entry(self, tmp_path, payload, problem):
+        path = tmp_path / "export.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+            read_exports(path, format="json")
+
+    def test_json_format_rejects_a_meta_path(self, tmp_path):
+        path = tmp_path / "export.json"
+        path.write_text(json.dumps({"reviews": [], "meta_reviews": []}))
+        with pytest.raises(ValueError, match="JSON exports carry their own meta_reviews"):
+            read_exports(path, format="json", meta_path=tmp_path / "metas.csv")
 
     def test_duplicate_review_pair_keeps_first_row(self, tmp_path):
         path = write_reviews(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from reviewpipe.records import MetaReviewForm, ReviewForm
+from reviewpipe.records import MetaReviewForm, ReviewForm, encode_likert
 from reviewpipe.scoring import (
     DecisionConfig,
     DegenerateScaleWarning,
@@ -15,9 +15,7 @@ from reviewpipe.scoring import (
     ScoreTable,
     build_score_table,
     decision_list_csv,
-    meta_score,
     normalize,
-    paper_score,
     rank_and_cut,
     review_score,
     review_table,
@@ -25,6 +23,7 @@ from reviewpipe.scoring import (
     score_table,
     score_table_csv,
     score_table_json,
+    weighted_paper_mean,
 )
 
 from conftest import CONFS, CRITS, RECS, make_review, random_corpus, random_review
@@ -64,21 +63,36 @@ class TestReviewScore:
         assert -7.0 <= sc.value <= 8.0
 
 
+def one_paper_mean(values, weights) -> float:
+    """:func:`weighted_paper_mean` of the rows of a single paper."""
+    paper = np.zeros(len(values), dtype=int)
+    return float(weighted_paper_mean(np.array(values, dtype=float), paper, np.array(weights), 1)[0])
+
+
+def paper_mean(scores: list[ReviewScore]) -> float:
+    return one_paper_mean([s.value for s in scores], [s.confidence for s in scores])
+
+
+def meta_mean(metas: list[MetaReviewForm]) -> float:
+    xi = [encode_likert(m.recommendation, "recommendation") for m in metas]
+    return one_paper_mean(xi, np.ones(len(xi)))
+
+
 class TestPaperScore:
     def test_singleton(self):
-        assert paper_score([ReviewScore("P", "R", 8, 1.1)]) == 4.0
+        assert paper_mean([ReviewScore("P", "R", 8, 1.1)]) == 4.0
 
     def test_weighted_mean(self):
         scores = [ReviewScore("P", "R1", 8, 1.2), ReviewScore("P", "R2", 0, 0.8)]
-        assert paper_score(scores) == pytest.approx(4.8 / 2.0, abs=1e-15)
+        assert paper_mean(scores) == pytest.approx(4.8 / 2.0, abs=1e-15)
 
     def test_constant_scores_any_confidence(self):
         scores = [ReviewScore("P", f"R{i}", 6, c) for i, c in enumerate([0.8, 1.0, 1.2])]
-        assert paper_score(scores) == pytest.approx(3.0, abs=1e-15)
+        assert paper_mean(scores) == pytest.approx(3.0, abs=1e-15)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            paper_score([])
+            paper_mean([])
 
     def test_bounds_and_permutation_invariance(self, rng):
         for _ in range(50):
@@ -87,28 +101,28 @@ class TestPaperScore:
                 ReviewScore("P", f"R{i}", int(rng.integers(-14, 17)), float(rng.choice([0.8, 0.9, 1.0, 1.1, 1.2])))
                 for i in range(n)
             ]
-            sp = paper_score(scores)
+            sp = paper_mean(scores)
             vals = [s.value for s in scores]
             assert min(vals) - 1e-12 <= sp <= max(vals) + 1e-12
             perm = [scores[i] for i in rng.permutation(n)]
-            assert paper_score(perm) == pytest.approx(sp, abs=1e-12)
+            assert paper_mean(perm) == pytest.approx(sp, abs=1e-12)
 
 
 class TestMetaScore:
     def test_single(self):
-        assert meta_score([MetaReviewForm("P", "M", "Accept")]) == 2
+        assert meta_mean([MetaReviewForm("P", "M", "Accept")]) == 2
 
     def test_mean_of_two(self):
         metas = [MetaReviewForm("P", "M1", "Accept"), MetaReviewForm("P", "M2", "Weak Reject")]
-        assert meta_score(metas) == 0.5
+        assert meta_mean(metas) == 0.5
 
     def test_mean_of_zeros(self):
         metas = [MetaReviewForm("P", f"M{i}", "Borderline") for i in range(2)]
-        assert meta_score(metas) == 0.0
+        assert meta_mean(metas) == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            meta_score([])
+            meta_mean([])
 
 
 class TestNormalize:
