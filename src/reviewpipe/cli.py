@@ -4,7 +4,9 @@ Subcommands: validate, assign, dequantize, pipeline.  ``pipeline`` takes
 ``--dequantize`` and ``--no-calibrate``.  A config file of ``key = value``
 lines (same keys as the long flag names, without dashes) can be passed
 with ``--config``; values from the file override the flags, so a
-checked-in config wins over ad-hoc command lines.
+checked-in config wins over ad-hoc command lines.  A key the subcommand
+has no option for is an error.  Bad input ends the command with a
+one-line message on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from .assignment import AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
-from .pipeline import PipelineConfig, _json_text, run_pipeline, write_atomic
+from .pipeline import PipelineConfig, PipelineStageError, _json_text, run_pipeline, write_atomic
 from .records import _csv_text, read_exports
 from .scoring import DecisionConfig, exports_table
 
@@ -46,10 +48,10 @@ def _load_config(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise SystemExit(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = CONFIG_KEYS[key](value)
     return out
 
@@ -103,11 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args):
+    """Set the config file's values on ``args``; each key must name an
+    option of the subcommand."""
     if getattr(args, "config", None):
-        overrides = _load_config(args.config)
-        for key, value in overrides.items():
-            setattr(args, "lam" if key == "lambda" else key, value)
-    return args
+        for key, value in _load_config(args.config).items():
+            dest = "lam" if key == "lambda" else key
+            if not hasattr(args, dest):
+                raise ValueError(f"{args.config}: {args.command} has no option {key!r}")
+            setattr(args, dest, value)
 
 
 def cmd_validate(args) -> int:
@@ -210,15 +215,19 @@ def cmd_pipeline(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _apply_config(parser.parse_args(argv))
+    args = build_parser().parse_args(argv)
     handlers = {
         "validate": cmd_validate,
         "assign": cmd_assign,
         "dequantize": cmd_dequantize,
         "pipeline": cmd_pipeline,
     }
-    return handlers[args.command](args)
+    try:
+        _apply_config(args)
+        return handlers[args.command](args)
+    except (ValueError, PipelineStageError) as exc:
+        sys.stderr.write(f"reviewpipe {args.command}: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

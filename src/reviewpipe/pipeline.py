@@ -228,6 +228,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("score"):
         rows = exports_table(exports)
+        del exports  # every later stage reads the review table
         values = dequantize_rows(rows.paper, rows.s, cfg.dequant) if cfg.dequantize else rows.s
         table = score_table(rows, values)
 

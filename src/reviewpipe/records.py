@@ -5,7 +5,9 @@ which :func:`load_reviews` turns into immutable :class:`ReviewForm` /
 :class:`MetaReviewForm` records.  Every input row either becomes exactly
 one accepted row or one rejection entry in the :class:`ValidationReport`;
 nothing is dropped silently.  Each distinct label tuple of an export is
-checked once, by building one form.
+checked once, by building one form.  CSV rows are read from the open file
+one at a time and held only while they are checked; each distinct id is
+stored once however many rows carry it.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import operator
 from collections import Counter
@@ -278,36 +281,33 @@ def _check_header(header, expected, path):
 
 
 def _csv_rows(path, schema: list[str]):
-    """A CSV export as (values, raw, overlong, key): each row's values in
-    ``schema`` order, ``None`` where short or absent; ``raw(i)``, row ``i``
-    as the report shows it, fields beyond the header as ``extra_fields``;
-    why rows with non-empty such fields are rejected, by row index; and the
-    cache key of label values.  Blank lines are skipped."""
+    """Each row of a CSV export, blank lines skipped, as (values, raw,
+    overlong): the row's values in ``schema`` order, ``None`` where short
+    or absent; ``raw()``, the row as the report shows it; and why the row
+    is rejected if it has non-empty fields beyond the header, else
+    ``None``.  The file stays open until the last row is drawn."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, schema, path)
-        rows = [row for row in reader if row]
+        n = len(header)
+        columns = header + [c for c in schema if c not in header]
+        pick = operator.itemgetter(*map(columns.index, schema))
+        pad = [None] * len(columns)
+        for row in reader:
+            if row:
+                overlong = f"row has {len(row)} fields, header has {n}" if any(row[n:]) else None
+                yield pick(row[:n] + pad), functools.partial(_csv_raw, header, row), overlong
+
+
+def _csv_raw(header: list[str], row: list[str]) -> dict:
+    """A CSV row as the report shows it, fields beyond the header as
+    ``extra_fields``."""
     n = len(header)
-    columns = header + [c for c in schema if c not in header]
-    extra: dict[int, list[str]] = {}
-    for i, row in enumerate(rows):
-        if len(row) > n:
-            extra[i] = row[n:]
-            del row[n:]
-        if len(row) < len(columns):
-            row += [None] * (len(columns) - len(row))
-
-    def raw(i: int) -> dict:
-        row = dict(zip(header, rows[i]))
-        if i in extra:
-            row["extra_fields"] = extra[i]
-        return row
-
-    overlong = {
-        i: f"row has {n + len(e)} fields, header has {n}" for i, e in extra.items() if any(e)
-    }
-    return map(operator.itemgetter(*map(columns.index, schema)), rows), raw, overlong, tuple
+    out = dict(itertools.zip_longest(header, row[:n]))
+    if len(row) > n:
+        out["extra_fields"] = row[n:]
+    return out
 
 
 def _json_rows(payload: dict, key: str, schema: list[str], path):
@@ -321,8 +321,7 @@ def _json_rows(payload: dict, key: str, schema: list[str], path):
         unknown = [c for c in row if c not in schema]
         if unknown:
             raise ValueError(f"{path}: unknown field(s) {unknown}")
-    # repr keys: JSON values may be lists, and True == 1 as a dict key
-    return (tuple(map(row.get, schema)) for row in rows), lambda i: dict(rows[i]), {}, repr
+    return ((tuple(map(row.get, schema)), functools.partial(dict, row), None) for row in rows)
 
 
 def _missing(values, names) -> str | None:
@@ -352,12 +351,14 @@ def _check_labels(labels: list, forms: list[ReviewForm]) -> int | str:
     return len(forms) - 1
 
 
-def _take_reviews(values, raw, overlong, key, out: Exports):
+def _take_reviews(rows, key, ids: dict[str, str], out: Exports):
     """Append each review row to ``out``'s columns or, with its reason, to
-    its report's rejections."""
+    its report's rejections.  Ids go through ``ids``, so each distinct id
+    is kept once."""
     checked: dict[Hashable, int | str] = {}
-    seen: set[tuple[str, str]] = set()
-    for i, (paper, reviewer, *labels, comments) in enumerate(values):
+    # a dict used as a set: at 20,000 pairs a set's table takes 2 MiB, a dict 0.6 MiB
+    seen: dict[tuple[str, str], None] = {}
+    for (paper, reviewer, *labels, comments), raw, overlong in rows:
         if labels[5] in (None, ""):
             labels[5] = "Good"
             out.report.warnings.append(
@@ -366,29 +367,30 @@ def _take_reviews(values, raw, overlong, key, out: Exports):
         k = key(labels)
         if k not in checked:
             checked[k] = _check_labels(labels, out.labels)
-        pair = (str(reviewer).strip(), str(paper).strip())
-        ids_ok = paper not in (None, "") and reviewer not in (None, "") and i not in overlong
+        r, p = str(reviewer).strip(), str(paper).strip()
+        pair = (ids.setdefault(r, r), ids.setdefault(p, p))
+        ids_ok = paper not in (None, "") and reviewer not in (None, "") and overlong is None
         if ids_ok and type(checked[k]) is int and pair not in seen:
-            seen.add(pair)
+            seen[pair] = None
             out.reviewer.append(pair[0])
             out.paper.append(pair[1])
             out.label.append(checked[k])
             out.comments.append(str(comments or ""))
             continue
-        row = raw(i)
+        row = raw()
         if row.get("confidence") in (None, ""):
             row["confidence"] = "Good"
-        reason = overlong.get(i) or _missing((paper, reviewer), REVIEW_CSV_HEADER)
+        reason = overlong or _missing((paper, reviewer), REVIEW_CSV_HEADER)
         if reason is None:
             reason = checked[k] if type(checked[k]) is str else DUPLICATE_PAIR
         out.report.rejected.append((row, reason))
 
 
-def _take_metas(values, raw, overlong, key, out: Exports):
+def _take_metas(rows, key, ids: dict[str, str], out: Exports):
     """:func:`_take_reviews` for meta-review rows."""
     checked: dict[Hashable, str | None] = {}
-    seen: set[tuple[str, str]] = set()
-    for i, (paper, metareviewer, rec) in enumerate(values):
+    seen: dict[tuple[str, str], None] = {}
+    for (paper, metareviewer, rec), raw, overlong in rows:
         k = key([rec])
         if k not in checked:
             try:
@@ -396,16 +398,17 @@ def _take_metas(values, raw, overlong, key, out: Exports):
                 checked[k] = None
             except ValueError as exc:
                 checked[k] = str(exc)
-        pair = (str(metareviewer).strip(), str(paper).strip())
-        ids_ok = paper not in (None, "") and metareviewer not in (None, "") and i not in overlong
+        m, p = str(metareviewer).strip(), str(paper).strip()
+        pair = (ids.setdefault(m, m), ids.setdefault(p, p))
+        ids_ok = paper not in (None, "") and metareviewer not in (None, "") and overlong is None
         if ids_ok and checked[k] is None and pair not in seen:
-            seen.add(pair)
+            seen[pair] = None
             out.metareviewer.append(pair[0])
             out.meta_paper.append(pair[1])
             out.meta_recommendation.append(str(rec))
             continue
-        reason = overlong.get(i) or _missing((paper, metareviewer, rec), META_CSV_HEADER)
-        out.report.rejected.append((raw(i), reason or checked[k] or DUPLICATE_PAIR))
+        reason = overlong or _missing((paper, metareviewer, rec), META_CSV_HEADER)
+        out.report.rejected.append((raw(), reason or checked[k] or DUPLICATE_PAIR))
 
 
 def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
@@ -421,14 +424,16 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     is every repeat of a (reviewer, paper) or (metareviewer, paper) pair
     after its first row; structural problems such as unknown or repeated
     columns abort with ``ValueError``.  Each distinct label tuple is
-    checked once.  The report also holds the counts and findings of
-    :func:`validate` for the accepted rows.
+    checked once, and the columns share one string per distinct id.  The
+    report also holds the counts and findings of :func:`validate` for the
+    accepted rows.
     """
     out = Exports()
+    ids: dict[str, str] = {}
     if format == "csv":
-        _take_reviews(*_csv_rows(path, REVIEW_CSV_HEADER), out)
+        _take_reviews(_csv_rows(path, REVIEW_CSV_HEADER), tuple, ids, out)
         if meta_path is not None:
-            _take_metas(*_csv_rows(meta_path, META_CSV_HEADER), out)
+            _take_metas(_csv_rows(meta_path, META_CSV_HEADER), tuple, ids, out)
     elif format == "json":
         if meta_path is not None:
             raise ValueError(f"{meta_path}: JSON exports carry their own meta_reviews")
@@ -438,8 +443,9 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
             raise ValueError(f"{path}: top level is not an object")
         reviews = _json_rows(payload, "reviews", REVIEW_CSV_HEADER, path)
         metas = _json_rows(payload, "meta_reviews", META_CSV_HEADER, path)
-        _take_reviews(*reviews, out)
-        _take_metas(*metas, out)
+        # repr keys: JSON values may be lists, and True == 1 as a dict key
+        _take_reviews(reviews, repr, ids, out)
+        _take_metas(metas, repr, ids, out)
     else:
         raise ValueError(f"unknown format {format!r}")
     _audit(out)

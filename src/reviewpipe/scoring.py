@@ -347,37 +347,54 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _float_columns(table: ScoreTable) -> dict[str, list[float]]:
-    """The table's float columns in CSV header order, as Python floats."""
+# rows the score-table writers format at a time, so the text of one block
+# is all that exists beside the finished part of the output
+_BLOCK = 512
+
+
+def _float_names(table: ScoreTable) -> list[str]:
+    """The table's float columns in CSV header order."""
     names = ["s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
     if table.calibrated:
         names += ["sR_cal", "sM_cal", "SI_cal"]
-    return {name: np.asarray(getattr(table, name), dtype=float).tolist() for name in names}
+    return names
+
+
+def _row_blocks(table: ScoreTable):
+    """The table in blocks of rows: each block's paper ids and its float
+    columns, in CSV header order, as Python floats."""
+    columns = {name: np.asarray(getattr(table, name), dtype=float) for name in _float_names(table)}
+    for lo in range(0, len(table.papers), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        yield table.papers[block], {name: col[block].tolist() for name, col in columns.items()}
 
 
 def score_table_csv(table: ScoreTable) -> str:
-    columns = _float_columns(table)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["paper_id", *columns])
-    writer.writerows(zip(table.papers, *([repr(x) for x in col] for col in columns.values())))
+    writer.writerow(["paper_id", *_float_names(table)])
+    for papers, columns in _row_blocks(table):
+        writer.writerows(zip(papers, *(map(repr, col) for col in columns.values())))
     return buf.getvalue()
 
 
 def score_table_json(table: ScoreTable) -> str:
     """The text of ``json.dumps({"papers": rows}, indent=2, sort_keys=True)``
-    plus a newline, written column by column: json's C float formatter
-    (NaN, Infinity) for the scores, its ASCII string escaper for the ids."""
-    if not table.papers:
-        return '{\n  "papers": []\n}\n'
-    text = {
-        name: json.dumps(col)[1:-1].split(", ") for name, col in _float_columns(table).items()
-    }
-    text["paper_id"] = [json.encoder.encode_basestring_ascii(p) for p in table.papers]
-    keys = sorted(text)
+    plus a newline, written block by block and column by column: json's C
+    float formatter (NaN, Infinity) for the scores, its ASCII string
+    escaper for the ids."""
+    keys = sorted(["paper_id", *_float_names(table)])
     row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
-    body = ",\n".join(row % values for values in zip(*(text[key] for key in keys)))
-    return '{\n  "papers": [\n' + body + "\n  ]\n}\n"
+    pieces = []
+    for papers, columns in _row_blocks(table):
+        text = {name: json.dumps(col)[1:-1].split(", ") for name, col in columns.items()}
+        text["paper_id"] = map(json.encoder.encode_basestring_ascii, papers)
+        pieces += (",\n", ",\n".join(row % values for values in zip(*map(text.get, keys))))
+    if not pieces:
+        return '{\n  "papers": []\n}\n'
+    pieces[0] = '{\n  "papers": [\n'  # in place of the first block's separator
+    pieces.append("\n  ]\n}\n")
+    return "".join(pieces)
 
 
 def decision_list_csv(decisions: DecisionList) -> str:

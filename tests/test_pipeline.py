@@ -603,11 +603,40 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_bad_grid_rejected_before_any_write(self, tmp_path, rng):
+    def test_bad_grid_rejected_before_any_write(self, tmp_path, rng, capsys):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
         argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
-        with pytest.raises(ValueError, match="grid bounds must be positive"):
-            self.run([*argv, "--grid-min", "-1"])
+        assert self.run([*argv, "--grid-min", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("reviewpipe pipeline: error: grid bounds must be positive")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, export, extra, message",
+        [
+            ("validate", "r.json", ["--format", "json"], "top level is not an object"),
+            ("dequantize", "r.json", ["--format", "json"], "top level is not an object"),
+            ("pipeline", "r.json", ["--format", "json"], "stage 'load' failed"),
+            ("validate", "bad.csv", [], "unknown column(s) ['score']"),
+            ("dequantize", "bad.csv", [], "unknown column(s) ['score']"),
+            ("pipeline", "bad.csv", [], "unknown column(s) ['score']"),
+            ("validate", "reviews.csv", ["--format", "json", "--meta", "m.csv"], "carry their own"),
+        ],
+    )
+    def test_bad_input_is_a_one_line_error(
+        self, tmp_path, rng, capsys, command, export, extra, message
+    ):
+        write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        (tmp_path / "r.json").write_text("[1, 2]\n")
+        (tmp_path / "bad.csv").write_text("paper_id,reviewer_id,score\nP1,R1,3\n")
+        argv = [command, "--input", str(tmp_path / export), "--out", str(tmp_path / "o"), *extra]
+        if command == "pipeline" and "--format" not in extra:
+            argv += ["--meta", str(tmp_path / "metas.csv")]
+        assert self.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"reviewpipe {command}: error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_dequantize_command(self, tmp_path, rng):
@@ -741,6 +770,36 @@ class TestCli:
         assert (tmp_path / "from_config" / "decisions.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("dequantize", "meta = /nonexistent/metas.csv"),
+            ("dequantize", "seed = 3"),
+            ("dequantize", "dequantize = yes"),
+            ("validate", "samples = 10"),
+        ],
+    )
+    def test_config_keys_the_command_does_not_read_are_errors(
+        self, tmp_path, rng, capsys, command, line
+    ):
+        rpath, _ = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"lambda = 1.5\n{line}\n" if command == "dequantize" else f"{line}\n")
+        out = tmp_path / "o"
+        code = self.run([command, "--input", str(rpath), "--out", str(out), "--config", str(config)])
+        key = line.split(" = ")[0]
+        assert code == 2
+        assert f"{command} has no option {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_is_an_error(self, tmp_path, rng, capsys):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        config = tmp_path / "run.cfg"
+        config.write_text("seeds = 3\n")
+        argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        assert self.run([*argv, "--config", str(config)]) == 2
+        assert "run.cfg:1: unknown config key 'seeds'" in capsys.readouterr().err
 
     def test_config_calibrate_false_skips_calibration(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)

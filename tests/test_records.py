@@ -1,6 +1,9 @@
+import gc
 import json
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -350,3 +353,34 @@ def test_encode_errors_raise_on_every_call():
             encode_likert("Good", "quality")
         with pytest.raises(UnknownLabelError):
             make_review("P1", "R1", crit="Superb")
+
+
+def test_read_exports_peak_stays_near_what_it_keeps(tmp_path, rng):
+    """Rows are checked as they are read and each distinct id is kept once,
+    so reading a 20,000-row export allocates little beyond its result."""
+    n_papers, n_rows = 5000, 20000
+    paper = np.arange(n_rows) % n_papers
+    reviewer = (paper * 7 + np.arange(n_rows) // n_papers) % 3500
+    recs, crits, confs = (likert_labels(s) for s in ("recommendation", "criterion", "confidence"))
+    rows = [
+        review_row(f"P{p:05d}", f"R{r:05d}", recs[i], crits[j], confs[k], str(a))
+        for p, r, i, j, k, a in zip(
+            paper, reviewer, *(rng.integers(n, size=n_rows) for n in (7, 5, 5, 2))
+        )
+    ]
+    path = write_reviews(tmp_path, rows)
+    meta = tmp_path / "metas.csv"
+    meta.write_text(
+        "paper_id,metareviewer_id,recommendation\n"
+        + "".join(f"P{p:05d},M{p % 300:03d},{recs[p % 7]}\n" for p in range(n_papers))
+    )
+    del rows
+    gc.collect()
+    tracemalloc.start()
+    try:
+        exports = read_exports(path, meta_path=meta)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(exports.paper) == n_rows and not exports.report.rejected
+    assert peak < 1.6 * held

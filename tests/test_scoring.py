@@ -424,6 +424,14 @@ class TestColumnWriters:
             assert score_table_csv(table) == oracle_score_table_csv(table)
             assert score_table_json(table) == oracle_score_table_json(table)
 
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_match_row_writers_across_blocks(self, rng, calibrated):
+        for n in (511, 512, 513, 1100):
+            papers = [f"P{i:04d}" for i in rng.permutation(n)]
+            table = random_score_table(rng, papers, calibrated)
+            assert score_table_csv(table) == oracle_score_table_csv(table)
+            assert score_table_json(table) == oracle_score_table_json(table)
+
     def test_nan_and_infinity_match(self, rng):
         table = random_score_table(rng, ["A", "B", "C", "D"], calibrated=True)
         table.s_p[:] = [np.nan, np.inf, -np.inf, -0.0]
