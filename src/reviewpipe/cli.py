@@ -6,7 +6,9 @@ lines (same keys as the long flag names, without dashes) can be passed
 with ``--config``; values from the file override the flags, so a
 checked-in config wins over ad-hoc command lines.  A key the subcommand
 has no option for is an error.  Bad input ends the command with a
-one-line message on stderr and exit status 2.
+one-line message on stderr and exit status 2.  Every ``ValueError`` is
+reported that way, one raised by an internal consistency check included,
+so such a message can also point at a bug.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def cmd_assign(args) -> int:
             )
     if repeated:
         named = ", ".join(f"({r}, {p})" for r, p in sorted(repeated))
-        raise SystemExit(f"{args.similarities}: repeated (reviewer, paper) rows: {named}")
+        raise ValueError(f"{args.similarities}: repeated (reviewer, paper) rows: {named}")
     tags = {}
     if args.tags:
         repeated = set()
@@ -151,7 +153,7 @@ def cmd_assign(args) -> int:
                     repeated.add(row["reviewer_id"])
                 tags[row["reviewer_id"]] = row["tag"]
         if repeated:
-            raise SystemExit(f"{args.tags}: repeated reviewer rows: {', '.join(sorted(repeated))}")
+            raise ValueError(f"{args.tags}: repeated reviewer rows: {', '.join(sorted(repeated))}")
     conflicts = set()
     if args.conflicts:
         with open(args.conflicts, newline="", encoding="utf-8") as fh:
