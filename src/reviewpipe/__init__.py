@@ -11,14 +11,14 @@ from .assignment import (
 )
 from .calibration import (
     AcceptanceEstimate,
+    Calibration,
     CalibrationInputs,
     GridSpec,
     Hyperparams,
     PosteriorCovariance,
     acceptance_probability,
-    aggregate_calibrated,
     build_covariance,
-    calibrate_meta,
+    calibrate,
     fit_hyperparams,
     fit_sigma_q,
     nll,

@@ -33,6 +33,11 @@ and Monte-Carlo draws of b turn ranked samples into per-paper acceptance
 probabilities.  Each noise ratio costs O(sum of n_p^2) to build M and one
 O(R^3) eigh; memory is O(R^2 + n), and the sampler's O(P x n_samples).
 
+:func:`calibrate` serves reviews and meta-reviews alike (meta-reviewers
+take the reviewer role).  Where the data cannot pin the bias term down,
+because no reviewer covers two papers or every score is equal, it passes
+the scores through uncalibrated with a warning that names the cause.
+
 ``build_covariance``, ``nll`` and ``fit_sigma_q`` keep the dense O(n^3)
 formulas as a reference for tests; no pipeline path calls them.
 """
@@ -40,7 +45,7 @@ formulas as a reference for tests; no pipeline path calls them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +65,9 @@ __all__ = [
     "fit_sigma_q",
     "fit_hyperparams",
     "posterior",
-    "aggregate_calibrated",
+    "Calibration",
+    "calibrate",
     "acceptance_probability",
-    "calibrate_meta",
 ]
 
 
@@ -147,12 +152,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Fitted model parameters; the ratios are relative to sigma_q^2."""
+    """Fitted model parameters; the ratios are relative to sigma_q^2.
+    ``grid`` holds the fit's rows, if any, and takes no part in comparison."""
 
     sigma_q2: float
     sb2_hat: float
     se2_hat: float
     mu_q: float
+    grid: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.sigma_q2 <= 0:
@@ -258,15 +265,12 @@ class _ReviewerSpace:
         return lam, vecs, h, float(r @ d_inv_r), logdet_d
 
 
-def fit_hyperparams(
-    inputs: CalibrationInputs,
-    grid: GridSpec | None = None,
-    collect_grid: bool = False,
-) -> Hyperparams | tuple[Hyperparams, list[dict]]:
+def fit_hyperparams(inputs: CalibrationInputs, grid: GridSpec | None = None) -> Hyperparams:
     """Grid search over the two variance ratios with profiled sigma_q^2.
 
     mu_q is the sample mean of the stacked scores.  Each grid point gets
-    its closed-form sigma_q^2 and profile NLL; the argmin wins.  Ties are
+    its closed-form sigma_q^2 and profile NLL; the argmin wins, and every
+    non-degenerate point is kept in its ``grid`` rows.  Ties are
     broken toward the earlier grid point (bias ratio outer, noise ratio
     inner), so duplicate points are harmless.  Warns with
     :class:`UnidentifiableModelWarning` when no reviewer covers two papers,
@@ -304,22 +308,20 @@ def fit_hyperparams(
     ok = (sigma_q2 > 0) & np.isfinite(nll_grid)
     if not ok.any():
         raise DegenerateModelError("all grid points degenerate")
-    i, j = np.unravel_index(np.argmin(np.where(ok, nll_grid, np.inf)), ok.shape)
-    hp = Hyperparams(
-        sigma_q2=float(sigma_q2[i, j]), sb2_hat=float(values[i]), se2_hat=float(values[j]), mu_q=mu_q
+    rows = tuple(
+        {
+            "sb2_hat": float(values[i]),
+            "se2_hat": float(values[j]),
+            "sigma_q2": float(sigma_q2[i, j]),
+            "nll": float(nll_grid[i, j]),
+        }
+        for i, j in zip(*np.nonzero(ok))
     )
-    if collect_grid:
-        table = [
-            {
-                "sb2_hat": float(values[i]),
-                "se2_hat": float(values[j]),
-                "sigma_q2": float(sigma_q2[i, j]),
-                "nll": float(nll_grid[i, j]),
-            }
-            for i, j in zip(*np.nonzero(ok))
-        ]
-        return hp, table
-    return hp
+    i, j = np.unravel_index(np.argmin(np.where(ok, nll_grid, np.inf)), ok.shape)
+    return Hyperparams(
+        sigma_q2=float(sigma_q2[i, j]), sb2_hat=float(values[i]), se2_hat=float(values[j]),
+        mu_q=mu_q, grid=rows,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,15 +373,56 @@ def posterior(inputs: CalibrationInputs, hp: Hyperparams) -> tuple[np.ndarray, P
     return mu_y, PosteriorCovariance(vecs, hp.sigma_q2 * shrink, inputs.reviewer_idx)
 
 
-def aggregate_calibrated(
-    mu_y: np.ndarray,
-    paper_idx: np.ndarray,
-    confidences: np.ndarray,
-    n_papers: int,
-) -> np.ndarray:
-    """Confidence-weighted per-paper mean of the calibrated scores,
-    normalized onto [0, 100]."""
-    return normalize(weighted_paper_mean(mu_y, paper_idx, confidences, n_papers))
+@dataclass(frozen=True, eq=False)
+class Calibration:
+    """Per-paper scores on [0, 100], the posterior of the bias-removed
+    entries, and the model checks of ``calibration_fit.json``."""
+
+    scores: np.ndarray
+    mu_y: np.ndarray
+    sigma_y: PosteriorCovariance
+    summary: dict
+
+
+def calibrate(inputs: CalibrationInputs, grid: GridSpec = GridSpec()) -> Calibration:
+    """Fit on ``grid``, remove each reviewer's posterior mean bias, and
+    average per paper with the confidence weights, normalized.
+
+    When no reviewer covers two papers, or every score is equal, nothing
+    is fitted: the scores pass through (mu_y = s, a zero-width posterior)
+    with one :class:`UnidentifiableModelWarning` naming the cause, and the
+    summary's ``hyperparams`` and ``argmin_on_grid_edge`` are None.
+    """
+    identifiable = bias_identifiable(inputs.reviewer_idx)
+    causes = []
+    if np.all(inputs.s == inputs.s[0]):
+        causes.append(f"every score equals {float(inputs.s[0])!r}")
+    if not identifiable:
+        causes.append("every reviewer covers a single paper")
+    summary = {
+        "identifiable": identifiable, "argmin_on_grid_edge": None, "hyperparams": None, "grid": [],
+    }
+    if causes:
+        warnings.warn(
+            f"{' and '.join(causes)}: the data cannot pin down reviewer bias, "
+            "so the scores pass through uncalibrated",
+            UnidentifiableModelWarning,
+            stacklevel=2,
+        )
+        mu_y = inputs.s
+        no_bias = np.zeros((len(inputs.reviewer_ids), 0))
+        sigma_y = PosteriorCovariance(no_bias, np.zeros(0), inputs.reviewer_idx)
+    else:
+        hp = fit_hyperparams(inputs, grid)
+        mu_y, sigma_y = posterior(inputs, hp)
+        edges = (grid.lo, grid.hi)
+        summary.update(
+            argmin_on_grid_edge=hp.sb2_hat in edges or hp.se2_hat in edges,
+            hyperparams={k: getattr(hp, k) for k in ("mu_q", "sigma_q2", "sigma_b2", "sigma_e2")},
+            grid=list(hp.grid),
+        )
+    scores = weighted_paper_mean(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)
+    return Calibration(normalize(scores), mu_y, sigma_y, summary)
 
 
 @dataclass
@@ -451,43 +494,3 @@ def acceptance_probability(
     return AcceptanceEstimate(
         papers=list(inputs.paper_ids), counts=counts, n_samples=n_samples, seed=seed, n_accept=k
     )
-
-
-def calibrate_meta(
-    xi: np.ndarray,
-    paper_idx: np.ndarray,
-    metareviewer_idx: np.ndarray,
-    paper_ids: list[str],
-    metareviewer_ids: list[str],
-    grid: GridSpec | None = None,
-) -> np.ndarray:
-    """Calibrate meta-reviewer scores with the same model, meta-reviewers
-    taking the reviewer role; returns normalized per-paper scores.
-
-    When every meta-reviewer covers exactly one paper the bias term is
-    unidentifiable, and when every score is equal there is no variance to
-    split: in both cases the inputs are passed through (normalized) with a
-    warning instead of fitting.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if len(xi) < 2:
-        raise ValueError("meta calibration needs at least two entries")
-    if not bias_identifiable(metareviewer_idx) or np.all(xi == xi[0]):
-        warnings.warn(
-            "every meta-reviewer covers a single paper or every meta score is "
-            "equal: bias unidentifiable, returning uncalibrated scores",
-            UnidentifiableModelWarning,
-            stacklevel=2,
-        )
-        agg = weighted_paper_mean(xi, np.asarray(paper_idx), np.ones(len(xi)), len(paper_ids))
-        return normalize(agg)
-    inputs = CalibrationInputs(
-        s=xi,
-        paper_idx=paper_idx,
-        reviewer_idx=metareviewer_idx,
-        paper_ids=paper_ids,
-        reviewer_ids=metareviewer_ids,
-    )
-    hp = fit_hyperparams(inputs, grid)
-    mu_y, _ = posterior(inputs, hp)
-    return aggregate_calibrated(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)

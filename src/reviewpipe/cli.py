@@ -5,10 +5,11 @@ Subcommands: validate, assign, dequantize, pipeline.  ``pipeline`` takes
 lines (same keys as the long flag names, without dashes) can be passed
 with ``--config``; values from the file override the flags, so a
 checked-in config wins over ad-hoc command lines.  A key the subcommand
-has no option for is an error.  Bad input ends the command with a
-one-line message on stderr and exit status 2.  Every ``ValueError`` is
-reported that way, one raised by an internal consistency check included,
-so such a message can also point at a bug.
+has no option for is an error.  Bad input, a missing or unreadable file
+included, ends the command with a one-line message on stderr and exit
+status 2.  Every ``ValueError`` and ``OSError`` is reported that way, one
+raised by an internal consistency check included, so such a message can
+also point at a bug.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return handlers[args.command](args)
-    except (ValueError, PipelineStageError) as exc:
+    except (OSError, ValueError, PipelineStageError) as exc:
         sys.stderr.write(f"reviewpipe {args.command}: error: {exc}\n")
         return 2
 

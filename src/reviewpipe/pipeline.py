@@ -21,16 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    CalibrationInputs,
-    GridSpec,
-    acceptance_probability,
-    aggregate_calibrated,
-    bias_identifiable,
-    calibrate_meta,
-    fit_hyperparams,
-    posterior,
-)
+from .calibration import CalibrationInputs, GridSpec, acceptance_probability, calibrate
 from .dequant import DequantConfig, dequantize_rows
 from .plots import histogram_artifact, scatter_artifact
 from .records import read_exports
@@ -243,33 +234,16 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                 reviewer_ids=rows.reviewer_ids,
                 confidences=rows.confidence,
             )
-            hp, grid_table = fit_hyperparams(inputs, cfg.grid, collect_grid=True)
-            mu_y, sigma_y = posterior(inputs, hp)
-            table.sR_cal = aggregate_calibrated(
-                mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers
+            review = calibrate(inputs, cfg.grid)
+            metas = CalibrationInputs(
+                rows.xi, rows.meta_paper, rows.metareviewer, rows.paper_ids, rows.metareviewer_ids
             )
-            table.sM_cal = calibrate_meta(
-                rows.xi, rows.meta_paper, rows.metareviewer,
-                rows.paper_ids, rows.metareviewer_ids, cfg.grid,
-            )
+            table.sR_cal, table.sM_cal = review.scores, calibrate(metas, cfg.grid).scores
             table.SI_cal = np.asarray(score_index(table.sR_cal, table.sM_cal))
             estimate = acceptance_probability(
-                mu_y, sigma_y, inputs, cfg.decision, cfg.n_samples, cfg.seed
+                review.mu_y, review.sigma_y, inputs, cfg.decision, cfg.n_samples, cfg.seed
             )
-            edges = (cfg.grid.lo, cfg.grid.hi)
-            fit_summary = {
-                "identifiable": bias_identifiable(inputs.reviewer_idx),
-                "argmin_on_grid_edge": hp.sb2_hat in edges or hp.se2_hat in edges,
-                "hyperparams": {
-                    "mu_q": hp.mu_q,
-                    "sigma_q2": hp.sigma_q2,
-                    "sigma_b2": hp.sigma_b2,
-                    "sigma_e2": hp.sigma_e2,
-                },
-                "grid": grid_table,
-                "n_samples": cfg.n_samples,
-                "seed": cfg.seed,
-            }
+            fit_summary = dict(review.summary, n_samples=cfg.n_samples, seed=cfg.seed)
             write("calibration_fit.json", _json_text(fit_summary))
 
     with _stage("rank"):
@@ -287,7 +261,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         write("gray_area.json", _json_text(gray.to_dict()))
         if cfg.calibrate:
             write("decisions_calibrated.csv", decision_list_csv(decisions_cal))
-            artifacts += emit_plots(table, mu_y, estimate, table.sM_norm, out_dir)
+            artifacts += emit_plots(table, review.mu_y, estimate, table.sM_norm, out_dir)
 
     return PipelineResult(
         table=table,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -291,7 +290,9 @@ class DecisionConfig:
             raise ValueError("acceptance rate must lie in (0, 100]")
 
     def n_accept(self, n_papers: int) -> int:
-        return math.floor(self.acceptance_rate / 100.0 * n_papers)
+        # floor(a% of P) in integers, the rate taken to 12 decimals: in
+        # floats, 29% of 100 comes to 28.999...
+        return int(f"{self.acceptance_rate:.12f}".replace(".", "")) * n_papers // 10**14
 
 
 @dataclass(frozen=True)

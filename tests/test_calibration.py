@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
+import reviewpipe.calibration
+
 from reviewpipe.calibration import (
     AcceptanceEstimate,
     CalibrationInputs,
@@ -12,10 +14,9 @@ from reviewpipe.calibration import (
     Hyperparams,
     UnidentifiableModelWarning,
     acceptance_probability,
-    aggregate_calibrated,
     bias_identifiable,
     build_covariance,
-    calibrate_meta,
+    calibrate,
     fit_hyperparams,
     fit_sigma_q,
     nll,
@@ -236,11 +237,12 @@ class TestPosterior:
 
 
 class TestAggregateCalibrated:
-    def test_zero_bias_matches_uncalibrated_pipeline(self, rng):
+    def test_zero_bias_matches_uncalibrated_pipeline(self, rng, monkeypatch):
         inputs, _, _ = planted_instance(rng, 30, 10, bias_sd=0.0, noise_sd=0.5)
         hp = Hyperparams(sigma_q2=1.0, sb2_hat=1e-300, se2_hat=0.5, mu_q=float(inputs.s.mean()))
-        mu_y, _ = posterior(inputs, hp)
-        cal = aggregate_calibrated(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)
+        # calibrate looks the fit up by its module-level name
+        monkeypatch.setattr(reviewpipe.calibration, "fit_hyperparams", lambda inputs, grid: hp)
+        cal = calibrate(inputs).scores
         from reviewpipe.scoring import normalize
 
         raw_agg = np.bincount(inputs.paper_idx, weights=inputs.s) / np.bincount(inputs.paper_idx)
@@ -248,13 +250,17 @@ class TestAggregateCalibrated:
 
     def test_permutation_invariance(self, rng):
         inputs, _, _ = planted_instance(rng, 12, 6)
-        hp = fit_hyperparams(inputs, GridSpec(points=3))
-        mu_y, _ = posterior(inputs, hp)
-        cal = aggregate_calibrated(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)
+        cal = calibrate(inputs, GridSpec(points=3)).scores
         perm = rng.permutation(inputs.n)
-        cal2 = aggregate_calibrated(
-            mu_y[perm], inputs.paper_idx[perm], inputs.confidences[perm], inputs.n_papers
+        shuffled = CalibrationInputs(
+            inputs.s[perm],
+            inputs.paper_idx[perm],
+            inputs.reviewer_idx[perm],
+            inputs.paper_ids,
+            inputs.reviewer_ids,
+            inputs.confidences[perm],
         )
+        cal2 = calibrate(shuffled, GridSpec(points=3)).scores
         assert np.allclose(cal, cal2, atol=1e-12)
 
 
@@ -303,24 +309,30 @@ class TestCalibrateMeta:
         ac_idx = np.repeat(np.arange(n_acs), n_papers // n_acs)
         offsets = rng.normal(0, 1, n_acs)
         xi = rng.integers(-3, 4, n_papers).astype(float) + offsets[ac_idx]
-        out = calibrate_meta(
+        inputs = CalibrationInputs(
             xi,
             paper_idx,
             ac_idx,
             [f"P{i:04d}" for i in range(n_papers)],
             [f"M{i:02d}" for i in range(n_acs)],
-            GridSpec(points=5),
         )
+        out = calibrate(inputs, GridSpec(points=5)).scores
         assert out.shape == (n_papers,)
         assert out.min() == 0.0 and out.max() == 100.0
 
     def test_unidentifiable_passthrough_with_warning(self):
         xi = np.array([2.0, -1.0, 0.0])
-        with pytest.warns(UnidentifiableModelWarning):
-            out = calibrate_meta(xi, [0, 1, 2], [0, 1, 2], ["a", "b", "c"], ["x", "y", "z"])
+        inputs = CalibrationInputs(xi, [0, 1, 2], [0, 1, 2], ["a", "b", "c"], ["x", "y", "z"])
+        with pytest.warns(UnidentifiableModelWarning, match="every reviewer covers a single paper"):
+            result = calibrate(inputs)
         from reviewpipe.scoring import normalize
 
-        assert np.allclose(out, normalize(xi), atol=1e-12)
+        assert np.allclose(result.scores, normalize(xi), atol=1e-12)
+        assert np.array_equal(result.mu_y, xi)
+        assert np.asarray(result.sigma_y).tolist() == np.zeros((3, 3)).tolist()
+        assert result.summary == {
+            "identifiable": False, "argmin_on_grid_edge": None, "hyperparams": None, "grid": []
+        }
 
     def test_planted_offsets_recovered_in_sign(self, rng):
         n_papers, n_acs = 200, 10
@@ -329,28 +341,23 @@ class TestCalibrateMeta:
         paper_idx = np.arange(n_papers)
         ac_idx = np.repeat(np.arange(n_acs), n_papers // n_acs)
         xi = quality + offsets[ac_idx] + rng.normal(0, 0.1, n_papers)
-        out = calibrate_meta(
-            xi,
-            paper_idx,
-            ac_idx,
-            [f"P{i}" for i in range(n_papers)],
-            [f"M{i}" for i in range(n_acs)],
-            GridSpec(points=9),
-        )
-        # the implied correction per AC should be positive for positively
-        # biased ACs and negative for the others
         inputs = CalibrationInputs(
             xi, paper_idx, ac_idx, [f"P{i}" for i in range(n_papers)], [f"M{i}" for i in range(n_acs)]
         )
-        hp = fit_hyperparams(inputs, GridSpec(points=9))
-        mu_y, _ = posterior(inputs, hp)
-        correction = xi - mu_y
+        result = calibrate(inputs, GridSpec(points=9))
+        # the implied correction per AC should be positive for positively
+        # biased ACs and negative for the others
+        correction = xi - result.mu_y
         per_ac = np.bincount(ac_idx, weights=correction) / np.bincount(ac_idx)
         assert np.all(np.sign(per_ac) == np.sign(offsets))
+        # with one meta-review per paper, the scores are the normalized mu_y
+        from reviewpipe.scoring import normalize
+
+        assert np.array_equal(result.scores, normalize(result.mu_y))
 
     def test_too_few_entries_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_meta(np.array([1.0]), [0], [0], ["a"], ["x"])
+        with pytest.raises(ValueError, match="at least two"):
+            calibrate(CalibrationInputs(np.array([1.0]), [0], [0], ["a"], ["x"]))
 
 
 def test_bias_recovery_improves_ranking(rng):
@@ -435,7 +442,8 @@ class TestStructuredMatchesDenseOracle:
     GRID = GridSpec(1e-2, 1e2, 5)
 
     def check(self, inputs):
-        hp, table = fit_hyperparams(inputs, self.GRID, collect_grid=True)
+        hp = fit_hyperparams(inputs, self.GRID)
+        table = hp.grid
         dense = dense_grid(inputs, self.GRID.values())
         assert [(row["sb2_hat"], row["se2_hat"]) for row in table] == [d[:2] for d in dense]
         for row, (_, _, sq2, val) in zip(table, dense):

@@ -244,21 +244,13 @@ class TestRunPipeline:
 
     def test_acceptance_probability_tracks_score(self, rng):
         # ranking-based acceptance: probability should rise with the score
-        from reviewpipe.calibration import (
-            GridSpec,
-            acceptance_probability,
-            aggregate_calibrated,
-            fit_hyperparams,
-            posterior,
-        )
+        from reviewpipe.calibration import GridSpec, acceptance_probability, calibrate
         from conftest import planted_instance
 
         inputs, _, _ = planted_instance(rng, 100, 30, bias_sd=0.5, noise_sd=0.8)
-        hp = fit_hyperparams(inputs, GridSpec(points=5))
-        mu_y, sigma_y = posterior(inputs, hp)
-        est = acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 500, seed=2)
-        cal = aggregate_calibrated(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)
-        assert spearmanr(cal, est.probability).statistic > 0.9
+        cal = calibrate(inputs, GridSpec(points=5))
+        est = acceptance_probability(cal.mu_y, cal.sigma_y, inputs, DecisionConfig(40.0), 500, seed=2)
+        assert spearmanr(cal.scores, est.probability).statistic > 0.9
 
     def test_duplicate_review_row_rejected_before_scoring(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=20, n_reviewers=10)
@@ -401,15 +393,13 @@ class TestRunPipeline:
             grid=GridSpec(points=3),
             n_samples=20,
         )
-        with pytest.warns(UnidentifiableModelWarning, match="every meta score is equal"):
+        with pytest.warns(UnidentifiableModelWarning, match="every score equals"):
             result = run_pipeline(cfg)
         assert result.table.sM_cal.tolist() == [50.0] * 30
         assert (tmp_path / "out" / "decisions_calibrated.csv").exists()
 
     def test_constant_review_scores_name_the_cause(self, tmp_path, rng):
         from dataclasses import replace
-
-        from reviewpipe.pipeline import PipelineStageError
 
         _, _, reviews, metas = random_corpus(rng, 30, 12)
         reviews = [
@@ -427,8 +417,64 @@ class TestRunPipeline:
             grid=GridSpec(points=3),
             n_samples=20,
         )
-        with pytest.raises(PipelineStageError, match="stage 'calibrate'.*every score equals"):
-            run_pipeline(cfg)
+        with pytest.warns(UnidentifiableModelWarning, match="every score equals") as caught:
+            result = run_pipeline(cfg)
+        assert [str(w.message) for w in caught if w.category is UnidentifiableModelWarning] == [
+            "every score equals 0.0: the data cannot pin down reviewer bias, "
+            "so the scores pass through uncalibrated"
+        ]
+        assert result.table.sR_cal.tolist() == [50.0] * 30
+        assert result.fit_summary["hyperparams"] is None
+
+    @pytest.mark.parametrize("side", ["reviews", "metas"])
+    @pytest.mark.parametrize("case", ["one_paper_each", "all_equal"])
+    def test_unpinned_bias_passes_scores_through(self, tmp_path, rng, side, case):
+        from dataclasses import replace
+
+        from reviewpipe.scoring import normalize
+
+        _, _, reviews, metas = random_corpus(rng, 30, 12)
+        if side == "reviews" and case == "one_paper_each":
+            reviews = [replace(r, reviewer=f"{r.reviewer}_{r.paper}") for r in reviews]
+        elif side == "reviews":
+            reviews = [
+                replace(r, recommendation="Accept", criteria=("Good",) * 4, award=1)
+                for r in reviews
+            ]
+        elif case == "one_paper_each":
+            metas = [replace(m, metareviewer=f"M_{m.paper}") for m in metas]
+        else:
+            metas = [replace(m, recommendation="Weak Reject") for m in metas]
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = PipelineConfig(
+            reviews_path=str(rpath),
+            meta_path=str(mpath),
+            out_dir=str(out),
+            calibrate=True,
+            grid=GridSpec(points=3),
+            n_samples=50,
+        )
+        cause = "every reviewer covers a single paper" if case == "one_paper_each" else "every score equals"
+        with pytest.warns(UnidentifiableModelWarning, match=cause) as caught:
+            result = run_pipeline(cfg)
+        assert sum(w.category is UnidentifiableModelWarning for w in caught) == 1
+        table = result.table
+        if side == "reviews":
+            assert np.array_equal(table.sR_cal, normalize(table.s_p))
+            written = json.loads((out / "calibration_fit.json").read_text())
+            assert written["hyperparams"] is None
+            assert written["grid"] == [] and written["argmin_on_grid_edge"] is None
+            assert written["identifiable"] is (case == "all_equal")
+            with (out / "acceptance_probability.csv").open(encoding="utf-8") as fh:
+                rows = [line for line in csv.reader(fh) if not line[0].startswith("#")]
+            probabilities = {float(row[1]) for row in rows[1:]}
+            assert probabilities == {0.0, 1.0}
+        else:
+            assert np.array_equal(table.sM_cal, normalize(table.xi_p))
+            assert result.fit_summary["hyperparams"] is not None
 
 
 SHUFFLE_CORPUS = random_corpus(np.random.default_rng(2024), 24, 10)
@@ -532,18 +578,30 @@ def test_order_preserving_renaming_keeps_decisions(paper_names, reviewer_names):
     assert _renamed_outputs(paper_names, reviewer_names) == reference
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # neither the import nor a calibrated run loads scipy
+    rpath, mpath = write_corpus(tmp_path, np.random.default_rng(5), n_papers=20, n_reviewers=8)
+    code = (
+        "import sys, reviewpipe\n"
+        "from reviewpipe import GridSpec, PipelineConfig, run_pipeline\n"
+        "print('scipy' in sys.modules)\n"
+        "run_pipeline(PipelineConfig(reviews_path=sys.argv[1], meta_path=sys.argv[2],"
+        " out_dir=sys.argv[3], dequantize=True, calibrate=True, grid=GridSpec(points=3),"
+        " n_samples=20))\n"
+        "print('scipy' in sys.modules)\n"
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, reviewpipe; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code, str(rpath), str(mpath), str(tmp_path / "out")],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
+    assert (tmp_path / "out" / "calibration_fit.json").exists()
 
 
 class TestWriteAtomic:
@@ -638,6 +696,28 @@ class TestCli:
         assert err.startswith(f"reviewpipe {command}: error: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--input", "{missing}", "--out", "{out}"],
+            ["dequantize", "--input", "{missing}", "--out", "{out}"],
+            ["assign", "--similarities", "{missing}", "--out", "{out}"],
+            ["validate", "--input", "{reviews}", "--out", "{out}", "--config", "{missing}"],
+        ],
+        ids=["validate-input", "dequantize-input", "assign-similarities", "config"],
+    )
+    def test_missing_file_is_a_one_line_error(self, tmp_path, rng, capsys, argv):
+        rpath, _ = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        missing, out = tmp_path / "nonexistent.csv", tmp_path / "o"
+        argv = [a.format(missing=missing, out=out, reviews=rpath) for a in argv]
+        assert self.run(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"reviewpipe {argv[0]}: error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and str(missing) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_dequantize_command(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)

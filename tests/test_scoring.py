@@ -212,6 +212,18 @@ class TestRankAndCut:
             result = rank_and_cut(self.make_table(n), DecisionConfig(33.0))
             assert result.n_accept == int(np.floor(0.33 * n))
 
+    def test_floor_is_exact(self):
+        # the float product 0.29 * 100 is 28.999..., and 0.7% of 1,000 is
+        # 6.999... from the binary 0.7
+        assert rank_and_cut(self.make_table(100), DecisionConfig(29.0)).n_accept == 29
+        assert DecisionConfig(0.7).n_accept(1000) == 7
+        assert DecisionConfig(40.0).n_accept(5526) == 2210
+        assert DecisionConfig(40.0).n_accept(200) == 80
+        for a in range(1, 101):
+            cfg = DecisionConfig(float(a))
+            for n in (*range(1, 201), 999, 1000, 4321, 5526, 5999):
+                assert cfg.n_accept(n) == a * n // 100, (a, n)
+
     def test_descending_order(self):
         result = rank_and_cut(self.make_table(10), DecisionConfig(40.0))
         sis = [d.score_index for d in result.decisions]
