@@ -31,7 +31,9 @@ The bias term is removed by Gaussian conditioning in reviewer space,
 
 and Monte-Carlo draws of b turn ranked samples into per-paper acceptance
 probabilities.  Each noise ratio costs O(sum of n_p^2) to build M and one
-O(R^3) eigh; memory is O(R^2 + n), and the sampler's O(P x n_samples).
+O(R^3) eigh; memory is O(R^2 + n).  The sampler works SAMPLE_BLOCK samples
+at a time, so its memory is O(SAMPLE_BLOCK x (n + R)) whatever the number
+of samples.
 
 :func:`calibrate` serves reviews and meta-reviews alike (meta-reviewers
 take the reviewer role).  Where the data cannot pin the bias term down,
@@ -346,10 +348,6 @@ class PosteriorCovariance:
         """Cov(b | s), R x R."""
         return (self.vecs * self.vals) @ self.vecs.T
 
-    def factor(self) -> np.ndarray:
-        """F with F F^T = Cov(b | s)."""
-        return self.vecs * np.sqrt(self.vals)
-
     def __array__(self, dtype=None, copy=None):
         dense = self.bias_cov[np.ix_(self.reviewer_idx, self.reviewer_idx)]
         return dense if dtype is None else dense.astype(dtype)
@@ -425,6 +423,12 @@ def calibrate(inputs: CalibrationInputs, grid: GridSpec = GridSpec()) -> Calibra
     return Calibration(normalize(scores), mu_y, sigma_y, summary)
 
 
+# samples that acceptance_probability draws, aggregates and ranks together.
+# It bounds the sampler's memory and leaves the counts unchanged; of 32 to
+# 512, 128 ran fastest on 200 and on 5,526 papers.
+SAMPLE_BLOCK = 128
+
+
 @dataclass
 class AcceptanceEstimate:
     """Monte-Carlo acceptance probabilities; counts/n_samples per paper."""
@@ -451,46 +455,57 @@ def acceptance_probability(
     """Sample posterior score vectors, rank each sampled conference, and
     count how often each paper lands in the accepted top slice.
 
-    Draws are taken in reviewer space (R dimensions) and aggregated per
-    paper directly, so no array exceeds P x n_samples.  Ties in a sample
-    go to the lexicographically smaller paper id.  Each sample accepts
-    exactly floor(a% of P) papers, so the probability column sums to that
-    number exactly.  Deterministic for a fixed seed.
+    Samples are taken SAMPLE_BLOCK at a time.  A sample's bias draw is one
+    row of R' standard normals, scaled by sqrt(vals) and mapped to the R
+    reviewers by vecs^T, so the draws do not depend on the block size.
+    The per-paper aggregates follow directly; no array grows with
+    n_samples, and none exceeds SAMPLE_BLOCK x max(n, R).  Each sample
+    accepts exactly k = floor(a% of P) papers: every paper above its k-th
+    best aggregate, then the papers tied with that value in lexicographic
+    id order.  So the probability column sums to k exactly.  Deterministic
+    for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if len(mu_y) != inputs.n or sigma_y.shape != (inputs.n, inputs.n):
+    if len(mu_y) != inputs.n:
         raise ValueError("posterior dimensions do not match the inputs")
-    rng = np.random.default_rng(seed)
-    factor = sigma_y.factor()
-    bias_draws = factor @ rng.standard_normal((factor.shape[1], n_samples))
-
+    if len(sigma_y.vecs) != len(inputs.reviewer_ids) or not np.array_equal(
+        sigma_y.reviewer_idx, inputs.reviewer_idx
+    ):
+        raise ValueError("sigma_y is not the posterior of these inputs: its reviewers differ")
     p = inputs.n_papers
-    pi, ri = inputs.paper_idx, inputs.reviewer_idx
-    den = np.bincount(pi, weights=inputs.confidences, minlength=p)
-    weights = inputs.confidences / den[pi]
-    # negated per-paper aggregates with rows in paper-id order, so that a
-    # stable ascending sort ranks by score and breaks ties by id
+    den = np.bincount(inputs.paper_idx, weights=inputs.confidences, minlength=p)
+    if np.any(den == 0):
+        missing = [inputs.paper_ids[i] for i in np.flatnonzero(den == 0)]
+        raise ValueError(f"every paper needs at least one review entry; none for {missing}")
+    weights = inputs.confidences / den[inputs.paper_idx]
+    # columns are papers in id order, so that tied papers are taken left
+    # to right; entries are grouped by column for the per-paper sums
     by_id = np.argsort(inputs.paper_ids, kind="stable")
-    row_of = np.empty(p, dtype=int)
-    row_of[by_id] = np.arange(p)
-    rows_of_entries = row_of[pi]
-    neg = np.repeat(
-        -np.bincount(rows_of_entries, weights=weights * mu_y, minlength=p)[:, None], n_samples, 1
-    )
-    # add each paper's entries one position at a time: no paper repeats
-    # within a position, so the fancy-indexed update adds every entry
-    order = np.argsort(pi, kind="stable")
-    per_paper = np.bincount(pi)
-    position = np.empty(inputs.n, dtype=int)
-    position[order] = np.arange(inputs.n) - np.repeat(np.cumsum(per_paper) - per_paper, per_paper)
-    for pos in range(position.max() + 1):
-        entries = np.flatnonzero(position == pos)
-        neg[rows_of_entries[entries]] -= weights[entries, None] * bias_draws[ri[entries]]
+    col_of = np.empty(p, dtype=int)
+    col_of[by_id] = np.arange(p)
+    col = col_of[inputs.paper_idx]
+    mean = np.bincount(col, weights=weights * mu_y, minlength=p)
+    order = np.argsort(col, kind="stable")
+    entry_reviewer, entry_weight = inputs.reviewer_idx[order], weights[order]
+    per_col = np.bincount(col, minlength=p)
+    starts = np.cumsum(per_col) - per_col
+    scale = np.sqrt(sigma_y.vals)
 
     k = cfg.n_accept(p)
-    ranked = np.argsort(neg, axis=0, kind="stable")
-    counts = np.bincount(by_id[ranked[:k]].ravel(), minlength=p)
+    counts = np.zeros(p, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    # with k = 0 nothing is accepted and no sample needs drawing
+    for first in range(0, n_samples if k else 0, SAMPLE_BLOCK):
+        b = min(SAMPLE_BLOCK, n_samples - first)
+        bias = (rng.standard_normal((b, len(scale))) * scale) @ sigma_y.vecs.T
+        agg = mean + np.add.reduceat(bias[:, entry_reviewer] * entry_weight, starts, axis=1)
+        kth = np.partition(agg, p - k, axis=1)[:, p - k, None]
+        above = agg > kth
+        tied = agg == kth
+        room = k - above.sum(axis=1, keepdims=True)
+        counts += (above | (tied & (np.cumsum(tied, axis=1) <= room))).sum(axis=0)
     return AcceptanceEstimate(
-        papers=list(inputs.paper_ids), counts=counts, n_samples=n_samples, seed=seed, n_accept=k
+        papers=list(inputs.paper_ids), counts=counts[col_of], n_samples=n_samples, seed=seed,
+        n_accept=k,
     )

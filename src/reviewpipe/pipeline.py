@@ -68,6 +68,10 @@ class PipelineConfig:
     n_samples: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+
 
 @dataclass
 class GrayAreaReport:

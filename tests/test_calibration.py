@@ -12,6 +12,7 @@ from reviewpipe.calibration import (
     DegenerateModelError,
     GridSpec,
     Hyperparams,
+    PosteriorCovariance,
     UnidentifiableModelWarning,
     acceptance_probability,
     bias_identifiable,
@@ -300,6 +301,90 @@ class TestAcceptanceProbability:
         with pytest.raises(ValueError):
             acceptance_probability(mu_y[:-1], sigma_y, inputs, DecisionConfig(40.0), 10, 0)
 
+    def test_paper_without_entries_rejected(self, rng):
+        inputs, mu_y, sigma_y = self.make_inputs(rng)
+        # the same entries with one more paper id that no entry names
+        extended = CalibrationInputs(
+            inputs.s, inputs.paper_idx, inputs.reviewer_idx,
+            [*inputs.paper_ids, "P9999"], inputs.reviewer_ids, inputs.confidences,
+        )
+        with pytest.raises(ValueError, match=r"review entry; none for \['P9999'\]"):
+            acceptance_probability(mu_y, sigma_y, extended, DecisionConfig(40.0), 10, 0)
+
+    @pytest.mark.parametrize("mismatch", ["reviewer_idx", "vecs_rows"])
+    def test_posterior_of_other_inputs_rejected(self, rng, mismatch):
+        inputs, mu_y, sigma_y = self.make_inputs(rng)
+        if mismatch == "reviewer_idx":
+            other = PosteriorCovariance(sigma_y.vecs, sigma_y.vals, np.roll(inputs.reviewer_idx, 1))
+        else:
+            other = PosteriorCovariance(sigma_y.vecs[:-1], sigma_y.vals, inputs.reviewer_idx)
+        with pytest.raises(ValueError, match="not the posterior of these inputs"):
+            acceptance_probability(mu_y, other, inputs, DecisionConfig(40.0), 10, 0)
+
+
+def argsort_counts(mu_y, sigma_y, inputs, k, n_samples, seed):
+    """Reference sampler: all draws at once (a row per sample), per-paper
+    aggregates entry by entry, and a stable argsort of each sample's
+    negated aggregates over the papers in id order; its first k win."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_samples, len(sigma_y.vals)))
+    bias = (z * np.sqrt(sigma_y.vals)) @ sigma_y.vecs.T
+    p = inputs.n_papers
+    den = np.bincount(inputs.paper_idx, weights=inputs.confidences, minlength=p)
+    agg = np.zeros((n_samples, p))
+    for e in range(inputs.n):
+        paper, reviewer = inputs.paper_idx[e], inputs.reviewer_idx[e]
+        agg[:, paper] += inputs.confidences[e] / den[paper] * (mu_y[e] + bias[:, reviewer])
+    by_id = np.argsort(inputs.paper_ids, kind="stable")
+    ranked = np.argsort(-agg[:, by_id], axis=1, kind="stable")
+    return np.bincount(by_id[ranked[:, :k]].ravel(), minlength=p)
+
+
+class TestSelectionMatchesArgsortOracle:
+    @staticmethod
+    def tied_inputs(paper_ids, means):
+        # two entries per paper, reviewers shared, so the per-paper means
+        # are exact in floating point and equal means tie exactly
+        n = len(paper_ids)
+        s = [m + d for m in means for d in (-1.0, 1.0)]
+        conf = [0.8, 1.2] * n
+        return CalibrationInputs(
+            s, np.repeat(np.arange(n), 2), np.tile([0, 1], n), paper_ids, ["r0", "r1"], conf
+        )
+
+    @pytest.mark.parametrize(
+        "paper_ids, means, rate, k",
+        [
+            (["q", "p"], [3.0, 3.0], 40.0, 0),
+            (["e", "b", "d", "a", "c"], [2.0, 1.0, 2.0, 1.0, 2.0], 20.0, 1),
+            (["e", "b", "d", "a", "c"], [2.0, 1.0, 2.0, 1.0, 2.0], 40.0, 2),
+            (["e", "b", "d", "a", "c"], [2.0, 1.0, 2.0, 1.0, 2.0], 80.0, 4),
+            (["e", "b", "d", "a", "c"], [2.0, 1.0, 2.0, 1.0, 2.0], 100.0, 5),
+        ],
+    )
+    def test_zero_width_posterior_with_ties(self, paper_ids, means, rate, k):
+        inputs = self.tied_inputs(paper_ids, means)
+        zero = PosteriorCovariance(np.zeros((2, 0)), np.zeros(0), inputs.reviewer_idx)
+        cfg = DecisionConfig(rate)
+        assert cfg.n_accept(inputs.n_papers) == k
+        est = acceptance_probability(inputs.s, zero, inputs, cfg, 300, seed=4)
+        expected = argsort_counts(inputs.s, zero, inputs, k, 300, seed=4)
+        assert np.array_equal(est.counts, expected)
+        assert est.counts.sum() == k * 300
+
+    @pytest.mark.parametrize("block", [7, reviewpipe.calibration.SAMPLE_BLOCK])
+    def test_sampled_posterior(self, rng, monkeypatch, block):
+        inputs, _, _ = planted_instance(rng, 30, 12)
+        # ids whose sorted order is not their code order
+        inputs.paper_ids = [f"P{(7 * i) % 30:02d}" for i in range(30)]
+        mu_y, sigma_y = posterior(inputs, fit_hyperparams(inputs, GridSpec(points=3)))
+        monkeypatch.setattr(reviewpipe.calibration, "SAMPLE_BLOCK", block)
+        # 300 samples: whole blocks and a partial last one
+        est = acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 300, seed=5)
+        expected = argsort_counts(mu_y, sigma_y, inputs, 12, 300, seed=5)
+        assert np.array_equal(est.counts, expected)
+        assert np.any((est.counts > 0) & (est.counts < 300))  # the draws move the cut
+
 
 class TestCalibrateMeta:
     def test_operating_point_instance_runs(self, rng):
@@ -527,3 +612,20 @@ def test_calibration_memory_below_one_dense_matrix():
         tracemalloc.stop()
     assert inputs.n == 3000
     assert peak < dense_bytes
+
+
+def test_sampler_memory_does_not_grow_with_samples():
+    # ~200 papers: the sampler's tracemalloc peak at 4,000 samples stays
+    # within 1.2x of its peak at 500
+    rng = np.random.default_rng(8)
+    inputs, _, _ = planted_instance(rng, 200, 145)
+    mu_y, sigma_y = posterior(inputs, fit_hyperparams(inputs, GridSpec(points=3)))
+    peaks = []
+    for n_samples in (500, 4000):
+        tracemalloc.start()
+        try:
+            acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), n_samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks

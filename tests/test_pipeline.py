@@ -669,6 +669,14 @@ class TestCli:
         assert err.startswith("reviewpipe pipeline: error: grid bounds must be positive")
         assert not (tmp_path / "o").exists()
 
+    def test_sample_count_below_one_rejected_before_any_write(self, tmp_path, rng, capsys):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        assert self.run([*argv, "--calibrate", "--samples", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "reviewpipe pipeline: error: n_samples must be >= 1, got 0\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, export, extra, message",
         [
