@@ -17,7 +17,6 @@ import numpy as np
 
 from reviewpipe import (
     DecisionConfig,
-    GridSpec,
     MetaReviewForm,
     PipelineConfig,
     ReviewForm,
@@ -59,7 +58,6 @@ with tempfile.TemporaryDirectory() as tmp:
         out_dir=str(out),
         dequantize=True,
         calibrate=True,
-        grid=GridSpec(points=5),
         decision=DecisionConfig(acceptance_rate=40.0),
         n_samples=500,
         seed=0,
@@ -76,9 +74,11 @@ with tempfile.TemporaryDirectory() as tmp:
     for f in sorted(out.iterdir()):
         print(f"  {f.name}  ({f.stat().st_size} bytes)")
 
-    fit = json.loads((out / "calibration_fit.json").read_text())["hyperparams"]
+    summary = json.loads((out / "calibration_fit.json").read_text())
+    fit = summary["hyperparams"]
     print(f"\nFitted variances: sigma_q^2={fit['sigma_q2']:.3f} "
-          f"sigma_b^2={fit['sigma_b2']:.3f} sigma_e^2={fit['sigma_e2']:.3f}")
+          f"sigma_b^2={fit['sigma_b2']:.3f} sigma_e^2={fit['sigma_e2']:.3f} "
+          f"({summary['evaluations']} likelihood evaluations)")
 
 print("\nThe same run is available from the shell:")
 print("  reviewpipe pipeline --input reviews.csv --meta metas.csv \\")

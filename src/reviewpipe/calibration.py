@@ -10,30 +10,34 @@ sigma_q^2, is
 
     K = Zp Zp^T + a Zr Zr^T + c I,   a = sigma_b^2 / sigma_q^2,  c = sigma_e^2 / sigma_q^2
 
-where Zp and Zr map score entries to papers and reviewers.  The two
-ratios are explored on a grid; sigma_q^2 has a closed-form maximum-
-likelihood value per grid point.
+where Zp and Zr map score entries to papers and reviewers; sigma_q^2 has a
+closed-form maximum-likelihood value at each (a, c).
 
-No n x n matrix is formed.  D = Zp Zp^T + c I is block diagonal by paper,
-so Woodbury's identity and the matrix determinant lemma reduce everything
-to the R x R reviewer matrix M = Zr^T D^-1 Zr, built from the reviewer
-pairs that share a paper (Henderson's mixed-model equations).  One
-eigendecomposition M = V diag(lam) V^T per noise ratio c serves every
-bias ratio a, elementwise, with h = V^T Zr^T D^-1 (s - mu_q):
+No n x n matrix is formed.  One group is factored: the reviewers when
+R <= P, else the papers.  Call its variance ratio g (a for reviewers, 1 for
+papers) and its indicator matrix Z.  The other group's term O = c I +
+g_o Zo Zo^T is block diagonal, so K = O + g Z Z^T, and with r = s - mu_q
+and u = Z^T O^-1 r one Cholesky factor of the bordered matrix
 
-    quad   = r^T D^-1 r - sum(a h^2 / (1 + a lam))
-    logdet = log|D| + sum(log1p(a lam))
+    [[I + g Z^T O^-1 Z,  sqrt(g) u  ],
+     [sqrt(g) u^T,       r^T O^-1 r ]]
 
-The bias term is removed by Gaussian conditioning in reviewer space,
+gives log|K| = log|O| + 2 sum(log diag L[:m]) and r^T K^-1 r = L[m, m]^2
+(Woodbury and the matrix determinant lemma; Henderson's mixed-model
+equations).  The matrix is built from the entry pairs that share an
+other-group block and factored in place by a blocked Cholesky, numpy only.
 
-    E[b | s]   = a V diag(1 / (1 + a lam)) h
-    Cov(b | s) = sigma_q^2 a V diag(1 / (1 + a lam)) V^T,
-
-and Monte-Carlo draws of b turn ranked samples into per-paper acceptance
-probabilities.  Each noise ratio costs O(sum of n_p^2) to build M and one
-O(R^3) eigh; memory is O(R^2 + n).  The sampler works SAMPLE_BLOCK samples
-at a time, so its memory is O(SAMPLE_BLOCK x (n + R)) whatever the number
-of samples.
+:func:`calibrate` starts at the method-of-moments estimate of Gao & Owen
+(2017), clipped into the grid's box, and runs a deterministic Nelder-Mead
+search in log space on the exact profile NLL, at most SEARCH_BUDGET
+evaluations.  :func:`fit_hyperparams` is the exact grid search on the same
+evaluator.  The bias term is removed by Gaussian conditioning,
+E[b | s] = a Zr^T K^-1 r, and Monte-Carlo draws of b from the same factor
+turn ranked samples into per-paper acceptance probabilities.  One
+evaluation costs O(sum of block sizes squared) to build the m x m matrix
+and O(m^3) to factor it, m = min(R, P) + 1; memory is O(m^2 + n).  The
+sampler works SAMPLE_BLOCK samples at a time, so its memory is
+O(SAMPLE_BLOCK x (n + m)) whatever the number of samples.
 
 :func:`calibrate` serves reviews and meta-reviews alike (meta-reviewers
 take the reviewer role).  Where the data cannot pin the bias term down,
@@ -136,7 +140,9 @@ class CalibrationInputs:
 @dataclass(frozen=True)
 class GridSpec:
     """Logarithmic grid over the two variance ratios, from ``lo`` to ``hi``
-    (either may be the larger); both bounds positive and finite."""
+    (either may be the larger); both bounds positive and finite.  Its box
+    bounds the search of :func:`calibrate`; ``points`` is read only by
+    :func:`fit_hyperparams`."""
 
     lo: float = 1e-2
     hi: float = 1e2
@@ -231,40 +237,148 @@ def fit_sigma_q(s, k_hat, mu_q: float) -> float:
     return sigma_q2
 
 
-class _ReviewerSpace:
-    """The Woodbury reduction of K onto reviewers for one set of inputs."""
+# rows one step of the blocked Cholesky factors: a matrix of this size or
+# less is one LAPACK call.  Of 256, 512 and 1,024, 256 ran fastest at the
+# paper's scale (5,527 rows).
+CHOLESKY_BLOCK = 256
+
+
+class _Bordered:
+    """Lower Cholesky factor L of a bordered matrix [[A, v], [v^T, t]],
+    A being m x m, computed in place by blocks, with ``logdet`` = log|A|,
+    ``quad`` = t - v^T A^-1 v and ``border`` = L_A^-1 v.
+
+    For the panel updates and the triangular solves, each diagonal block
+    of ``low`` is replaced by its inverse: at once, but for the last block,
+    which waits for the first solve.  Outside the diagonal blocks the upper
+    triangle keeps the input.
+    """
+
+    def __init__(self, mat: np.ndarray):
+        size = len(mat)
+        self.low, self.m, self.logdet = mat, size - 1, 0.0
+        self.starts = range(0, size, CHOLESKY_BLOCK)
+        for j in self.starts:
+            e = min(j + CHOLESKY_BLOCK, size)
+            try:
+                block = np.linalg.cholesky(mat[j:e, j:e])
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateModelError(f"covariance not positive definite: {exc}") from exc
+            self.logdet += 2.0 * float(np.sum(np.log(np.diagonal(block)[:self.m - j])))
+            if e == size:
+                mat[j:e, j:e] = block
+                break
+            mat[j:e, j:e] = np.linalg.inv(block)
+            panel = mat[e:, j:e]
+            panel[...] = panel @ mat[j:e, j:e].T
+            for k in range(e, size, CHOLESKY_BLOCK):
+                cols = panel[k - e:k - e + CHOLESKY_BLOCK]
+                mat[k:, k:k + CHOLESKY_BLOCK] -= panel[k - e:] @ cols.T
+        self.quad = float(mat[self.m, self.m]) ** 2
+        self.border = mat[self.m, :self.m].copy()
+        self.last_inverted = False
+
+    def solve_t(self, rows: np.ndarray) -> np.ndarray:
+        """rows L_A^-1, that is L_A^-T applied to each row, by block back
+        substitution (the border column enters as zero)."""
+        size = self.m + 1
+        last = self.starts[-1]
+        if not self.last_inverted:
+            self.low[last:, last:] = np.linalg.inv(self.low[last:, last:])
+            self.last_inverted = True
+        x = np.zeros((len(rows), size))
+        x[:, :self.m] = rows
+        for j in reversed(self.starts):
+            e = min(j + CHOLESKY_BLOCK, size)
+            if e < size:
+                x[:, j:e] -= x[:, e:] @ self.low[e:, j:e]
+            x[:, j:e] = x[:, j:e] @ self.low[j:e, j:e]
+        return x[:, :self.m]
+
+
+class _Model:
+    """K reduced onto the smaller of the two groups, for one set of inputs:
+    the reviewers when R <= P, else the papers.  Called at (a, c), it gives
+    the profile NLL with sigma_q^2 at its closed-form optimum and mu_q the
+    mean score.  Each distinct point is evaluated once; the non-degenerate
+    ones are kept as rows, in evaluation order."""
 
     def __init__(self, inputs: CalibrationInputs):
-        self.inputs = inputs
-        self.n_per_paper = np.bincount(inputs.paper_idx, minlength=inputs.n_papers)
-        self.load = np.bincount(inputs.reviewer_idx, minlength=len(inputs.reviewer_ids))
-        # every ordered pair of entries on one paper, each entry with itself
-        # included, as a flat (reviewer, reviewer) index and the paper
-        order = np.argsort(inputs.paper_idx, kind="stable")
-        pi, ri = inputs.paper_idx[order], inputs.reviewer_idx[order]
-        left, right = paper_pairs(pi, self.n_per_paper)
-        self.pair_key = ri[left] * len(self.load) + ri[right]
-        self.pair_paper = pi[left]
+        n_rev = len(inputs.reviewer_ids)
+        self.on_reviewers = n_rev <= inputs.n_papers
+        if self.on_reviewers:
+            self.group, self.other, self.m = inputs.reviewer_idx, inputs.paper_idx, n_rev
+            n_other = inputs.n_papers
+        else:
+            self.group, self.other, self.m = inputs.paper_idx, inputs.reviewer_idx, inputs.n_papers
+            n_other = n_rev
+        self.count = np.bincount(self.group, minlength=self.m)
+        self.block = np.bincount(self.other, minlength=n_other)
+        # every ordered pair of entries in one other-group block, each entry
+        # with itself included, as a flat index into the bordered matrix
+        order = np.argsort(self.other, kind="stable")
+        left, right = paper_pairs(self.other[order], self.block)
+        group = self.group[order]
+        self.pair_key = group[left] * (self.m + 1) + group[right]
+        self.pair_block = self.other[order][left]
+        self.mu_q = float(np.mean(inputs.s))
+        self.r = inputs.s - self.mu_q
+        self.values: dict[tuple[float, float], float] = {}
+        self.rows: list[dict] = []
 
-    def reduce(self, c: float, r: np.ndarray):
-        """For noise ratio c and centered scores r: the eigenvalues lam and
-        vectors V of M = Zr^T D^-1 Zr, h = V^T Zr^T D^-1 r, r^T D^-1 r and
-        log|D|."""
-        inp = self.inputs
-        n_rev = len(self.load)
-        w = 1.0 / (c + self.n_per_paper)
-        m = -np.bincount(
-            self.pair_key, weights=w[self.pair_paper], minlength=n_rev * n_rev
-        ).reshape(n_rev, n_rev)
-        m[np.diag_indices(n_rev)] += self.load
-        m /= c
-        lam, vecs = np.linalg.eigh(m)
-        lam = np.maximum(lam, 0.0)  # M is PSD; drop round-off below zero
-        paper_sum = np.bincount(inp.paper_idx, weights=r, minlength=inp.n_papers)
-        d_inv_r = (r - w[inp.paper_idx] * paper_sum[inp.paper_idx]) / c
-        h = vecs.T @ np.bincount(inp.reviewer_idx, weights=d_inv_r, minlength=n_rev)
-        logdet_d = inp.n * np.log(c) + float(np.sum(np.log1p(self.n_per_paper / c)))
-        return lam, vecs, h, float(r @ d_inv_r), logdet_d
+    def ratios(self, a: float, c: float) -> tuple[float, float, np.ndarray]:
+        """g, the factored group's variance ratio, g_o, the other group's,
+        and per other-group block h of n_h entries w_h = g_o / (c + g_o n_h),
+        so that O^-1 is (I - w_h 1 1^T) / c there."""
+        g, g_other = (a, 1.0) if self.on_reviewers else (1.0, a)
+        return g, g_other, g_other / (c + g_other * self.block)
+
+    def o_inv(self, x: np.ndarray, w: np.ndarray, c: float) -> np.ndarray:
+        """O^-1 x for a vector over the entries."""
+        block_sum = np.bincount(self.other, weights=x, minlength=len(w))
+        return (x - w[self.other] * block_sum[self.other]) / c
+
+    def factor(self, a: float, c: float, r: np.ndarray) -> tuple[_Bordered, float]:
+        """The bordered matrix at (a, c) for centered scores r, factored,
+        and log|O|."""
+        g, g_other, w = self.ratios(a, c)
+        m = self.m
+        mat = np.bincount(
+            self.pair_key, weights=w[self.pair_block], minlength=(m + 1) ** 2
+        ).reshape(m + 1, m + 1)
+        mat *= -g / c
+        mat[np.diag_indices(m)] += 1.0 + (g / c) * self.count
+        o_inv_r = self.o_inv(r, w, c)
+        mat[m, :m] = mat[:m, m] = np.sqrt(g) * np.bincount(self.group, weights=o_inv_r, minlength=m)
+        mat[m, m] = r @ o_inv_r
+        logdet_o = len(r) * np.log(c) + float(np.sum(np.log1p(g_other * self.block / c)))
+        return _Bordered(mat), logdet_o
+
+    def __call__(self, a: float, c: float) -> float:
+        if (a, c) not in self.values:
+            n = len(self.r)
+            self.values[(a, c)] = np.inf
+            try:
+                fac, logdet_o = self.factor(a, c, self.r)
+            except DegenerateModelError:
+                return np.inf
+            sigma_q2 = fac.quad / n
+            if sigma_q2 > 0:
+                logdet = logdet_o + fac.logdet
+                val = float(0.5 * n * np.log(2.0 * np.pi * sigma_q2) + 0.5 * (logdet + n))
+                self.rows.append({"sb2_hat": a, "se2_hat": c, "sigma_q2": sigma_q2, "nll": val})
+                self.values[(a, c)] = val
+        return self.values[(a, c)]
+
+    def best(self) -> Hyperparams:
+        """The row of least NLL, the earliest among equals."""
+        if not self.rows:
+            raise DegenerateModelError("all grid points degenerate")
+        row = min(self.rows, key=lambda row: row["nll"])
+        return Hyperparams(
+            sigma_q2=row["sigma_q2"], sb2_hat=row["sb2_hat"], se2_hat=row["se2_hat"],
+            mu_q=self.mu_q, grid=tuple(self.rows),
+        )
 
 
 def fit_hyperparams(inputs: CalibrationInputs, grid: GridSpec | None = None) -> Hyperparams:
@@ -291,62 +405,174 @@ def fit_hyperparams(inputs: CalibrationInputs, grid: GridSpec | None = None) -> 
             UnidentifiableModelWarning,
             stacklevel=2,
         )
-    mu_q = float(np.mean(inputs.s))
-    r = inputs.s - mu_q
-    n = inputs.n
-    values = np.asarray(grid.values(), dtype=float)
-    a = values[:, None]
-    space = _ReviewerSpace(inputs)
-    # rows: bias ratio, columns: noise ratio
-    quad = np.empty((len(values), len(values)))
-    logdet = np.empty_like(quad)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j, c in enumerate(values):
-            lam, _, h, quad_d, logdet_d = space.reduce(c, r)
-            quad[:, j] = quad_d - np.sum(a * h**2 / (1.0 + a * lam), axis=1)
-            logdet[:, j] = logdet_d + np.sum(np.log1p(a * lam), axis=1)
-        sigma_q2 = quad / n
-        nll_grid = 0.5 * n * np.log(2.0 * np.pi * sigma_q2) + 0.5 * logdet + 0.5 * n
-    ok = (sigma_q2 > 0) & np.isfinite(nll_grid)
-    if not ok.any():
-        raise DegenerateModelError("all grid points degenerate")
-    rows = tuple(
-        {
-            "sb2_hat": float(values[i]),
-            "se2_hat": float(values[j]),
-            "sigma_q2": float(sigma_q2[i, j]),
-            "nll": float(nll_grid[i, j]),
-        }
-        for i, j in zip(*np.nonzero(ok))
-    )
-    i, j = np.unravel_index(np.argmin(np.where(ok, nll_grid, np.inf)), ok.shape)
-    return Hyperparams(
-        sigma_q2=float(sigma_q2[i, j]), sb2_hat=float(values[i]), se2_hat=float(values[j]),
-        mu_q=mu_q, grid=rows,
-    )
+    fit = _Model(inputs)
+    values = [float(v) for v in grid.values()]
+    for a in values:
+        for c in values:
+            fit(a, c)
+    return fit.best()
+
+
+def _moment_estimate(inputs: CalibrationInputs) -> np.ndarray:
+    """Method-of-moments (sigma_q^2, sigma_b^2, sigma_e^2) of Gao & Owen
+    (2017).  Half the mean squared difference of the score pairs on one
+    paper estimates sigma_b^2 + sigma_e^2 (m_p), of one reviewer
+    sigma_q^2 + sigma_e^2 (m_r), and of all pairs T - p sigma_q^2 -
+    r sigma_b^2 (m_a), with T the sum of the three variances and p and r
+    the shares of the pairs that are on one paper and of one reviewer.
+    Needs a reviewer with two entries, so that m_r exists.  Solved exactly
+    when some pair shares a paper (then some pair shares neither, and
+    p + r < 1).  Else the system is singular and gets its min-norm
+    solution: q and the noise enter only as their sum, which is split
+    evenly, and if one reviewer has every entry, sigma_b^2 is 0."""
+    s = inputs.s
+
+    def pairs(idx) -> tuple[float, float]:
+        count = np.bincount(idx)
+        mean = np.bincount(idx, weights=s) / np.maximum(count, 1)
+        n_pairs = float(np.sum(count * (count - 1.0)) / 2.0)
+        half_sq = 0.5 * float(np.sum(count[idx] * (s - mean[idx]) ** 2))
+        return half_sq / max(n_pairs, 1.0), n_pairs
+
+    m_p, n_p = pairs(inputs.paper_idx)
+    m_r, n_r = pairs(inputs.reviewer_idx)
+    m_a, n_a = pairs(np.zeros(inputs.n, dtype=int))
+    if n_p == 0:
+        bias = (m_a - m_r) * n_a / (n_a - n_r) if n_r < n_a else 0.0
+        return np.array([m_r / 2.0, bias, m_r / 2.0])
+    total = (n_a * m_a - n_p * m_p - n_r * m_r) / (n_a - n_p - n_r)
+    return np.array([total - m_p, total - m_r, m_p + m_r - total])
+
+
+# at most this many likelihood evaluations per calibrate call
+SEARCH_BUDGET = 60
+# Nelder-Mead in (log a, log c): the first simplex's step (of 0.25 to 0.7,
+# 0.3 took the fewest evaluations on 200 and 1,000 papers), and the stop
+# when every vertex is within XATOL of the best in each coordinate and
+# within FATOL nats of its NLL
+SEARCH_STEP = 0.3
+XATOL = 1e-2
+FATOL = 1e-3
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
+    """Nelder-Mead over (log a, log c) from ``start``, every point projected
+    into the grid's box (an edge coordinate is the bound itself).
+    Deterministic.  Returns whether the search stopped on its budget."""
+    bounds = sorted((grid.lo, grid.hi))
+    lo, hi = np.log(bounds)
+
+    def f(x: np.ndarray) -> float:
+        point = tuple(
+            bounds[0] if v <= lo else bounds[1] if v >= hi else float(np.exp(v)) for v in x
+        )
+        if point not in fit.values and len(fit.values) >= SEARCH_BUDGET:
+            raise _BudgetSpent
+        return fit(*point)
+
+    def clip(x: np.ndarray) -> np.ndarray:
+        return np.clip(x, lo, hi)
+
+    x0 = clip(np.log(start))
+    simplex = [x0]
+    for i in range(2):
+        x = x0.copy()
+        x[i] += SEARCH_STEP if x[i] + SEARCH_STEP <= hi else -SEARCH_STEP
+        simplex.append(clip(x))
+    try:
+        values = [f(x) for x in simplex]
+        while True:
+            order = sorted(range(3), key=values.__getitem__)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            spread = max(float(np.max(np.abs(x - simplex[0]))) for x in simplex[1:])
+            if spread <= XATOL and values[2] - values[0] <= FATOL:
+                return False
+            centroid = (simplex[0] + simplex[1]) / 2.0
+            worst = simplex[2]
+            xr = clip(2.0 * centroid - worst)
+            fr = f(xr)
+            if fr < values[0]:
+                xe = clip(3.0 * centroid - 2.0 * worst)
+                fe = f(xe)
+                simplex[2], values[2] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < values[1]:
+                simplex[2], values[2] = xr, fr
+            else:
+                # contract outside the simplex if the reflection helped, else inside
+                inside = fr >= values[2]
+                xc = clip(0.5 * (centroid + worst) if inside else 1.5 * centroid - 0.5 * worst)
+                fc = f(xc)
+                if fc < min(fr, values[2]):
+                    simplex[2], values[2] = xc, fc
+                else:
+                    for i in (1, 2):
+                        simplex[i] = clip(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
+                        values[i] = f(simplex[i])
+    except _BudgetSpent:
+        return True
 
 
 @dataclass(frozen=True, eq=False)
 class PosteriorCovariance:
-    """Posterior covariance of the bias-removed scores, kept in reviewer
-    space: Cov(y | s) = Zr Cov(b | s) Zr^T with the R x R
-    Cov(b | s) = vecs diag(vals) vecs^T.
+    """Posterior covariance of the bias-removed scores, Cov(y | s) =
+    Zr Cov(b | s) Zr^T, kept as a recipe for draws of b - E[b | s]:
+
+        sd * z0 + coef * T L^-T z1,   z0, z1 standard normal,
+
+    with L the factor of the fit's reduced matrix (``factor``; None for a
+    zero-width part) and T the identity when reviewers were factored, or
+    the sum over each reviewer's papers when papers were (``paper_idx``
+    then holds the entries' papers).  ``sd`` None means no independent
+    part.
 
     ``np.asarray`` gives the dense n x n matrix, for small n only.
     """
 
-    vecs: np.ndarray
-    vals: np.ndarray
     reviewer_idx: np.ndarray
+    coef: np.ndarray
+    factor: _Bordered | None = None
+    sd: np.ndarray | None = None
+    paper_idx: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.reviewer_idx), len(self.reviewer_idx))
 
+    def _spread(self, x: np.ndarray) -> np.ndarray:
+        """coef * T x for rows x over the factored group: (rows, R)."""
+        if self.paper_idx is None:
+            return x * self.coef
+        rows, n_rev = len(x), len(self.coef)
+        keys = (np.arange(rows)[:, None] * n_rev + self.reviewer_idx).ravel()
+        sums = np.bincount(keys, weights=x[:, self.paper_idx].ravel(), minlength=rows * n_rev)
+        return sums.reshape(rows, n_rev) * self.coef
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws of b - E[b | s], one row each.  A row's standard
+        normals are drawn together, so rows do not depend on how the draws
+        are batched."""
+        n_rev = len(self.coef)
+        width = 0 if self.sd is None else n_rev
+        m = 0 if self.factor is None else self.factor.m
+        z = rng.standard_normal((size, width + m))
+        bias = np.zeros((size, n_rev)) if self.sd is None else z[:, :width] * self.sd
+        if self.factor is not None:
+            bias += self._spread(self.factor.solve_t(z[:, width:]))
+        return bias
+
     @property
     def bias_cov(self) -> np.ndarray:
         """Cov(b | s), R x R."""
-        return (self.vecs * self.vals) @ self.vecs.T
+        cov = np.diag(np.zeros(len(self.coef)) if self.sd is None else self.sd**2)
+        if self.factor is not None:
+            w = self._spread(self.factor.solve_t(np.eye(self.factor.m)))
+            cov += w.T @ w
+        return cov
 
     def __array__(self, dtype=None, copy=None):
         dense = self.bias_cov[np.ix_(self.reviewer_idx, self.reviewer_idx)]
@@ -356,19 +582,35 @@ class PosteriorCovariance:
 def posterior(inputs: CalibrationInputs, hp: Hyperparams) -> tuple[np.ndarray, PosteriorCovariance]:
     """Conditional Gaussian over the bias-removed scores y = s - b(reviewer).
 
-    With a = sb2_hat, M = V diag(lam) V^T and h from the reviewer-space
-    reduction,
+    With a = sb2_hat, c = se2_hat and the bordered factor at (a, c),
+    v = L^-T L[m, :m] is sqrt(g) (I + g Z^T O^-1 Z)^-1 u, so
 
-        mu_y       = s - (a V diag(1 / (1 + a lam)) h)[reviewer]
-        Cov(b | s) = sigma_q^2 a V diag(1 / (1 + a lam)) V^T
+        K^-1 r   = O^-1 (r - sqrt(g) Z v),   mu_y = s - Zr a Zr^T K^-1 r.
 
-    which is exact at a = 0 and positive semidefinite by construction.
+    Cov(b | s) / sigma_q^2 is a (L L^T)^-1 when reviewers are factored, and
+    diag(a c / (c + a m_r)) + a^2 Q (L L^T)^-1 Q^T when papers are, with
+    m_r the reviewer's entries and Q = Zr^T O^-1 Zp, 1 / (c + a m_r) where
+    reviewer r scored paper p.  Exact at a = 0.
     """
-    a = hp.sb2_hat
-    lam, vecs, h, _, _ = _ReviewerSpace(inputs).reduce(hp.se2_hat, inputs.s - hp.mu_q)
-    shrink = a / (1.0 + a * lam)
-    mu_y = inputs.s - (vecs @ (shrink * h))[inputs.reviewer_idx]
-    return mu_y, PosteriorCovariance(vecs, hp.sigma_q2 * shrink, inputs.reviewer_idx)
+    a, c, r = hp.sb2_hat, hp.se2_hat, inputs.s - hp.mu_q
+    model = _Model(inputs)
+    g, _, w = model.ratios(a, c)
+    fac, _ = model.factor(a, c, r)
+    v = fac.solve_t(fac.border[None])[0]
+    k_inv_r = model.o_inv(r - np.sqrt(g) * v[model.group], w, c)
+    n_rev = len(inputs.reviewer_ids)
+    bias = a * np.bincount(inputs.reviewer_idx, weights=k_inv_r, minlength=n_rev)
+    mu_y = inputs.s - bias[inputs.reviewer_idx]
+    sq = np.sqrt(hp.sigma_q2)
+    if model.on_reviewers:
+        sigma_y = PosteriorCovariance(inputs.reviewer_idx, np.full(n_rev, sq * np.sqrt(a)), fac)
+    else:
+        load = np.bincount(inputs.reviewer_idx, minlength=n_rev)
+        sigma_y = PosteriorCovariance(
+            inputs.reviewer_idx, sq * a / (c + a * load), fac,
+            sd=sq * np.sqrt(a * c / (c + a * load)), paper_idx=inputs.paper_idx,
+        )
+    return mu_y, sigma_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,41 +624,61 @@ class Calibration:
     summary: dict
 
 
-def calibrate(inputs: CalibrationInputs, grid: GridSpec = GridSpec()) -> Calibration:
-    """Fit on ``grid``, remove each reviewer's posterior mean bias, and
-    average per paper with the confidence weights, normalized.
+def calibrate(
+    inputs: CalibrationInputs, grid: GridSpec = GridSpec(), role: str = "reviewer"
+) -> Calibration:
+    """Fit in the box of ``grid``, remove each reviewer's posterior mean
+    bias, and average per paper with the confidence weights, normalized.
+
+    The fit starts at the moment estimate, clipped into the box, and runs
+    the Nelder-Mead search on the exact profile NLL.  The summary gives
+    the fitted variances, the moment estimate, every evaluated point in
+    evaluation order (``grid``), their number, whether the search stopped
+    on its budget, and whether the optimum lies on the box's edge.
 
     When no reviewer covers two papers, or every score is equal, nothing
     is fitted: the scores pass through (mu_y = s, a zero-width posterior)
     with one :class:`UnidentifiableModelWarning` naming the cause, and the
-    summary's ``hyperparams`` and ``argmin_on_grid_edge`` are None.
+    summary's ``hyperparams``, ``moment_estimate`` and
+    ``argmin_on_grid_edge`` are None.  ``role`` names the reviewers in
+    that warning.
     """
     identifiable = bias_identifiable(inputs.reviewer_idx)
     causes = []
     if np.all(inputs.s == inputs.s[0]):
         causes.append(f"every score equals {float(inputs.s[0])!r}")
     if not identifiable:
-        causes.append("every reviewer covers a single paper")
+        causes.append(f"every {role} covers a single paper")
     summary = {
-        "identifiable": identifiable, "argmin_on_grid_edge": None, "hyperparams": None, "grid": [],
+        "identifiable": identifiable, "argmin_on_grid_edge": None, "hyperparams": None,
+        "moment_estimate": None, "evaluations": 0, "stopped_on_budget": False, "grid": [],
     }
     if causes:
         warnings.warn(
-            f"{' and '.join(causes)}: the data cannot pin down reviewer bias, "
+            f"{' and '.join(causes)}: the data cannot pin down {role} bias, "
             "so the scores pass through uncalibrated",
             UnidentifiableModelWarning,
             stacklevel=2,
         )
         mu_y = inputs.s
-        no_bias = np.zeros((len(inputs.reviewer_ids), 0))
-        sigma_y = PosteriorCovariance(no_bias, np.zeros(0), inputs.reviewer_idx)
+        sigma_y = PosteriorCovariance(inputs.reviewer_idx, np.zeros(len(inputs.reviewer_ids)))
     else:
-        hp = fit_hyperparams(inputs, grid)
+        moments = _moment_estimate(inputs)
+        # a moment variance can come out negative; the start takes at least
+        # 5% of the score variance for each (of 1e-9 to 10%, the fewest
+        # evaluations on planted instances)
+        q2, b2, e2 = np.maximum(moments, 0.05 * float(np.var(inputs.s)))
+        fit = _Model(inputs)
+        on_budget = _search(fit, (b2 / q2, e2 / q2), grid)
+        hp = fit.best()
         mu_y, sigma_y = posterior(inputs, hp)
         edges = (grid.lo, grid.hi)
         summary.update(
             argmin_on_grid_edge=hp.sb2_hat in edges or hp.se2_hat in edges,
             hyperparams={k: getattr(hp, k) for k in ("mu_q", "sigma_q2", "sigma_b2", "sigma_e2")},
+            moment_estimate=dict(zip(("sigma_q2", "sigma_b2", "sigma_e2"), map(float, moments))),
+            evaluations=len(fit.values),
+            stopped_on_budget=on_budget,
             grid=list(hp.grid),
         )
     scores = weighted_paper_mean(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)
@@ -455,21 +717,20 @@ def acceptance_probability(
     """Sample posterior score vectors, rank each sampled conference, and
     count how often each paper lands in the accepted top slice.
 
-    Samples are taken SAMPLE_BLOCK at a time.  A sample's bias draw is one
-    row of R' standard normals, scaled by sqrt(vals) and mapped to the R
-    reviewers by vecs^T, so the draws do not depend on the block size.
-    The per-paper aggregates follow directly; no array grows with
-    n_samples, and none exceeds SAMPLE_BLOCK x max(n, R).  Each sample
-    accepts exactly k = floor(a% of P) papers: every paper above its k-th
-    best aggregate, then the papers tied with that value in lexicographic
-    id order.  So the probability column sums to k exactly.  Deterministic
+    Samples are taken SAMPLE_BLOCK at a time, each one row of
+    ``sigma_y.draw``, so the draws do not depend on the block size.  The
+    per-paper aggregates follow directly; no array grows with n_samples,
+    and none exceeds SAMPLE_BLOCK x max(n, R + P).  Each sample accepts
+    exactly k = floor(a% of P) papers: every paper above its k-th best
+    aggregate, then the papers tied with that value in lexicographic id
+    order.  So the probability column sums to k exactly.  Deterministic
     for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if len(mu_y) != inputs.n:
         raise ValueError("posterior dimensions do not match the inputs")
-    if len(sigma_y.vecs) != len(inputs.reviewer_ids) or not np.array_equal(
+    if len(sigma_y.coef) != len(inputs.reviewer_ids) or not np.array_equal(
         sigma_y.reviewer_idx, inputs.reviewer_idx
     ):
         raise ValueError("sigma_y is not the posterior of these inputs: its reviewers differ")
@@ -490,15 +751,13 @@ def acceptance_probability(
     entry_reviewer, entry_weight = inputs.reviewer_idx[order], weights[order]
     per_col = np.bincount(col, minlength=p)
     starts = np.cumsum(per_col) - per_col
-    scale = np.sqrt(sigma_y.vals)
 
     k = cfg.n_accept(p)
     counts = np.zeros(p, dtype=np.int64)
     rng = np.random.default_rng(seed)
     # with k = 0 nothing is accepted and no sample needs drawing
     for first in range(0, n_samples if k else 0, SAMPLE_BLOCK):
-        b = min(SAMPLE_BLOCK, n_samples - first)
-        bias = (rng.standard_normal((b, len(scale))) * scale) @ sigma_y.vecs.T
+        bias = sigma_y.draw(rng, min(SAMPLE_BLOCK, n_samples - first))
         agg = mean + np.add.reduceat(bias[:, entry_reviewer] * entry_weight, starts, axis=1)
         kth = np.partition(agg, p - k, axis=1)[:, p - k, None]
         above = agg > kth

@@ -36,7 +36,6 @@ CONFIG_KEYS = {
     "lambda": float,
     "grid_min": float,
     "grid_max": float,
-    "grid_points": int,
     "samples": int,
     "dequantize": lambda v: v.lower() in ("1", "true", "yes", "on"),
     "calibrate": lambda v: v.lower() in ("1", "true", "yes", "on"),
@@ -99,9 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, default=2.0, dest="lam")
     p.add_argument("--calibrate", action=argparse.BooleanOptionalAction, default=True,
                    help="fit the bias model (--no-calibrate skips it)")
-    p.add_argument("--grid-min", type=float, default=1e-2, dest="grid_min")
-    p.add_argument("--grid-max", type=float, default=1e2, dest="grid_max")
-    p.add_argument("--grid-points", type=int, default=13, dest="grid_points")
+    p.add_argument("--grid-min", type=float, default=1e-2, dest="grid_min",
+                   help="one bound of the box the variance ratios are searched in")
+    p.add_argument("--grid-max", type=float, default=1e2, dest="grid_max",
+                   help="the other bound of that box")
     p.add_argument("--samples", type=int, default=1000)
 
     return parser
@@ -203,7 +203,7 @@ def cmd_pipeline(args) -> int:
         dequantize=args.dequantize,
         calibrate=args.calibrate,
         dequant=DequantConfig(lam=args.lam),
-        grid=GridSpec(lo=args.grid_min, hi=args.grid_max, points=args.grid_points),
+        grid=GridSpec(lo=args.grid_min, hi=args.grid_max),
         decision=DecisionConfig(acceptance_rate=args.acceptance_rate),
         n_samples=args.samples,
         seed=args.seed,

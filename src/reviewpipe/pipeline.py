@@ -242,12 +242,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             metas = CalibrationInputs(
                 rows.xi, rows.meta_paper, rows.metareviewer, rows.paper_ids, rows.metareviewer_ids
             )
-            table.sR_cal, table.sM_cal = review.scores, calibrate(metas, cfg.grid).scores
+            meta = calibrate(metas, cfg.grid, role="meta-reviewer")
+            table.sR_cal, table.sM_cal = review.scores, meta.scores
             table.SI_cal = np.asarray(score_index(table.sR_cal, table.sM_cal))
             estimate = acceptance_probability(
                 review.mu_y, review.sigma_y, inputs, cfg.decision, cfg.n_samples, cfg.seed
             )
-            fit_summary = dict(review.summary, n_samples=cfg.n_samples, seed=cfg.seed)
+            fit_summary = dict(
+                review.summary, meta=meta.summary, n_samples=cfg.n_samples, seed=cfg.seed
+            )
             write("calibration_fit.json", _json_text(fit_summary))
 
     with _stage("rank"):

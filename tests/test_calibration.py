@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,8 +242,8 @@ class TestAggregateCalibrated:
     def test_zero_bias_matches_uncalibrated_pipeline(self, rng, monkeypatch):
         inputs, _, _ = planted_instance(rng, 30, 10, bias_sd=0.0, noise_sd=0.5)
         hp = Hyperparams(sigma_q2=1.0, sb2_hat=1e-300, se2_hat=0.5, mu_q=float(inputs.s.mean()))
-        # calibrate looks the fit up by its module-level name
-        monkeypatch.setattr(reviewpipe.calibration, "fit_hyperparams", lambda inputs, grid: hp)
+        # calibrate conditions on the point its search returns
+        monkeypatch.setattr(reviewpipe.calibration._Model, "best", lambda self: hp)
         cal = calibrate(inputs).scores
         from reviewpipe.scoring import normalize
 
@@ -311,13 +312,13 @@ class TestAcceptanceProbability:
         with pytest.raises(ValueError, match=r"review entry; none for \['P9999'\]"):
             acceptance_probability(mu_y, sigma_y, extended, DecisionConfig(40.0), 10, 0)
 
-    @pytest.mark.parametrize("mismatch", ["reviewer_idx", "vecs_rows"])
+    @pytest.mark.parametrize("mismatch", ["reviewer_idx", "reviewer_count"])
     def test_posterior_of_other_inputs_rejected(self, rng, mismatch):
         inputs, mu_y, sigma_y = self.make_inputs(rng)
         if mismatch == "reviewer_idx":
-            other = PosteriorCovariance(sigma_y.vecs, sigma_y.vals, np.roll(inputs.reviewer_idx, 1))
+            other = replace(sigma_y, reviewer_idx=np.roll(inputs.reviewer_idx, 1))
         else:
-            other = PosteriorCovariance(sigma_y.vecs[:-1], sigma_y.vals, inputs.reviewer_idx)
+            other = replace(sigma_y, coef=sigma_y.coef[:-1])
         with pytest.raises(ValueError, match="not the posterior of these inputs"):
             acceptance_probability(mu_y, other, inputs, DecisionConfig(40.0), 10, 0)
 
@@ -326,9 +327,7 @@ def argsort_counts(mu_y, sigma_y, inputs, k, n_samples, seed):
     """Reference sampler: all draws at once (a row per sample), per-paper
     aggregates entry by entry, and a stable argsort of each sample's
     negated aggregates over the papers in id order; its first k win."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, len(sigma_y.vals)))
-    bias = (z * np.sqrt(sigma_y.vals)) @ sigma_y.vecs.T
+    bias = sigma_y.draw(np.random.default_rng(seed), n_samples)
     p = inputs.n_papers
     den = np.bincount(inputs.paper_idx, weights=inputs.confidences, minlength=p)
     agg = np.zeros((n_samples, p))
@@ -364,7 +363,7 @@ class TestSelectionMatchesArgsortOracle:
     )
     def test_zero_width_posterior_with_ties(self, paper_ids, means, rate, k):
         inputs = self.tied_inputs(paper_ids, means)
-        zero = PosteriorCovariance(np.zeros((2, 0)), np.zeros(0), inputs.reviewer_idx)
+        zero = PosteriorCovariance(inputs.reviewer_idx, np.zeros(2))
         cfg = DecisionConfig(rate)
         assert cfg.n_accept(inputs.n_papers) == k
         est = acceptance_probability(inputs.s, zero, inputs, cfg, 300, seed=4)
@@ -416,7 +415,8 @@ class TestCalibrateMeta:
         assert np.array_equal(result.mu_y, xi)
         assert np.asarray(result.sigma_y).tolist() == np.zeros((3, 3)).tolist()
         assert result.summary == {
-            "identifiable": False, "argmin_on_grid_edge": None, "hyperparams": None, "grid": []
+            "identifiable": False, "argmin_on_grid_edge": None, "hyperparams": None,
+            "moment_estimate": None, "evaluations": 0, "stopped_on_budget": False, "grid": [],
         }
 
     def test_planted_offsets_recovered_in_sign(self, rng):
@@ -629,3 +629,153 @@ def test_sampler_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# The reduced evaluator: the blocked Cholesky, the papers-factored side, and
+# the search that calibrate runs on it.
+# ---------------------------------------------------------------------------
+
+
+class TestBlockedCholesky:
+    B = reviewpipe.calibration.CHOLESKY_BLOCK
+
+    @pytest.mark.parametrize("size", [B - 1, B, B + 1, 2 * B + 3])
+    def test_matches_numpy(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.normal(size=(size, size + 5))
+        mat = x @ x.T / size + np.eye(size)
+        ref = np.linalg.cholesky(mat)
+        fac = reviewpipe.calibration._Bordered(mat.copy())
+        m = size - 1
+        assert np.max(np.abs(fac.border - ref[m, :m])) <= 1e-12 * np.max(np.abs(ref))
+        assert fac.logdet == pytest.approx(np.linalg.slogdet(mat[:m, :m])[1], rel=1e-12)
+        v = mat[:m, m]
+        assert fac.quad == pytest.approx(mat[m, m] - v @ np.linalg.solve(mat[:m, :m], v), rel=1e-10)
+        rows = rng.normal(size=(3, m))
+        # rows L_A^-1 solves x L_A = rows
+        assert np.allclose(fac.solve_t(rows) @ ref[:m, :m], rows, atol=1e-10)
+
+    def test_not_positive_definite(self):
+        with pytest.raises(DegenerateModelError):
+            reviewpipe.calibration._Bordered(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def papers_factored_shapes(rng):
+    """Instances with fewer papers than reviewers, so papers are factored."""
+    yield planted_instance(rng, 30, 80)[0]
+    yield planted_instance(rng, 60, 150, reviews_per_paper=4)[0]
+    n = 120
+    pi, ri = random_labels(rng, n, 25, 90)  # ids without entries too
+    yield CalibrationInputs(
+        rng.normal(0, 2, n), pi, ri, [f"P{i}" for i in range(25)], [f"R{i}" for i in range(90)]
+    )
+
+
+class TestPapersFactoredMatchesDenseOracle:
+    GRID = TestStructuredMatchesDenseOracle.GRID
+    check = TestStructuredMatchesDenseOracle.check
+
+    def test_grid_posterior_and_covariance(self, rng):
+        for inputs in papers_factored_shapes(rng):
+            assert not reviewpipe.calibration._Model(inputs).on_reviewers
+            self.check(inputs)
+
+    def test_sampled_posterior_matches_argsort_oracle(self, rng, monkeypatch):
+        inputs = next(papers_factored_shapes(rng))
+        mu_y, sigma_y = posterior(inputs, fit_hyperparams(inputs, GridSpec(points=3)))
+        monkeypatch.setattr(reviewpipe.calibration, "SAMPLE_BLOCK", 7)
+        est = acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 300, seed=5)
+        assert np.array_equal(est.counts, argsort_counts(mu_y, sigma_y, inputs, 12, 300, seed=5))
+        # the draws' covariance is the posterior's
+        draws = sigma_y.draw(np.random.default_rng(1), 20000)
+        cov = sigma_y.bias_cov
+        assert np.max(np.abs(np.cov(draws.T) - cov)) <= 0.05 * np.max(np.diag(cov))
+
+
+def corpus_like(rng, n_papers, n_reviewers):
+    """The benchmark corpus model: unit paper quality, bias and noise SD
+    0.4, scores rounded to halves."""
+    inputs, _, _ = planted_instance(rng, n_papers, n_reviewers, bias_sd=0.4, noise_sd=0.4)
+    inputs.s = np.round(2 * inputs.s) / 2
+    return inputs
+
+
+class TestSearch:
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize("shape", [(200, 145), (60, 150)])
+    def test_no_worse_than_grid_argmin(self, seed, shape):
+        inputs = corpus_like(np.random.default_rng(seed), *shape)
+        grid_best = min(row["nll"] for row in fit_hyperparams(inputs, GridSpec()).grid)
+        summary = calibrate(inputs).summary
+        fitted = min(row["nll"] for row in summary["grid"])
+        assert fitted <= grid_best
+        assert not summary["stopped_on_budget"]
+        assert summary["evaluations"] == len(summary["grid"]) <= 60
+
+    def test_descending_box_is_the_same_box(self, rng):
+        inputs = corpus_like(rng, 40, 20)
+        up, down = calibrate(inputs, GridSpec(1e-2, 1e2)), calibrate(inputs, GridSpec(1e2, 1e-2))
+        assert up.summary == down.summary
+        assert np.array_equal(up.mu_y, down.mu_y)
+
+    def test_stop_on_budget_is_reported(self, rng, monkeypatch):
+        inputs = corpus_like(rng, 40, 20)
+        monkeypatch.setattr(reviewpipe.calibration, "SEARCH_BUDGET", 5)
+        summary = calibrate(inputs).summary
+        assert summary["stopped_on_budget"] is True
+        assert summary["evaluations"] == 5
+
+    def test_optimum_on_box_edge_is_flagged(self, rng):
+        # no bias planted: the bias ratio runs to the box's lower edge
+        inputs, _, _ = planted_instance(rng, 80, 20, bias_sd=0.0, noise_sd=1.0)
+        summary = calibrate(inputs, GridSpec(0.5, 20.0)).summary
+        assert summary["argmin_on_grid_edge"] is True
+        best = min(summary["grid"], key=lambda row: row["nll"])
+        assert best["sb2_hat"] == 0.5
+
+
+def lstsq_moments(inputs):
+    """The Gao-Owen moment system by pair sums, each row divided by its
+    pair count, solved by least squares for the min-norm solution."""
+    s = inputs.s
+
+    def pairs(idx):
+        count = np.bincount(idx)
+        mean = np.bincount(idx, weights=s) / np.maximum(count, 1)
+        return 0.5 * np.sum(count[idx] * (s - mean[idx]) ** 2), np.sum(count * (count - 1)) / 2
+
+    (u_p, n_p), (u_r, n_r) = pairs(inputs.paper_idx), pairs(inputs.reviewer_idx)
+    u_a, n_a = pairs(np.zeros(inputs.n, dtype=int))
+    system = np.array([[0, n_p, n_p], [n_r, 0, n_r], [n_a - n_p, n_a - n_r, n_a]], dtype=float)
+    scale = np.maximum([n_p, n_r, n_a], 1)
+    return np.linalg.lstsq(system / scale[:, None], np.array([u_p, u_r, u_a]) / scale, rcond=None)[0]
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_moment_estimate_is_the_min_norm_solution(seed):
+    rng = np.random.default_rng(seed)
+    one_reviewer = CalibrationInputs(rng.normal(0, 1, 5), np.arange(5), np.zeros(5), list("abcde"), ["x"])
+    for inputs in (corpus_like(rng, 50, 30), corpus_like(rng, 20, 60), meta_shape(rng), one_reviewer):
+        got, ref = reviewpipe.calibration._moment_estimate(inputs), lstsq_moments(inputs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestMetaShapeRidge:
+    """One entry per paper: q and the noise add up, so only a / (1 + c)
+    is identified and the likelihood is flat along it."""
+
+    def test_min_norm_moments_and_flat_ridge(self, rng):
+        inputs = meta_shape(rng)
+        moments = calibrate(inputs).summary["moment_estimate"]
+        # no pair shares a paper: the min-norm solution splits the paper
+        # and noise variances evenly
+        assert moments["sigma_q2"] == pytest.approx(moments["sigma_e2"], rel=1e-9)
+        fit = reviewpipe.calibration._Model(inputs)
+        a, c = 0.3, 0.5
+        a2, c2 = a * (1 + 2.0) / (1 + c), 2.0
+        assert fit(a, c) == pytest.approx(fit(a2, c2), rel=1e-12)
+        rows = {(row["sb2_hat"], row["se2_hat"]): row["sigma_q2"] for row in fit.rows}
+        mu_1, _ = posterior(inputs, Hyperparams(rows[(a, c)], a, c, fit.mu_q))
+        mu_2, _ = posterior(inputs, Hyperparams(rows[(a2, c2)], a2, c2, fit.mu_q))
+        assert np.max(np.abs(mu_1 - mu_2)) <= 1e-10

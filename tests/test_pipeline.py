@@ -302,24 +302,34 @@ class TestRunPipeline:
     def test_fit_summary_flags(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=30, n_reviewers=12)
         summaries = {}
-        for points in (1, 5):
+        for name, grid in (("point", GridSpec(0.5, 0.5)), ("box", GridSpec())):
             cfg = PipelineConfig(
                 reviews_path=str(rpath),
                 meta_path=str(mpath),
-                out_dir=str(tmp_path / f"out{points}"),
+                out_dir=str(tmp_path / name),
                 calibrate=True,
-                grid=GridSpec(points=points),
+                grid=grid,
                 n_samples=20,
             )
-            summaries[points] = run_pipeline(cfg).fit_summary
-        # a one-point grid is all edge
-        assert summaries[1]["argmin_on_grid_edge"] is True
-        summary = summaries[5]
-        assert summary["identifiable"] is True
-        best = min(summary["grid"], key=lambda row: row["nll"])
-        edges = {GridSpec().lo, GridSpec().hi}
-        on_edge = best["sb2_hat"] in edges or best["se2_hat"] in edges
-        assert summary["argmin_on_grid_edge"] is on_edge
+            summaries[name] = run_pipeline(cfg).fit_summary
+            written = json.loads((tmp_path / name / "calibration_fit.json").read_text())
+            assert written == json.loads(json.dumps(summaries[name]))
+        # a one-point box is all edge, and its one point is evaluated once
+        for summary in (summaries["point"], summaries["point"]["meta"]):
+            assert summary["argmin_on_grid_edge"] is True
+            assert summary["evaluations"] == 1
+            assert [(row["sb2_hat"], row["se2_hat"]) for row in summary["grid"]] == [(0.5, 0.5)]
+        for summary in (summaries["box"], summaries["box"]["meta"]):
+            assert summary["identifiable"] is True
+            assert summary["stopped_on_budget"] is False
+            assert len(summary["grid"]) <= summary["evaluations"] <= 60
+            assert set(summary["moment_estimate"]) == {"sigma_q2", "sigma_b2", "sigma_e2"}
+            best = min(summary["grid"], key=lambda row: row["nll"])
+            hp = summary["hyperparams"]
+            assert hp["sigma_b2"] == best["sb2_hat"] * best["sigma_q2"]
+            edges = {GridSpec().lo, GridSpec().hi}
+            on_edge = best["sb2_hat"] in edges or best["se2_hat"] in edges
+            assert summary["argmin_on_grid_edge"] is on_edge
 
 
     def test_review_score_runs_once_per_review(self, tmp_path, rng, monkeypatch):
@@ -457,17 +467,21 @@ class TestRunPipeline:
             grid=GridSpec(points=3),
             n_samples=50,
         )
-        cause = "every reviewer covers a single paper" if case == "one_paper_each" else "every score equals"
+        who = "reviewer" if side == "reviews" else "meta-reviewer"
+        cause = f"every {who} covers a single paper" if case == "one_paper_each" else "every score equals"
         with pytest.warns(UnidentifiableModelWarning, match=cause) as caught:
             result = run_pipeline(cfg)
         assert sum(w.category is UnidentifiableModelWarning for w in caught) == 1
         table = result.table
+        written = json.loads((out / "calibration_fit.json").read_text())
+        passed = written if side == "reviews" else written["meta"]
+        assert passed["hyperparams"] is None and passed["moment_estimate"] is None
+        assert passed["grid"] == [] and passed["argmin_on_grid_edge"] is None
+        assert passed["evaluations"] == 0
+        assert passed["identifiable"] is (case == "all_equal")
         if side == "reviews":
             assert np.array_equal(table.sR_cal, normalize(table.s_p))
-            written = json.loads((out / "calibration_fit.json").read_text())
-            assert written["hyperparams"] is None
-            assert written["grid"] == [] and written["argmin_on_grid_edge"] is None
-            assert written["identifiable"] is (case == "all_equal")
+            assert written["meta"]["hyperparams"] is not None
             with (out / "acceptance_probability.csv").open(encoding="utf-8") as fh:
                 rows = [line for line in csv.reader(fh) if not line[0].startswith("#")]
             probabilities = {float(row[1]) for row in rows[1:]}
@@ -604,6 +618,72 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "out" / "calibration_fit.json").exists()
 
 
+def _float_cells(path):
+    """The cells of a CSV artifact, numbers as floats."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with path.open(encoding="utf-8") as fh:
+        return [[cell(c) for c in row] for row in csv.reader(fh) if not row[0].startswith("#")]
+
+
+def _assert_close(a, b, tol=1e-12):
+    """Equal structure and strings; floats within tol, relative above 1."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_close(a[key], b[key], tol)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_close(x, y, tol)
+    elif isinstance(a, float) and not isinstance(b, str):
+        assert abs(a - b) <= tol * max(1.0, abs(a)), (a, b)
+    else:
+        assert a == b
+
+
+def test_results_do_not_depend_on_blas_threads(tmp_path):
+    # a calibrated run under one and under two BLAS threads: the same
+    # decisions and acceptance counts, every float within 1e-12.  With
+    # fewer papers than reviewers the papers are factored, in two blocks.
+    rpath, mpath = write_corpus(tmp_path, np.random.default_rng(7), n_papers=400, n_reviewers=570)
+    code = (
+        "import sys\n"
+        "from reviewpipe import PipelineConfig, run_pipeline\n"
+        "run_pipeline(PipelineConfig(reviews_path=sys.argv[1], meta_path=sys.argv[2],"
+        " out_dir=sys.argv[3], dequantize=True, calibrate=True))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = {}
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        )
+        outs[threads] = tmp_path / f"out{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(rpath), str(mpath), str(outs[threads])],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    one, two = outs["1"], outs["2"]
+    for name in (
+        "decisions.csv", "decisions_calibrated.csv", "acceptance_probability.csv",
+        "score_table.csv", "calibrated_score_histogram.csv",
+    ):
+        _assert_close(_float_cells(one / name), _float_cells(two / name))
+    for name in ("score_table.json", "calibration_fit.json", "gray_area.json"):
+        _assert_close(json.loads((one / name).read_text()), json.loads((two / name).read_text()))
+
+
 class TestWriteAtomic:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "sub" / "x.txt"
@@ -636,7 +716,6 @@ class TestCli:
                 "--input", str(rpath),
                 "--meta", str(mpath),
                 "--out", str(tmp_path / "o"),
-                "--grid-points", "3",
                 "--samples", "50",
                 "--acceptance-rate", "40",
             ]
