@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import DecisionConfig, normalize, paper_pairs, weighted_paper_mean
+from .scoring import DecisionConfig, id_rank, normalize, paper_pairs, weighted_paper_mean
 
 __all__ = [
     "CalibrationInputs",
@@ -109,6 +109,8 @@ class CalibrationInputs:
             raise ValueError("labels must align with the score vector")
         if n < 2:
             raise ValueError("calibration needs at least two stacked scores")
+        if not np.isfinite(self.s).all():
+            raise ValueError("s: every score must be finite")
         for idx, ids, what in (
             (self.paper_idx, self.paper_ids, "paper"),
             (self.reviewer_idx, self.reviewer_ids, "reviewer"),
@@ -123,10 +125,10 @@ class CalibrationInputs:
                 for k in keys[counts > 1]
             ]
             raise ValueError(f"duplicate (paper, reviewer) pairs: {pairs}")
-        if self.confidences is None:
-            self.confidences = np.ones(n)
-        else:
-            self.confidences = np.asarray(self.confidences, dtype=float)
+        c = np.ones(n) if self.confidences is None else np.asarray(self.confidences, dtype=float)
+        if c.shape != (n,) or not (np.isfinite(c) & (c > 0)).all():
+            raise ValueError("confidences: need one finite positive value per score")
+        self.confidences = c
 
     @property
     def n(self) -> int:
@@ -742,9 +744,7 @@ def acceptance_probability(
     weights = inputs.confidences / den[inputs.paper_idx]
     # columns are papers in id order, so that tied papers are taken left
     # to right; entries are grouped by column for the per-paper sums
-    by_id = np.argsort(inputs.paper_ids, kind="stable")
-    col_of = np.empty(p, dtype=int)
-    col_of[by_id] = np.arange(p)
+    col_of = id_rank(inputs.paper_ids)
     col = col_of[inputs.paper_idx]
     mean = np.bincount(col, weights=weights * mu_y, minlength=p)
     order = np.argsort(col, kind="stable")

@@ -5,7 +5,10 @@ Subcommands: validate, assign, dequantize, pipeline.  ``pipeline`` takes
 lines (same keys as the long flag names, without dashes) can be passed
 with ``--config``; values from the file override the flags, so a
 checked-in config wins over ad-hoc command lines.  A key the subcommand
-has no option for is an error.  Bad input, a missing or unreadable file
+has no option for is an error.  ``assign`` reads its CSV files under the
+review exports' header rules: an unknown, missing or repeated column, a
+row with non-empty fields beyond the header, an empty required field or
+a repeated key is bad input.  Bad input, a missing or unreadable file
 included, ends the command with a one-line message on stderr and exit
 status 2.  Every ``ValueError`` and ``OSError`` is reported that way, one
 raised by an internal consistency check included, so such a message can
@@ -15,15 +18,15 @@ also point at a bug.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from .assignment import AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
-from .pipeline import PipelineConfig, PipelineStageError, _json_text, run_pipeline, write_atomic
-from .records import _csv_text, read_exports
+from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
+from .records import CONFLICT_SCHEMA, SIMILARITY_SCHEMA, TAG_SCHEMA, read_exports, read_keyed_csv
+from .records import _csv_text, _json_text
 from .scoring import DecisionConfig, exports_table
 
 CONFIG_KEYS = {
@@ -127,44 +130,23 @@ def cmd_validate(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    sources: dict[tuple[str, str], SimilaritySources] = {}
-    papers, reviewers, repeated = set(), set(), set()
-    with open(args.similarities, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            r, p = row["reviewer_id"], row["paper_id"]
-            if (r, p) in sources:
-                repeated.add((r, p))
-            papers.add(p)
-            reviewers.add(r)
-            tpms = row.get("tpms", "")
-            sources[(r, p)] = SimilaritySources(
-                bid=float(row["bid"]),
-                subject=float(row["subject_relevance"]),
-                tpms=float(tpms) if tpms not in ("", None) else None,
-            )
-    if repeated:
-        named = ", ".join(f"({r}, {p})" for r, p in sorted(repeated))
-        raise ValueError(f"{args.similarities}: repeated (reviewer, paper) rows: {named}")
+    similarities = read_keyed_csv(args.similarities, SIMILARITY_SCHEMA)
+    sources = {  # an empty or absent tpms field reads "" or None: no score
+        key: SimilaritySources(float(bid), float(subject), float(tpms) if tpms else None)
+        for key, (bid, subject, tpms) in similarities.items()
+    }
     tags = {}
     if args.tags:
-        repeated = set()
-        with open(args.tags, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                if row["reviewer_id"] in tags:
-                    repeated.add(row["reviewer_id"])
-                tags[row["reviewer_id"]] = row["tag"]
-        if repeated:
-            raise ValueError(f"{args.tags}: repeated reviewer rows: {', '.join(sorted(repeated))}")
-    conflicts = set()
-    if args.conflicts:
-        with open(args.conflicts, newline="", encoding="utf-8") as fh:
-            conflicts = {(row["reviewer_id"], row["paper_id"]) for row in csv.DictReader(fh)}
+        tags = {r: tag for (r,), (tag,) in read_keyed_csv(args.tags, TAG_SCHEMA).items()}
+    conflicts = read_keyed_csv(args.conflicts, CONFLICT_SCHEMA) if args.conflicts else {}
     constraints = AssignmentConstraints(
         min_reviewers_per_paper=args.min_reviewers,
         max_papers_per_reviewer=args.max_papers,
         conflicts=frozenset(conflicts),
     )
-    result = assign(sorted(papers), sorted(reviewers), sources, constraints, tags)
+    papers = sorted({p for _, p in sources})
+    reviewers = sorted({r for r, _ in sources})
+    result = assign(papers, reviewers, sources, constraints, tags)
     write_atomic(
         Path(args.out) / "assignment.csv",
         _csv_text(["reviewer_id", "paper_id"], sorted(result.pairs)),

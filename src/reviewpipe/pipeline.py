@@ -12,7 +12,6 @@ byte-identical across runs with the same config and seed.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -24,7 +23,7 @@ import numpy as np
 from .calibration import CalibrationInputs, GridSpec, acceptance_probability, calibrate
 from .dequant import DequantConfig, dequantize_rows
 from .plots import histogram_artifact, scatter_artifact
-from .records import read_exports
+from .records import _json_text, read_exports
 from .scoring import (
     DecisionConfig,
     DecisionList,
@@ -127,11 +126,6 @@ def write_atomic(path, text: str) -> str:
             os.unlink(tmp)
         raise
     return str(path)
-
-
-def _json_text(obj) -> str:
-    """The artifact form of JSON: indented, keys sorted, newline-ended."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def gray_area(raw: DecisionList, calibrated: DecisionList) -> GrayAreaReport:

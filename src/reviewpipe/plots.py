@@ -8,10 +8,11 @@ header comments.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .records import _csv_text
 
 __all__ = ["histogram_artifact", "scatter_artifact", "PlotArtifact"]
 
@@ -66,13 +67,11 @@ def histogram_artifact(
     """Histogram as CSV bin table plus SVG bars."""
     values = np.asarray(values, dtype=float)
     counts, edges = np.histogram(values, bins=bins)
-    buf = io.StringIO()
-    buf.write(f"# {title}\n")
-    buf.write(f"# x axis: {xlabel}; bins: {bins} equal-width over "
-              f"[{float(edges[0])!r}, {float(edges[-1])!r}]\n")
-    buf.write("bin_left,bin_right,count\n")
-    for i, c in enumerate(counts):
-        buf.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}\n")
+    bounds = edges.tolist()
+    csv_text = (
+        f"# {title}\n# x axis: {xlabel}; bins: {bins} equal-width over "
+        f"[{bounds[0]!r}, {bounds[-1]!r}]\n"
+    ) + _csv_text(["bin_left", "bin_right", "count"], zip(bounds, bounds[1:], counts.tolist()))
 
     xlo, xhi = _axis(float(edges[0]), float(edges[-1]))
     ylo, yhi = 0.0, max(float(counts.max()), 1.0)
@@ -87,7 +86,7 @@ def histogram_artifact(
             f'fill="steelblue" stroke="white" stroke-width="0.5"/>'
         )
     svg = _svg_frame(title, xlabel, "count", body)
-    return PlotArtifact(csv_text=buf.getvalue(), svg_text=svg)
+    return PlotArtifact(csv_text=csv_text, svg_text=svg)
 
 
 def scatter_artifact(
@@ -102,12 +101,9 @@ def scatter_artifact(
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("x and y must align")
-    buf = io.StringIO()
-    buf.write(f"# {title}\n")
-    buf.write(f"# x axis: {xlabel}; y axis: {ylabel}\n")
-    buf.write(f"{_slug(xlabel)},{_slug(ylabel)}\n")
-    for xi, yi in zip(x, y):
-        buf.write(f"{float(xi)!r},{float(yi)!r}\n")
+    csv_text = f"# {title}\n# x axis: {xlabel}; y axis: {ylabel}\n" + _csv_text(
+        [_slug(xlabel), _slug(ylabel)], zip(x.tolist(), y.tolist())
+    )
 
     xlo, xhi = _axis(float(x.min()), float(x.max()))
     ylo, yhi = _axis(float(y.min()), float(y.max()))
@@ -117,7 +113,7 @@ def scatter_artifact(
         for xi, yi in zip(x, y)
     ]
     svg = _svg_frame(title, xlabel, ylabel, body)
-    return PlotArtifact(csv_text=buf.getvalue(), svg_text=svg)
+    return PlotArtifact(csv_text=csv_text, svg_text=svg)
 
 
 def _slug(label: str) -> str:

@@ -7,7 +7,9 @@ one accepted row or one rejection entry in the :class:`ValidationReport`;
 nothing is dropped silently.  Each distinct label tuple of an export is
 checked once, by building one form.  CSV rows are read from the open file
 one at a time and held only while they are checked; each distinct id is
-stored once however many rows carry it.
+stored once however many rows carry it.  :func:`read_keyed_csv` reads the
+other CSV inputs (similarities, tags, conflicts) under the same header
+and row rules, but aborts on a bad row instead of rejecting it.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -35,6 +37,8 @@ __all__ = [
     "LoadResult",
     "encode_likert",
     "likert_labels",
+    "CsvSchema",
+    "read_keyed_csv",
     "read_exports",
     "load_reviews",
     "validate",
@@ -48,79 +52,69 @@ class UnknownLabelError(ValueError):
     """A label does not belong to the requested Likert scale."""
 
 
+# Each Likert scale maps its labels' canonical spellings, the ones exports
+# write, to their weights, in descending order.
+
 # Overall recommendation: symmetric 7-point scale, used by reviewers and
 # meta-reviewers alike.
 RECOMMENDATION_WEIGHTS = {
-    "strong accept": 3,
-    "accept": 2,
-    "weak accept": 1,
-    "borderline": 0,
-    "weak reject": -1,
-    "reject": -2,
-    "strong reject": -3,
+    "Strong Accept": 3, "Accept": 2, "Weak Accept": 1, "Borderline": 0,
+    "Weak Reject": -1, "Reject": -2, "Strong Reject": -3,
 }
 
 # Quality criteria C1..C4 (relevance, technical quality, novelty,
 # presentation): symmetric 5-point scale in 0.5 steps.
-CRITERION_WEIGHTS = {
-    "excellent": 1.0,
-    "very good": 0.5,
-    "good": 0.0,
-    "fair": -0.5,
-    "poor": -1.0,
-}
+CRITERION_WEIGHTS = {"Excellent": 1.0, "Very good": 0.5, "Good": 0.0, "Fair": -0.5, "Poor": -1.0}
 
 # Reviewer confidence: multiplicative weight used at aggregation only.
-CONFIDENCE_WEIGHTS = {
-    "excellent": 1.2,
-    "very good": 1.1,
-    "good": 1.0,
-    "fair": 0.9,
-    "poor": 0.8,
-}
+CONFIDENCE_WEIGHTS = {"Excellent": 1.2, "Very good": 1.1, "Good": 1.0, "Fair": 0.9, "Poor": 0.8}
 
-_SCALES = {
+_WEIGHTS = {
     "recommendation": RECOMMENDATION_WEIGHTS,
     "criterion": CRITERION_WEIGHTS,
     "confidence": CONFIDENCE_WEIGHTS,
 }
 
-# Canonical capitalization for exports.
-_CANONICAL = {
-    "strong accept": "Strong Accept",
-    "accept": "Accept",
-    "weak accept": "Weak Accept",
-    "borderline": "Borderline",
-    "weak reject": "Weak Reject",
-    "reject": "Reject",
-    "strong reject": "Strong Reject",
-    "excellent": "Excellent",
-    "very good": "Very good",
-    "good": "Good",
-    "fair": "Fair",
-    "poor": "Poor",
-}
-
-REVIEW_CSV_HEADER = [
-    "paper_id",
-    "reviewer_id",
-    "recommendation",
-    "c1",
-    "c2",
-    "c3",
-    "c4",
-    "confidence",
-    "award",
-    "comments",
-]
-
-META_CSV_HEADER = ["paper_id", "metareviewer_id", "recommendation"]
-
-DUPLICATE_PAIR = "duplicate (reviewer, paper) pair"
-
 
 def _norm_label(label: str) -> str:
     return " ".join(label.strip().split()).lower()
+
+
+# each scale keyed by normalized label, and each label's canonical spelling
+_SCALES = {scale: {_norm_label(k): w for k, w in t.items()} for scale, t in _WEIGHTS.items()}
+_CANONICAL = {_norm_label(label): label for table in _WEIGHTS.values() for label in table}
+
+
+@dataclass(frozen=True)
+class CsvSchema:
+    """The columns of one kind of CSV input file: ``required`` ones, which
+    the header must name and each row fill, then ``optional`` ones, which
+    may be absent or empty.  The first ``key`` columns identify a row; with
+    ``unique`` set, no two rows may share them."""
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    key: int = 0
+    unique: bool = True
+
+    @property
+    def columns(self) -> list[str]:
+        return [*self.required, *self.optional]
+
+
+REVIEW_SCHEMA = CsvSchema(
+    ("paper_id", "reviewer_id", "recommendation", "c1", "c2", "c3", "c4"),
+    ("confidence", "award", "comments"),
+)
+META_SCHEMA = CsvSchema(("paper_id", "metareviewer_id", "recommendation"))
+REVIEW_CSV_HEADER = REVIEW_SCHEMA.columns
+META_CSV_HEADER = META_SCHEMA.columns
+# the inputs of ``reviewpipe assign``; repeated conflict rows are harmless
+SIMILARITY_SCHEMA = CsvSchema(("reviewer_id", "paper_id", "bid", "subject_relevance"), ("tpms",), key=2)
+TAG_SCHEMA = CsvSchema(("reviewer_id", "tag"), key=1)
+CONFLICT_SCHEMA = CsvSchema(("reviewer_id", "paper_id"), key=2, unique=False)
+
+DUPLICATE_PAIR = "duplicate (reviewer, paper) pair"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -145,8 +139,7 @@ def encode_likert(label: str, scale: str) -> float:
 
 def likert_labels(scale: str) -> list[str]:
     """Canonical labels of a scale, in descending weight order."""
-    table = _SCALES[scale]
-    return [_CANONICAL[k] for k in table]
+    return list(_WEIGHTS[scale])
 
 
 @dataclass(frozen=True)
@@ -266,11 +259,11 @@ class LoadResult:
     report: ValidationReport
 
 
-def _check_header(header, expected, path):
+def _check_header(header, schema: CsvSchema, path):
     if header is None:
         raise ValueError(f"{path}: empty file, header required")
-    unknown = [c for c in header if c not in expected]
-    missing = [c for c in expected if c not in header and c not in ("award", "confidence", "comments")]
+    unknown = [c for c in header if c not in schema.columns]
+    missing = [c for c in schema.required if c not in header]
     repeated = sorted(c for c, n in Counter(header).items() if n > 1)
     if unknown:
         raise ValueError(f"{path}: unknown column(s) {unknown}")
@@ -280,9 +273,9 @@ def _check_header(header, expected, path):
         raise ValueError(f"{path}: repeated column(s) {repeated}")
 
 
-def _csv_rows(path, schema: list[str]):
-    """Each row of a CSV export, blank lines skipped, as (values, raw,
-    overlong): the row's values in ``schema`` order, ``None`` where short
+def _csv_rows(path, schema: CsvSchema):
+    """Each row of a CSV file, blank lines skipped, as (values, raw,
+    overlong): the row's values in schema column order, ``None`` where short
     or absent; ``raw()``, the row as the report shows it; and why the row
     is rejected if it has non-empty fields beyond the header, else
     ``None``.  The file stays open until the last row is drawn."""
@@ -291,8 +284,8 @@ def _csv_rows(path, schema: list[str]):
         header = next(reader, None)
         _check_header(header, schema, path)
         n = len(header)
-        columns = header + [c for c in schema if c not in header]
-        pick = operator.itemgetter(*map(columns.index, schema))
+        columns = header + [c for c in schema.columns if c not in header]
+        pick = operator.itemgetter(*map(columns.index, schema.columns))
         pad = [None] * len(columns)
         for row in reader:
             if row:
@@ -308,6 +301,33 @@ def _csv_raw(header: list[str], row: list[str]) -> dict:
     if len(row) > n:
         out["extra_fields"] = row[n:]
     return out
+
+
+def read_keyed_csv(path, schema: CsvSchema) -> dict[tuple, tuple]:
+    """The rows of a CSV input file as {key columns: other columns}, in
+    file order; an empty optional field reads ``None`` or ``""``.  Aborts
+    with ``ValueError`` naming the file on a bad header, a row with
+    non-empty fields beyond the header, an empty required field and, if
+    the schema's keys are unique, on repeated keys, naming every repeat."""
+    rows: dict[tuple, tuple] = {}
+    repeated = set()
+    for values, raw, overlong in _csv_rows(path, schema):
+        reason = overlong or _missing(values, schema.required)
+        if reason is not None:
+            raise ValueError(f"{path}: {reason}: {raw()}")
+        key = values[: schema.key]
+        if key in rows and schema.unique:
+            repeated.add(key)
+        rows[key] = values[schema.key :]
+    if repeated:
+        what = _show_key([c.removesuffix("_id") for c in schema.required[: schema.key]])
+        named = ", ".join(map(_show_key, sorted(repeated)))
+        raise ValueError(f"{path}: repeated {what} rows: {named}")
+    return rows
+
+
+def _show_key(ids) -> str:
+    return ids[0] if len(ids) == 1 else f"({', '.join(ids)})"
 
 
 def _json_rows(payload: dict, key: str, schema: list[str], path):
@@ -430,9 +450,9 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     out = Exports()
     ids: dict[str, str] = {}
     if format == "csv":
-        _take_reviews(_csv_rows(path, REVIEW_CSV_HEADER), tuple, ids, out)
+        _take_reviews(_csv_rows(path, REVIEW_SCHEMA), tuple, ids, out)
         if meta_path is not None:
-            _take_metas(_csv_rows(meta_path, META_CSV_HEADER), tuple, ids, out)
+            _take_metas(_csv_rows(meta_path, META_SCHEMA), tuple, ids, out)
     elif format == "json":
         if meta_path is not None:
             raise ValueError(f"{meta_path}: JSON exports carry their own meta_reviews")
@@ -526,6 +546,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _json_text(obj) -> str:
+    """The artifact form of JSON: indented, keys sorted, newline-ended."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def export_reviews_csv(reviews: list[ReviewForm]) -> str:
     """Canonical CSV text for review records (round-trips via load_reviews)."""
     return _csv_text(REVIEW_CSV_HEADER, map(_review_row, reviews))
@@ -541,4 +566,4 @@ def export_json(reviews: list[ReviewForm], metas: list[MetaReviewForm]) -> str:
         "reviews": [dict(zip(REVIEW_CSV_HEADER, _review_row(f))) for f in reviews],
         "meta_reviews": [dict(zip(META_CSV_HEADER, _meta_row(f))) for f in metas],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload)

@@ -11,15 +11,14 @@ and the top floor(a% of P) papers are accepted.
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .records import Exports, MetaReviewForm, ReviewForm, encode_likert
+from .records import Exports, MetaReviewForm, ReviewForm, _csv_text, encode_likert
 
 __all__ = [
     "ReviewScore",
@@ -36,6 +35,7 @@ __all__ = [
     "exports_table",
     "review_table",
     "score_table",
+    "id_rank",
     "rank_and_cut",
     "score_table_csv",
     "score_table_json",
@@ -318,6 +318,14 @@ class DecisionList:
         return {d.paper for d in self.decisions if not d.accept}
 
 
+def id_rank(ids: list[str]) -> np.ndarray:
+    """Each id's position in Python string order.  A NumPy string array
+    would drop trailing NULs and tie "a\x00" with "a"."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
 def rank_and_cut(
     table: ScoreTable,
     cfg: DecisionConfig,
@@ -329,23 +337,14 @@ def rank_and_cut(
     sm = table.sM_cal if use_calibrated else table.sM_norm
     if si is None:
         raise ValueError("requested calibrated ranking but table is uncalibrated")
-    n = len(table.papers)
-    # each paper's position in id order; a numpy string array would drop
-    # trailing NULs and tie "a\x00" with "a"
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[sorted(range(n), key=table.papers.__getitem__)] = np.arange(n)
     si = np.asarray(si, dtype=float)
-    order = np.lexsort((id_rank, -np.asarray(sm, dtype=float), -si))
-    k = cfg.n_accept(n)
+    order = np.lexsort((id_rank(table.papers), -np.asarray(sm, dtype=float), -si))
+    k = cfg.n_accept(len(table.papers))
     decisions = [
         Decision(rank=pos + 1, paper=table.papers[i], score_index=x, accept=pos < k)
         for pos, (i, x) in enumerate(zip(order.tolist(), si[order].tolist()))
     ]
     return DecisionList(decisions, n_accept=k, acceptance_rate=cfg.acceptance_rate)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # rows the score-table writers format at a time, so the text of one block
@@ -371,12 +370,11 @@ def _row_blocks(table: ScoreTable):
 
 
 def score_table_csv(table: ScoreTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["paper_id", *_float_names(table)])
-    for papers, columns in _row_blocks(table):
-        writer.writerows(zip(papers, *(map(repr, col) for col in columns.values())))
-    return buf.getvalue()
+    # csv writes floats as repr() does
+    rows = itertools.chain.from_iterable(
+        zip(papers, *columns.values()) for papers, columns in _row_blocks(table)
+    )
+    return _csv_text(["paper_id", *_float_names(table)], rows)
 
 
 def score_table_json(table: ScoreTable) -> str:
@@ -399,9 +397,8 @@ def score_table_json(table: ScoreTable) -> str:
 
 
 def decision_list_csv(decisions: DecisionList) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "paper_id", "SI", "decision"])
-    for d in decisions.decisions:
-        writer.writerow([d.rank, d.paper, _fmt(d.score_index), "accept" if d.accept else "reject"])
-    return buf.getvalue()
+    rows = (
+        [d.rank, d.paper, float(d.score_index), "accept" if d.accept else "reject"]
+        for d in decisions.decisions
+    )
+    return _csv_text(["rank", "paper_id", "SI", "decision"], rows)

@@ -371,6 +371,13 @@ class TestSelectionMatchesArgsortOracle:
         assert np.array_equal(est.counts, expected)
         assert est.counts.sum() == k * 300
 
+    def test_tie_order_keeps_trailing_nuls(self):
+        # a NumPy string sort reads "a\x00" as "a": the tie must go to "a"
+        inputs = self.tied_inputs(["b", "a\x00", "a"], [1.0, 1.0, 1.0])
+        zero = PosteriorCovariance(inputs.reviewer_idx, np.zeros(2))
+        est = acceptance_probability(inputs.s, zero, inputs, DecisionConfig(40.0), 50, seed=0)
+        assert est.counts.tolist() == [0, 0, 50]
+
     @pytest.mark.parametrize("block", [7, reviewpipe.calibration.SAMPLE_BLOCK])
     def test_sampled_posterior(self, rng, monkeypatch, block):
         inputs, _, _ = planted_instance(rng, 30, 12)
@@ -586,6 +593,22 @@ class TestModelChecks:
     def test_labels_must_index_ids(self):
         with pytest.raises(ValueError, match="reviewer labels"):
             CalibrationInputs([1.0, 2.0], [0, 1], [0, 2], ["a", "b"], ["x", "y"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="^s: "):
+            CalibrationInputs([1.0, bad, 2.0], [0, 1, 1], [0, 0, 1], ["a", "b"], ["x", "y"])
+
+    @pytest.mark.parametrize(
+        "confidences",
+        [[1.0, np.nan, 1.0], [1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0], [1.0, np.inf, 1.0]],
+        ids=["nan", "short", "zero", "negative", "inf"],
+    )
+    def test_bad_confidences_rejected(self, confidences):
+        with pytest.raises(ValueError, match="^confidences: "):
+            CalibrationInputs(
+                [1.0, 3.0, 2.0], [0, 1, 1], [0, 0, 1], ["a", "b"], ["x", "y"], confidences
+            )
 
     def test_identifiability_rule(self):
         assert not bias_identifiable([0, 1, 2])

@@ -865,6 +865,59 @@ class TestCli:
         assert capsys.readouterr().err.endswith("repeated reviewer rows: R1, R3\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("similarities", "reviewer_id,paper_id,subject_relevance\nR0,P0,0.8\n",
+             "missing column(s) ['bid']"),
+            ("similarities", "reviewer_id,paper_id,bid,subject_relevance,tpms\nR0,P0,0.5\n",
+             "missing required field 'subject_relevance'"),
+            ("similarities", "reviewer_id,paper_id,bid,subject_relevance,score\nR0,P0,0.5,0.8,1\n",
+             "unknown column(s) ['score']"),
+            ("similarities", "reviewer_id,paper_id,bid,subject_relevance\nR0,P0,0.5,0.8,0.1\n",
+             "row has 5 fields, header has 4"),
+            ("tags", "reviewer_id\nR0\n", "missing column(s) ['tag']"),
+            ("tags", "reviewer_id,tag\nR0\n", "missing required field 'tag'"),
+            ("conflicts", "reviewer_id,paper_id,note\nR0,P0,x\n", "unknown column(s) ['note']"),
+            ("conflicts", "reviewer_id,paper_id\nR0,\n", "missing required field 'paper_id'"),
+        ],
+        ids=[
+            "similarities-missing-column", "similarities-short-row", "similarities-unknown-column",
+            "similarities-long-row", "tags-missing-column", "tags-short-row",
+            "conflicts-unknown-column", "conflicts-short-row",
+        ],
+    )
+    def test_assign_bad_input_is_a_one_line_error(self, tmp_path, capsys, flag, text, message):
+        sim = tmp_path / "sim.csv"
+        rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]
+        rows += [f"R{r},P0,0.5,0.8," for r in range(4)]
+        sim.write_text("\n".join(rows) + "\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        inputs = {"similarities": sim, flag: bad}
+        argv = ["assign", "--min-reviewers", "2", "--out", str(tmp_path / "o")]
+        for name, path in inputs.items():
+            argv += [f"--{name}", str(path)]
+        assert self.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"reviewpipe assign: error: {bad}: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_assign_repeated_conflict_rows_are_harmless(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        rows = ["reviewer_id,paper_id,bid,subject_relevance"]
+        rows += [f"R{r},P0,0.5,0.8" for r in range(4)]
+        sim.write_text("\n".join(rows) + "\n")
+        conflicts = tmp_path / "conflicts.csv"
+        conflicts.write_text("reviewer_id,paper_id\nR1,P0\nR1,P0\n")
+        argv = ["assign", "--similarities", str(sim), "--conflicts", str(conflicts),
+                "--min-reviewers", "3", "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 0
+        lines = (tmp_path / "o" / "assignment.csv").read_text().splitlines()
+        assert lines == ["reviewer_id,paper_id", "R0,P0", "R2,P0", "R3,P0"]
+
     def test_assign_quotes_ids_with_commas(self, tmp_path):
         sim = tmp_path / "sim.csv"
         rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]

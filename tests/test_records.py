@@ -9,7 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reviewpipe.records import (
+    CONFLICT_SCHEMA,
     DUPLICATE_PAIR,
+    SIMILARITY_SCHEMA,
+    TAG_SCHEMA,
     MetaReviewForm,
     ReviewForm,
     UnknownLabelError,
@@ -20,6 +23,7 @@ from reviewpipe.records import (
     likert_labels,
     load_reviews,
     read_exports,
+    read_keyed_csv,
     validate,
 )
 
@@ -69,6 +73,53 @@ class TestEncodeLikert:
         assert len(labels) == count
         weights = [encode_likert(label, scale) for label in labels]
         assert len(set(weights)) == count
+
+
+    def test_canonical_spellings_in_weight_order(self):
+        assert likert_labels("recommendation") == [
+            "Strong Accept", "Accept", "Weak Accept", "Borderline",
+            "Weak Reject", "Reject", "Strong Reject",
+        ]
+        assert likert_labels("criterion") == ["Excellent", "Very good", "Good", "Fair", "Poor"]
+        assert likert_labels("confidence") == likert_labels("criterion")
+        form = make_review("P1", "R1", rec=" weak  ACCEPT", crit="very GOOD", conf="poor")
+        assert export_reviews_csv([form]).splitlines()[1] == (
+            "P1,R1,Weak Accept,Very good,Very good,Very good,Very good,Poor,0,"
+        )
+
+
+class TestKeyedCsv:
+    def test_rows_by_key_in_file_order(self, tmp_path):
+        path = tmp_path / "sim.csv"
+        path.write_text("paper_id,bid,reviewer_id,subject_relevance\nP1,0.5,R2,0.1\n\nP0,0.2,R1,0.3\n")
+        rows = read_keyed_csv(path, SIMILARITY_SCHEMA)
+        assert list(rows.items()) == [
+            (("R2", "P1"), ("0.5", "0.1", None)),
+            (("R1", "P0"), ("0.2", "0.3", None)),
+        ]
+
+    def test_repeated_keys_named(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_text("reviewer_id,tag\nR1,a\nR0,b\nR1,c\nR0,d\n")
+        with pytest.raises(ValueError, match=r"tags.csv: repeated reviewer rows: R0, R1$"):
+            read_keyed_csv(path, TAG_SCHEMA)
+        path.write_text("reviewer_id,paper_id\nR1,P1\nR1,P1\n")
+        assert list(read_keyed_csv(path, CONFLICT_SCHEMA)) == [("R1", "P1")]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file, header required"),
+            ("reviewer_id,tag,tag\n", "repeated column(s) ['tag']"),
+            ("reviewer_id,tag\nR1, \nR2\n", "missing required field 'tag'"),
+            ("reviewer_id,tag\nR1,a,,b\n", "row has 4 fields, header has 2"),
+        ],
+    )
+    def test_bad_input_aborts_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "tags.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_keyed_csv(path, TAG_SCHEMA)
 
 
 class TestLoad:
