@@ -1,14 +1,17 @@
 """Command-line entry points for the review decision pipeline.
 
-Subcommands: validate, assign, dequantize, pipeline.  ``pipeline`` takes
-``--dequantize`` and ``--no-calibrate``.  A config file of ``key = value``
-lines (same keys as the long flag names, without dashes) can be passed
-with ``--config``; values from the file override the flags, so a
-checked-in config wins over ad-hoc command lines.  A key the subcommand
-has no option for is an error.  ``assign`` reads its CSV files under the
-review exports' header rules: an unknown, missing or repeated column, a
-row with non-empty fields beyond the header, an empty required field or
-a repeated key is bad input.  Bad input, a missing or unreadable file
+Subcommands: validate, assign, dequantize, pipeline; each one's parser is
+its one table of options.  ``--config`` names a file of ``key = value``
+lines that the parser reads after the command line, as ``--key=value``
+(``_`` in the key read as ``-``) or, for a boolean key, as ``--key`` or
+``--no-key`` from 1/0, true/false, yes/no or on/off.  So the file wins,
+and a value of the wrong type or choice is a usage error, as a flag's is.
+A key that is not an option of the subcommand, spelled in full, or another
+boolean word is an error naming the file and line.  ``assign`` reads its
+CSV files under the review exports' header rules, each field stripped: an
+unknown, missing or repeated column, a row with non-empty fields beyond
+the header, an empty required field, a repeated key or a similarity that
+is not a number is bad input.  Bad input, a missing or unreadable file
 included, ends the command with a one-line message on stderr and exit
 status 2.  Every ``ValueError`` and ``OSError`` is reported that way, one
 raised by an internal consistency check included, so such a message can
@@ -26,28 +29,13 @@ from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
 from .records import CONFLICT_SCHEMA, SIMILARITY_SCHEMA, TAG_SCHEMA, read_exports, read_keyed_csv
-from .records import _csv_text, _json_text
+from .records import _csv_text, _json_text, _show_key
 from .scoring import DecisionConfig, exports_table
 
-CONFIG_KEYS = {
-    "input": str,
-    "meta": str,
-    "out": str,
-    "format": str,
-    "seed": int,
-    "acceptance_rate": float,
-    "lambda": float,
-    "grid_min": float,
-    "grid_max": float,
-    "samples": int,
-    "dequantize": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "calibrate": lambda v: v.lower() in ("1", "true", "yes", "on"),
-}
 
-
-def _load_config(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    out = {}
+def _config_argv(args) -> list[str]:
+    """The ``key = value`` lines of ``args.config`` as flags; '#' starts a comment."""
+    path, out = args.config, []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,9 +43,18 @@ def _load_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = CONFIG_KEYS[key](value)
+        if key in ("command", "config") or key not in vars(args):
+            raise ValueError(f"{path}:{lineno}: {args.command} has no option {key!r}")
+        flag = key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            out.append(f"--{flag}={value}")
+            continue
+        on = value.lower() in ("1", "true", "yes", "on")
+        if not on and value.lower() not in ("0", "false", "no", "off"):
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be 1/0, true/false, yes/no or on/off, got {value!r}"
+            )
+        out.append(f"--{flag}" if on else f"--no-{flag}")
     return out
 
 
@@ -84,41 +81,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV: reviewer_id,paper_id,bid,subject_relevance,tpms")
     p.add_argument("--tags", help="CSV: reviewer_id,tag")
     p.add_argument("--conflicts", help="CSV: reviewer_id,paper_id")
-    p.add_argument("--min-reviewers", type=int, default=4)
-    p.add_argument("--max-papers", type=int, default=6)
+    caps = AssignmentConstraints()
+    p.add_argument("--min-reviewers", type=int, default=caps.min_reviewers_per_paper)
+    p.add_argument("--max-papers", type=int, default=caps.max_papers_per_reviewer)
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("dequantize", help="emit per-review dequantized scores")
     _add_common(p)
-    p.add_argument("--lambda", type=float, default=2.0, dest="lam")
+    p.add_argument("--lambda", type=float, default=DequantConfig.lam)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     _add_common(p)
     p.add_argument("--meta", help="meta-reviews CSV (CSV format only)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--acceptance-rate", type=float, default=40.0, dest="acceptance_rate")
-    p.add_argument("--dequantize", action="store_true")
-    p.add_argument("--lambda", type=float, default=2.0, dest="lam")
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--acceptance-rate", type=float, default=DecisionConfig.acceptance_rate)
+    p.add_argument("--dequantize", action=argparse.BooleanOptionalAction,
+                   default=PipelineConfig.dequantize)
+    p.add_argument("--lambda", type=float, default=DequantConfig.lam)
     p.add_argument("--calibrate", action=argparse.BooleanOptionalAction, default=True,
                    help="fit the bias model (--no-calibrate skips it)")
-    p.add_argument("--grid-min", type=float, default=1e-2, dest="grid_min",
+    p.add_argument("--grid-min", type=float, default=GridSpec.lo,
                    help="one bound of the box the variance ratios are searched in")
-    p.add_argument("--grid-max", type=float, default=1e2, dest="grid_max",
+    p.add_argument("--grid-max", type=float, default=GridSpec.hi,
                    help="the other bound of that box")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=PipelineConfig.n_samples)
 
     return parser
-
-
-def _apply_config(args):
-    """Set the config file's values on ``args``; each key must name an
-    option of the subcommand."""
-    if getattr(args, "config", None):
-        for key, value in _load_config(args.config).items():
-            dest = "lam" if key == "lambda" else key
-            if not hasattr(args, dest):
-                raise ValueError(f"{args.config}: {args.command} has no option {key!r}")
-            setattr(args, dest, value)
 
 
 def cmd_validate(args) -> int:
@@ -129,11 +117,19 @@ def cmd_validate(args) -> int:
     return 0 if not report.rejected else 1
 
 
+def _number(path, key, column, text) -> float | None:
+    """A similarity field as a float; an empty or absent one (tpms) is None."""
+    try:
+        return float(text) if text else None
+    except ValueError:
+        raise ValueError(f"{path}: {column} {text!r} of {_show_key(key)} is not a number") from None
+
+
 def cmd_assign(args) -> int:
-    similarities = read_keyed_csv(args.similarities, SIMILARITY_SCHEMA)
-    sources = {  # an empty or absent tpms field reads "" or None: no score
-        key: SimilaritySources(float(bid), float(subject), float(tpms) if tpms else None)
-        for key, (bid, subject, tpms) in similarities.items()
+    path, columns = args.similarities, SIMILARITY_SCHEMA.columns[SIMILARITY_SCHEMA.key :]
+    sources = {
+        key: SimilaritySources(*(_number(path, key, c, v) for c, v in zip(columns, values)))
+        for key, values in read_keyed_csv(path, SIMILARITY_SCHEMA).items()
     }
     tags = {}
     if args.tags:
@@ -162,8 +158,9 @@ def cmd_assign(args) -> int:
 
 
 def cmd_dequantize(args) -> int:
+    lam = getattr(args, "lambda")
     rows = exports_table(read_exports(args.input, args.format), metas=False)
-    s_dq = dequantize_rows(rows.paper, rows.s, DequantConfig(lam=args.lam))
+    s_dq = dequantize_rows(rows.paper, rows.s, DequantConfig(lam=lam))
     entries = [
         (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))
         for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist())
@@ -172,7 +169,7 @@ def cmd_dequantize(args) -> int:
         Path(args.out) / "dequantized.csv",
         _csv_text(["paper_id", "reviewer_id", "s", "s_dq"], entries),
     )
-    sys.stdout.write(f"dequantized {len(entries)} reviews (lambda={args.lam}) -> {args.out}\n")
+    sys.stdout.write(f"dequantized {len(entries)} reviews (lambda={lam}) -> {args.out}\n")
     return 0
 
 
@@ -184,7 +181,7 @@ def cmd_pipeline(args) -> int:
         out_dir=args.out,
         dequantize=args.dequantize,
         calibrate=args.calibrate,
-        dequant=DequantConfig(lam=args.lam),
+        dequant=DequantConfig(lam=getattr(args, "lambda")),
         grid=GridSpec(lo=args.grid_min, hi=args.grid_max),
         decision=DecisionConfig(acceptance_rate=args.acceptance_rate),
         n_samples=args.samples,
@@ -200,15 +197,14 @@ def cmd_pipeline(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "assign": cmd_assign,
-        "dequantize": cmd_dequantize,
-        "pipeline": cmd_pipeline,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    handlers = {"validate": cmd_validate, "assign": cmd_assign,
+                "dequantize": cmd_dequantize, "pipeline": cmd_pipeline}
     try:
-        _apply_config(args)
+        if getattr(args, "config", None):  # the file's flags come last, so they win
+            args = parser.parse_args([*argv, *_config_argv(args)])
         return handlers[args.command](args)
     except (OSError, ValueError, PipelineStageError) as exc:
         sys.stderr.write(f"reviewpipe {args.command}: error: {exc}\n")

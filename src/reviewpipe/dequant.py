@@ -39,15 +39,16 @@ BAND = 0.25
 
 @dataclass(frozen=True)
 class DequantConfig:
-    """Regularization weight; larger values keep scores closer to the raw
-    ones (lambda -> inf reproduces them).  lambda = 0 is the documented
-    limit where only within-paper spread matters."""
+    """Regularization weight, finite and nonnegative; larger values keep
+    scores closer to the raw ones (the limit lambda -> inf reproduces
+    them).  lambda = 0 is the documented limit where only within-paper
+    spread matters."""
 
     lam: float = 2.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam!r}")
 
 
 @dataclass

@@ -305,13 +305,15 @@ def _csv_raw(header: list[str], row: list[str]) -> dict:
 
 def read_keyed_csv(path, schema: CsvSchema) -> dict[tuple, tuple]:
     """The rows of a CSV input file as {key columns: other columns}, in
-    file order; an empty optional field reads ``None`` or ``""``.  Aborts
-    with ``ValueError`` naming the file on a bad header, a row with
-    non-empty fields beyond the header, an empty required field and, if
-    the schema's keys are unique, on repeated keys, naming every repeat."""
+    file order, each field stripped; an empty optional field reads
+    ``None`` or ``""``.  Aborts with ``ValueError`` naming the file on a
+    bad header, a row with non-empty fields beyond the header, an empty
+    required field and, if the schema's keys are unique, on repeated keys,
+    naming every repeat."""
     rows: dict[tuple, tuple] = {}
     repeated = set()
     for values, raw, overlong in _csv_rows(path, schema):
+        values = tuple(v and v.strip() for v in values)
         reason = overlong or _missing(values, schema.required)
         if reason is not None:
             raise ValueError(f"{path}: {reason}: {raw()}")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewpipe.dequant import BAND, DequantConfig, dequantize, dequantize_rows, dq_cost
 
@@ -59,6 +61,26 @@ class TestClosedForm:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             DequantConfig(lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        # NaN made every paper's scores equal; inf made them all NaN
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            DequantConfig(lam=lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-14, 16).map(lambda k: k / 2), min_size=1, max_size=8),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_huge_lambda_returns_the_raw_scores(self, papers):
+        paper = np.repeat(np.arange(len(papers)), [len(s) for s in papers])
+        s = np.concatenate(papers)
+        x = dequantize_rows(paper, s, DequantConfig(lam=1e12))
+        assert np.max(np.abs(x - s)) <= 1e-9
 
 
 class TestExactSolver:

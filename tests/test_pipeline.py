@@ -918,6 +918,41 @@ class TestCli:
         lines = (tmp_path / "o" / "assignment.csv").read_text().splitlines()
         assert lines == ["reviewer_id,paper_id", "R0,P0", "R2,P0", "R3,P0"]
 
+    def test_assign_strips_fields(self, tmp_path):
+        # with the tags read verbatim, neither R0 nor R1 was an author-reviewer,
+        # and both went on P0 while the audit reported lone-wolf "pass"
+        sim = tmp_path / "sim.csv"
+        sim.write_text("reviewer_id,paper_id,bid,subject_relevance\n"
+                       "R0,P0,0.9,0.9\n R1 ,P0 , 0.8,0.8\nR2,P0,0.1,0.1\n")
+        tags = tmp_path / "tags.csv"
+        tags.write_text("reviewer_id,tag\nR0 ,Rev2\nR1,Rev2 \n")
+        argv = ["assign", "--similarities", str(sim), "--tags", str(tags),
+                "--min-reviewers", "2", "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 0
+        lines = (tmp_path / "o" / "assignment.csv").read_text().splitlines()
+        assert lines == ["reviewer_id,paper_id", "R0,P0", "R2,P0"]
+        audit = json.loads((tmp_path / "o" / "assignment_audit.json").read_text())
+        assert audit["constraints"]["lone-wolf mitigation"]["pass"] is True
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("R1,P0,x,0.8,0.1", "bid 'x' of (R1, P0) is not a number"),
+            ("R1,P0,0.5,high,0.1", "subject_relevance 'high' of (R1, P0) is not a number"),
+            ("R1,P0,0.5,0.8,n/a", "tpms 'n/a' of (R1, P0) is not a number"),
+        ],
+    )
+    def test_assign_non_numeric_similarity_is_a_one_line_error(
+        self, tmp_path, capsys, row, message
+    ):
+        sim = tmp_path / "sim.csv"
+        sim.write_text(f"reviewer_id,paper_id,bid,subject_relevance,tpms\nR0,P0,0.5,0.8,\n{row}\n")
+        argv = ["assign", "--similarities", str(sim), "--min-reviewers", "2",
+                "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 2
+        assert capsys.readouterr().err == f"reviewpipe assign: error: {sim}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_assign_quotes_ids_with_commas(self, tmp_path):
         sim = tmp_path / "sim.csv"
         rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]
@@ -1021,7 +1056,7 @@ class TestCli:
         config.write_text("seeds = 3\n")
         argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
         assert self.run([*argv, "--config", str(config)]) == 2
-        assert "run.cfg:1: unknown config key 'seeds'" in capsys.readouterr().err
+        assert "run.cfg:1: pipeline has no option 'seeds'" in capsys.readouterr().err
 
     def test_config_calibrate_false_skips_calibration(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
@@ -1041,6 +1076,123 @@ class TestCli:
         assert (out / "decisions.csv").exists()
         assert not (out / "decisions_calibrated.csv").exists()
         assert not (out / "calibration_fit.json").exists()
+
+    def test_config_false_overrides_a_boolean_flag(self, tmp_path, rng):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        config = tmp_path / "run.cfg"
+        config.write_text("dequantize = false\ncalibrate = OFF\n")
+        argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath)]
+        tables = {}
+        for name, extra in [
+            ("file", ["--dequantize", "--calibrate", "--config", str(config)]),
+            ("flag", ["--no-calibrate"]),
+            ("dequantized", ["--dequantize", "--no-calibrate"]),
+        ]:
+            out = tmp_path / name
+            assert self.run([*argv, "--out", str(out), *extra]) == 0
+            assert not (out / "decisions_calibrated.csv").exists()
+            tables[name] = (out / "score_table.csv").read_bytes()
+        assert tables["file"] == tables["flag"] != tables["dequantized"]
+
+    def test_no_dequantize_is_a_second_spelling(self):
+        from reviewpipe.cli import build_parser
+
+        argv = ["pipeline", "--input", "r.csv"]
+        parse = build_parser().parse_args
+        assert parse(argv).dequantize is False
+        assert parse([*argv, "--no-dequantize"]) == parse(argv)
+        assert parse([*argv, "--no-dequantize", "--dequantize"]).dequantize is True
+        assert parse([*argv, "--dequantize", "--no-dequantize"]) == parse(argv)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("calibrate = ture", "run.cfg:1: calibrate must be 1/0, true/false, yes/no or on/off, "
+                                 "got 'ture'"),
+            ("dequantize =", "run.cfg:1: dequantize must be 1/0, true/false, yes/no or on/off"),
+            ("config = other.cfg", "run.cfg:1: pipeline has no option 'config'"),
+            ("command = validate", "run.cfg:1: pipeline has no option 'command'"),
+            ("sample = 10", "run.cfg:1: pipeline has no option 'sample'"),
+            ("grid-min = 0.1", "run.cfg:1: pipeline has no option 'grid-min'"),
+            ("lam = 0.5", "run.cfg:1: pipeline has no option 'lam'"),
+        ],
+    )
+    def test_bad_config_line_names_file_and_line(self, tmp_path, rng, capsys, line, message):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n")
+        out = tmp_path / "o"
+        argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(out)]
+        assert self.run([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"reviewpipe pipeline: error: {config}") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("seed", "1.5", "argument --seed: invalid int value: '1.5'"),
+            ("samples", "many", "argument --samples: invalid int value: 'many'"),
+            ("lambda", "x", "argument --lambda: invalid float value: 'x'"),
+            ("format", "xml", "argument --format: invalid choice: 'xml'"),
+        ],
+    )
+    def test_config_values_are_checked_as_flags_are(
+        self, tmp_path, rng, capsys, flag, value, message
+    ):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag} = {value}\n")
+        out = tmp_path / "o"
+        argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(out)]
+        errors = []
+        for extra in ([f"--{flag}", value], ["--config", str(config)]):
+            with pytest.raises(SystemExit) as exc:
+                self.run([*argv, *extra])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("reviewpipe pipeline: error: ") and message in errors[0]
+        assert not out.exists()
+
+    def test_parsed_defaults_are_the_dataclass_defaults(self, monkeypatch):
+        import reviewpipe.cli
+        from reviewpipe.assignment import AssignmentConstraints
+        from reviewpipe.dequant import DequantConfig
+
+        seen = []
+
+        def stop(cfg):
+            seen.append(cfg)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(reviewpipe.cli, "run_pipeline", stop)
+        assert self.run(["pipeline", "--input", "r.csv"]) == 2
+        # the CLI calibrates by default; the dataclass does not
+        assert seen == [replace(PipelineConfig(reviews_path="r.csv"), calibrate=True)]
+        parser = reviewpipe.cli.build_parser()
+        args = parser.parse_args(["dequantize", "--input", "r.csv"])
+        assert getattr(args, "lambda") == DequantConfig().lam
+        args = parser.parse_args(["assign", "--similarities", "s.csv"])
+        caps = AssignmentConstraints()
+        assert (args.min_reviewers, args.max_papers) == (
+            caps.min_reviewers_per_paper, caps.max_papers_per_reviewer,
+        )
+
+    @pytest.mark.parametrize("command", ["pipeline", "dequantize"])
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_lambda_rejected(self, tmp_path, rng, capsys, command, lam):
+        rpath, _ = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        out = tmp_path / "o"
+        argv = [command, "--input", str(rpath), "--out", str(out), f"--lambda={lam}"]
+        if command == "pipeline":
+            argv += ["--dequantize", "--no-calibrate"]
+        assert self.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"reviewpipe {command}: error: lambda must be finite and nonnegative, " \
+                      f"got {float(lam)!r}\n"
+        assert not out.exists()
 
 
 def test_gray_area_report_serialization():
