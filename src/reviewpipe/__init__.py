@@ -24,7 +24,7 @@ from .calibration import (
     nll,
     posterior,
 )
-from .dequant import DequantConfig, DequantResult, dequantize, dequantize_rows, dq_cost
+from .dequant import DequantConfig, DequantResult, dequantize, dequantize_rows
 from .pipeline import (
     GrayAreaReport,
     PipelineConfig,

@@ -2,7 +2,7 @@
 coverage, and misconduct constraints.
 
 Pair similarity is a convex combination of reviewer bid, matching-service
-affinity, and subject-area relevance (default weights 0.2 / 0.3 / 0.5).
+affinity, and subject-area relevance (weights 0.2 / 0.3 / 0.5).
 Hard constraints: a minimum number of reviewers per paper, a per-reviewer
 paper capacity, at most one author-reviewer (tag Rev2) per paper, and no
 conflicted pairs.  :func:`assign` solves one sparse LP over the candidate
@@ -28,7 +28,7 @@ __all__ = [
     "check_constraints",
 ]
 
-DEFAULT_WEIGHTS = (0.2, 0.3, 0.5)  # bid, matching service, subject area
+WEIGHTS = (0.2, 0.3, 0.5)  # bid, matching service, subject area
 AUTHOR_TAG = "Rev2"
 
 
@@ -47,23 +47,16 @@ class SimilaritySources:
                 raise ValueError(f"{name} similarity {v} outside [0, 1]")
 
 
-def combined_similarity(src: SimilaritySources, weights=DEFAULT_WEIGHTS) -> float:
+def combined_similarity(src: SimilaritySources) -> float:
     """Convex combination of the three sources.
 
     A missing matching-service score has its weight renormalized onto the
     remaining sources rather than imputed as zero, so reviewers outside
     the service are not systematically penalized.
     """
-    w_bid, w_tpms, w_subj = weights
-    if min(w_bid, w_tpms, w_subj) < 0:
-        raise ValueError("weights must be nonnegative")
-    if abs(w_bid + w_tpms + w_subj - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
+    w_bid, w_tpms, w_subj = WEIGHTS
     if src.tpms is None:
-        rest = w_bid + w_subj
-        if rest == 0:
-            raise ValueError("cannot renormalize: only the missing source has weight")
-        return (w_bid * src.bid + w_subj * src.subject) / rest
+        return (w_bid * src.bid + w_subj * src.subject) / (w_bid + w_subj)
     return w_bid * src.bid + w_tpms * src.tpms + w_subj * src.subject
 
 

@@ -695,12 +695,11 @@ SAMPLE_BLOCK = 128
 
 @dataclass
 class AcceptanceEstimate:
-    """Monte-Carlo acceptance probabilities; counts/n_samples per paper."""
+    """Monte-Carlo acceptance probabilities; counts/n_samples per paper,
+    in the order of the inputs' ``paper_ids``."""
 
-    papers: list[str]
     counts: np.ndarray
     n_samples: int
-    seed: int
     n_accept: int
 
     @property
@@ -764,7 +763,4 @@ def acceptance_probability(
         tied = agg == kth
         room = k - above.sum(axis=1, keepdims=True)
         counts += (above | (tied & (np.cumsum(tied, axis=1) <= room))).sum(axis=0)
-    return AcceptanceEstimate(
-        papers=list(inputs.paper_ids), counts=counts[col_of], n_samples=n_samples, seed=seed,
-        n_accept=k,
-    )
+    return AcceptanceEstimate(counts=counts[col_of], n_samples=n_samples, n_accept=k)

@@ -2,7 +2,8 @@
 
 Subcommands: validate, assign, dequantize, pipeline; each one's parser is
 its one table of options.  ``--config`` names a file of ``key = value``
-lines that the parser reads after the command line, as ``--key=value``
+lines, a ``#`` at the start of a line or after whitespace starting a
+comment, that the parser reads after the command line, as ``--key=value``
 (``_`` in the key read as ``-``) or, for a boolean key, as ``--key`` or
 ``--no-key`` from 1/0, true/false, yes/no or on/off.  So the file wins,
 and a value of the wrong type or choice is a usage error, as a flag's is.
@@ -11,16 +12,17 @@ boolean word is an error naming the file and line.  ``assign`` reads its
 CSV files under the review exports' header rules, each field stripped: an
 unknown, missing or repeated column, a row with non-empty fields beyond
 the header, an empty required field, a repeated key or a similarity that
-is not a number is bad input.  Bad input, a missing or unreadable file
-included, ends the command with a one-line message on stderr and exit
-status 2.  Every ``ValueError`` and ``OSError`` is reported that way, one
-raised by an internal consistency check included, so such a message can
-also point at a bug.
+is not a number in [0, 1] is bad input.  Bad input, a missing or
+unreadable file included, ends the command with a one-line message on
+stderr and exit status 2.  Every ``ValueError`` and ``OSError`` is
+reported that way, one raised by an internal consistency check included,
+so such a message can also point at a bug.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -34,10 +36,11 @@ from .scoring import DecisionConfig, exports_table
 
 
 def _config_argv(args) -> list[str]:
-    """The ``key = value`` lines of ``args.config`` as flags; '#' starts a comment."""
+    """The ``key = value`` lines of ``args.config`` as flags; a '#' at the
+    start of a line or after whitespace starts a comment."""
     path, out = args.config, []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -127,10 +130,13 @@ def _number(path, key, column, text) -> float | None:
 
 def cmd_assign(args) -> int:
     path, columns = args.similarities, SIMILARITY_SCHEMA.columns[SIMILARITY_SCHEMA.key :]
-    sources = {
-        key: SimilaritySources(*(_number(path, key, c, v) for c, v in zip(columns, values)))
-        for key, values in read_keyed_csv(path, SIMILARITY_SCHEMA).items()
-    }
+    sources = {}
+    for key, values in read_keyed_csv(path, SIMILARITY_SCHEMA).items():
+        numbers = [_number(path, key, c, v) for c, v in zip(columns, values)]
+        try:
+            sources[key] = SimilaritySources(*numbers)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} in row {_show_key(key)}") from None
     tags = {}
     if args.tags:
         tags = {r: tag for (r,), (tag,) in read_keyed_csv(args.tags, TAG_SCHEMA).items()}

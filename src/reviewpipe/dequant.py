@@ -32,7 +32,7 @@ import numpy as np
 
 from .scoring import paper_pairs
 
-__all__ = ["DequantConfig", "DequantResult", "dequantize", "dequantize_rows", "dq_cost"]
+__all__ = ["DequantConfig", "DequantResult", "dequantize", "dequantize_rows"]
 
 BAND = 0.25
 
@@ -53,11 +53,9 @@ class DequantConfig:
 
 @dataclass
 class DequantResult:
-    """Dequantized scores per (reviewer, paper) pair plus per-paper stats."""
+    """Dequantized scores per (reviewer, paper) pair and their objective value."""
 
     scores: dict[tuple[str, str], float]
-    review_counts: dict[str, int]
-    paper_means: dict[str, float]
     cost: float
 
 
@@ -128,27 +126,6 @@ def dequantize(groups: dict[str, list[tuple[str, float]]], cfg: DequantConfig) -
     keys = [(r, p) for p, entries in groups.items() for r, _ in entries]
     return DequantResult(
         scores=dict(zip(keys, x.tolist())),
-        review_counts=dict(zip(groups, sizes.tolist())),
-        paper_means=dict(zip(groups, means.tolist())),
         cost=float(((x - means[codes]) ** 2).sum() + cfg.lam * ((x - s) ** 2).sum()),
     )
 
-
-def dq_cost(
-    s_hat: dict[tuple[str, str], float],
-    s: dict[tuple[str, str], float],
-    lam: float,
-) -> float:
-    """Objective value: within-paper spread plus lambda-weighted deviation
-    from the raw scores.  Used as the optimality oracle in tests."""
-    if set(s_hat) != set(s):
-        raise ValueError("s_hat and s must cover the same (reviewer, paper) pairs")
-    by_paper: dict[str, list[tuple[str, str]]] = {}
-    for (r, p) in s_hat:
-        by_paper.setdefault(p, []).append((r, p))
-    cost = 0.0
-    for pairs in by_paper.values():
-        vals = np.array([s_hat[k] for k in pairs])
-        cost += float(((vals - vals.mean()) ** 2).sum())
-    cost += lam * sum((s_hat[k] - s[k]) ** 2 for k in s_hat)
-    return cost

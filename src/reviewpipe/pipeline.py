@@ -105,7 +105,6 @@ class GrayAreaReport:
 class PipelineResult:
     table: ScoreTable
     decisions: DecisionList
-    decisions_calibrated: DecisionList | None
     gray: GrayAreaReport
     fit_summary: dict | None
     artifacts: list[str]
@@ -146,7 +145,7 @@ def gray_area(raw: DecisionList, calibrated: DecisionList) -> GrayAreaReport:
     return report
 
 
-def emit_plots(table: ScoreTable, mu_y, estimate, meta_raw, out_dir) -> list[str]:
+def emit_plots(table: ScoreTable, mu_y, estimate, out_dir) -> list[str]:
     """Write the three figure artifacts (CSV + SVG each): calibrated-score
     histogram, acceptance probability vs calibrated paper score, original
     vs calibrated meta score."""
@@ -178,7 +177,7 @@ def emit_plots(table: ScoreTable, mu_y, estimate, meta_raw, out_dir) -> list[str
     emit(
         "meta_calibration_scatter",
         scatter_artifact(
-            meta_raw,
+            table.sM_norm,
             table.sM_cal,
             title="Original vs calibrated meta-reviewer scores",
             xlabel="normalized meta score",
@@ -262,12 +261,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         write("gray_area.json", _json_text(gray.to_dict()))
         if cfg.calibrate:
             write("decisions_calibrated.csv", decision_list_csv(decisions_cal))
-            artifacts += emit_plots(table, review.mu_y, estimate, table.sM_norm, out_dir)
+            artifacts += emit_plots(table, review.mu_y, estimate, out_dir)
 
     return PipelineResult(
         table=table,
         decisions=decisions,
-        decisions_calibrated=decisions_cal,
         gray=gray,
         fit_summary=fit_summary,
         artifacts=artifacts,

@@ -107,8 +107,6 @@ REVIEW_SCHEMA = CsvSchema(
     ("confidence", "award", "comments"),
 )
 META_SCHEMA = CsvSchema(("paper_id", "metareviewer_id", "recommendation"))
-REVIEW_CSV_HEADER = REVIEW_SCHEMA.columns
-META_CSV_HEADER = META_SCHEMA.columns
 # the inputs of ``reviewpipe assign``; repeated conflict rows are harmless
 SIMILARITY_SCHEMA = CsvSchema(("reviewer_id", "paper_id", "bid", "subject_relevance"), ("tpms",), key=2)
 TAG_SCHEMA = CsvSchema(("reviewer_id", "tag"), key=1)
@@ -358,7 +356,7 @@ def _check_labels(labels: list, forms: list[ReviewForm]) -> int | str:
     by appending its form to ``forms``: the form's index, or why rows
     carrying the tuple are rejected."""
     rec, c1, c2, c3, c4, conf, award = labels
-    reason = _missing(labels, REVIEW_CSV_HEADER[2:7])
+    reason = _missing(labels, REVIEW_SCHEMA.required[2:])
     if reason is not None:
         return reason
     try:
@@ -401,7 +399,7 @@ def _take_reviews(rows, key, ids: dict[str, str], out: Exports):
         row = raw()
         if row.get("confidence") in (None, ""):
             row["confidence"] = "Good"
-        reason = overlong or _missing((paper, reviewer), REVIEW_CSV_HEADER)
+        reason = overlong or _missing((paper, reviewer), REVIEW_SCHEMA.required)
         if reason is None:
             reason = checked[k] if type(checked[k]) is str else DUPLICATE_PAIR
         out.report.rejected.append((row, reason))
@@ -428,7 +426,7 @@ def _take_metas(rows, key, ids: dict[str, str], out: Exports):
             out.meta_paper.append(pair[1])
             out.meta_recommendation.append(str(rec))
             continue
-        reason = overlong or _missing((paper, metareviewer, rec), META_CSV_HEADER)
+        reason = overlong or _missing((paper, metareviewer, rec), META_SCHEMA.required)
         out.report.rejected.append((raw(), reason or checked[k] or DUPLICATE_PAIR))
 
 
@@ -462,8 +460,8 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: top level is not an object")
-        reviews = _json_rows(payload, "reviews", REVIEW_CSV_HEADER, path)
-        metas = _json_rows(payload, "meta_reviews", META_CSV_HEADER, path)
+        reviews = _json_rows(payload, "reviews", REVIEW_SCHEMA.columns, path)
+        metas = _json_rows(payload, "meta_reviews", META_SCHEMA.columns, path)
         # repr keys: JSON values may be lists, and True == 1 as a dict key
         _take_reviews(reviews, repr, ids, out)
         _take_metas(metas, repr, ids, out)
@@ -530,7 +528,7 @@ def _canon(label: str) -> str:
 
 
 def _review_row(f: ReviewForm) -> list:
-    """A review's fields in ``REVIEW_CSV_HEADER`` order, labels canonical."""
+    """A review's fields in ``REVIEW_SCHEMA`` column order, labels canonical."""
     labels = [_canon(f.recommendation), *map(_canon, f.criteria), _canon(f.confidence)]
     return [f.paper, f.reviewer, *labels, f.award, f.comments]
 
@@ -555,17 +553,17 @@ def _json_text(obj) -> str:
 
 def export_reviews_csv(reviews: list[ReviewForm]) -> str:
     """Canonical CSV text for review records (round-trips via load_reviews)."""
-    return _csv_text(REVIEW_CSV_HEADER, map(_review_row, reviews))
+    return _csv_text(REVIEW_SCHEMA.columns, map(_review_row, reviews))
 
 
 def export_metas_csv(metas: list[MetaReviewForm]) -> str:
-    return _csv_text(META_CSV_HEADER, map(_meta_row, metas))
+    return _csv_text(META_SCHEMA.columns, map(_meta_row, metas))
 
 
 def export_json(reviews: list[ReviewForm], metas: list[MetaReviewForm]) -> str:
     """Canonical JSON text mirroring the CSV schemas 1:1."""
     payload = {
-        "reviews": [dict(zip(REVIEW_CSV_HEADER, _review_row(f))) for f in reviews],
-        "meta_reviews": [dict(zip(META_CSV_HEADER, _meta_row(f))) for f in metas],
+        "reviews": [dict(zip(REVIEW_SCHEMA.columns, _review_row(f))) for f in reviews],
+        "meta_reviews": [dict(zip(META_SCHEMA.columns, _meta_row(f))) for f in metas],
     }
     return _json_text(payload)

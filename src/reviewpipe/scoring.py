@@ -181,22 +181,22 @@ def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
     """
     used, label = np.unique(np.asarray(exports.label, dtype=int), return_inverse=True)
     scores = [review_score(exports.labels[k]) for k in used.tolist()]
-    paper_ids, paper = _codes(exports.paper)
     if metas:
         meta_papers = exports.meta_paper
         metareviewers = exports.metareviewer
         recommendations = exports.meta_recommendation
         meta_set = set(meta_papers)
-        missing_meta = [p for p in paper_ids if p not in meta_set]
+        missing_meta = sorted(set(exports.paper).difference(meta_set))
         if missing_meta:
             raise ValueError(f"papers without meta-review: {missing_meta}")
-        extra_meta = sorted(meta_set.difference(paper_ids))
+        extra_meta = sorted(meta_set.difference(exports.paper))
         if extra_meta:
             raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
     else:
         meta_papers, metareviewers, recommendations = [], [], []
-    paper_index = {p: i for i, p in enumerate(paper_ids)}
-    meta_paper = np.array([paper_index[p] for p in meta_papers], dtype=int)
+    # one coding for both sides: the meta papers are among the reviewed ones
+    paper_ids, codes = _codes([*exports.paper, *meta_papers])
+    paper, meta_paper = np.split(codes, [len(exports.paper)])
     reviewer_ids, reviewer = _codes(exports.reviewer)
     metareviewer_ids, metareviewer = _codes(metareviewers)
     rows = np.lexsort((reviewer, paper))
@@ -312,10 +312,6 @@ class DecisionList:
     @property
     def accepted(self) -> set[str]:
         return {d.paper for d in self.decisions if d.accept}
-
-    @property
-    def rejected(self) -> set[str]:
-        return {d.paper for d in self.decisions if not d.accept}
 
 
 def id_rank(ids: list[str]) -> np.ndarray:

@@ -34,14 +34,6 @@ class TestCombinedSimilarity:
         sim = combined_similarity(SimilaritySources(bid=1.0, subject=0.0, tpms=None))
         assert sim == pytest.approx(0.2 / 0.7)
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            combined_similarity(SimilaritySources(0.5, 0.5), weights=(0.5, 0.4, 0.2))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            combined_similarity(SimilaritySources(0.5, 0.5, 0.5), weights=(-0.2, 0.7, 0.5))
-
     def test_source_range_checked(self):
         with pytest.raises(ValueError):
             SimilaritySources(bid=1.5, subject=0.0)
@@ -141,6 +133,18 @@ class TestAssign:
         constraints = AssignmentConstraints(min_reviewers_per_paper=4, max_papers_per_reviewer=2)
         with pytest.raises(InfeasibleInstanceError, match="papers/reviewer"):
             assign(papers, reviewers, full_sources(papers, reviewers), constraints)
+
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ({"min_reviewers_per_paper": 0}, "at least one reviewer per paper"),
+            ({"max_papers_per_reviewer": 0}, "reviewer capacity must be positive"),
+            ({"max_author_reviewers_per_paper": -1}, "author-reviewer cap must be nonnegative"),
+        ],
+    )
+    def test_bad_caps_rejected(self, caps, message):
+        with pytest.raises(ValueError, match=message):
+            AssignmentConstraints(**caps)
 
 
 def _greedy_baseline(papers, reviewers, sources, constraints):

@@ -139,6 +139,11 @@ class TestFitHyperparams:
         b = fit_hyperparams(inputs, DupGrid())
         assert (a.sb2_hat, a.se2_hat, a.sigma_q2) == (b.sb2_hat, b.se2_hat, b.sigma_q2)
 
+    def test_constant_scores_raise(self):
+        inputs = CalibrationInputs([2.0] * 4, [0, 0, 1, 1], [0, 1, 0, 1], ["a", "b"], ["x", "y"])
+        with pytest.raises(DegenerateModelError, match="every score equals 2.0"):
+            fit_hyperparams(inputs, GridSpec(points=3))
+
     def test_mu_q_is_sample_mean(self, rng):
         inputs, _, _ = planted_instance(rng, 20, 8)
         hp = fit_hyperparams(inputs, GridSpec(points=3))
@@ -301,6 +306,11 @@ class TestAcceptanceProbability:
         inputs, mu_y, sigma_y = self.make_inputs(rng)
         with pytest.raises(ValueError):
             acceptance_probability(mu_y[:-1], sigma_y, inputs, DecisionConfig(40.0), 10, 0)
+
+    def test_sample_count_below_one_rejected(self, rng):
+        inputs, mu_y, sigma_y = self.make_inputs(rng)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 0, 0)
 
     def test_paper_without_entries_rejected(self, rng):
         inputs, mu_y, sigma_y = self.make_inputs(rng)
@@ -593,6 +603,8 @@ class TestModelChecks:
     def test_labels_must_index_ids(self):
         with pytest.raises(ValueError, match="reviewer labels"):
             CalibrationInputs([1.0, 2.0], [0, 1], [0, 2], ["a", "b"], ["x", "y"])
+        with pytest.raises(ValueError, match="labels must align"):
+            CalibrationInputs([1.0, 2.0], [0, 1, 1], [0, 1], ["a", "b"], ["x", "y"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):

@@ -19,6 +19,7 @@ import reviewpipe.scoring
 from reviewpipe.pipeline import (
     GrayAreaReport,
     PipelineConfig,
+    emit_plots,
     gray_area,
     run_pipeline,
     write_atomic,
@@ -26,7 +27,7 @@ from reviewpipe.pipeline import (
 from reviewpipe.plots import histogram_artifact, scatter_artifact
 from reviewpipe.calibration import GridSpec, UnidentifiableModelWarning
 from reviewpipe.records import DUPLICATE_PAIR, MetaReviewForm, export_metas_csv, export_reviews_csv
-from reviewpipe.scoring import Decision, DecisionConfig, DecisionList
+from reviewpipe.scoring import Decision, DecisionConfig, DecisionList, ScoreTable
 
 from conftest import RECS, random_corpus, random_review
 
@@ -90,6 +91,12 @@ class TestPlots:
     def test_scatter_artifact_alignment(self):
         with pytest.raises(ValueError):
             scatter_artifact([1.0, 2.0], [1.0])
+
+    def test_emit_plots_needs_the_calibrated_columns(self, tmp_path):
+        table = ScoreTable(["a", "b"], *np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="calibrated score columns"):
+            emit_plots(table, np.zeros(2), None, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_svg_is_deterministic(self):
         a = scatter_artifact([1.0, 2.0], [3.0, 4.0])
@@ -940,6 +947,9 @@ class TestCli:
             ("R1,P0,x,0.8,0.1", "bid 'x' of (R1, P0) is not a number"),
             ("R1,P0,0.5,high,0.1", "subject_relevance 'high' of (R1, P0) is not a number"),
             ("R1,P0,0.5,0.8,n/a", "tpms 'n/a' of (R1, P0) is not a number"),
+            ("R1,P0,1.5,0.8,0.1", "bid similarity 1.5 outside [0, 1] in row (R1, P0)"),
+            ("R1,P0,0.5,-0.1,0.1", "subject similarity -0.1 outside [0, 1] in row (R1, P0)"),
+            ("R1,P0,0.5,0.8,nan", "tpms similarity nan outside [0, 1] in row (R1, P0)"),
         ],
     )
     def test_assign_non_numeric_similarity_is_a_one_line_error(
@@ -1012,7 +1022,11 @@ class TestCli:
     def test_config_file_overrides_flags(self, tmp_path, rng):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
         config = tmp_path / "run.cfg"
-        config.write_text(f"out = {tmp_path / 'from_config'}\nacceptance_rate = 50\n")
+        # a '#' inside a value is kept; one after whitespace starts a comment
+        config.write_text(
+            f"# settings\n\nout = {tmp_path / 'results#2'}\n"
+            "  # indented\nacceptance_rate = 50  # half\n"
+        )
         code = self.run(
             [
                 "pipeline",
@@ -1024,8 +1038,9 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert (tmp_path / "from_config" / "decisions.csv").exists()
-        assert not (tmp_path / "ignored").exists()
+        decisions = (tmp_path / "results#2" / "decisions.csv").read_text()
+        assert decisions.count(",accept") == 5  # 50% of 10 papers, not the default 40%
+        assert not (tmp_path / "results").exists() and not (tmp_path / "ignored").exists()
 
 
     @pytest.mark.parametrize(
@@ -1115,6 +1130,7 @@ class TestCli:
             ("sample = 10", "run.cfg:1: pipeline has no option 'sample'"),
             ("grid-min = 0.1", "run.cfg:1: pipeline has no option 'grid-min'"),
             ("lam = 0.5", "run.cfg:1: pipeline has no option 'lam'"),
+            ("seed 3", "run.cfg:1: expected 'key = value', got 'seed 3'"),
         ],
     )
     def test_bad_config_line_names_file_and_line(self, tmp_path, rng, capsys, line, message):

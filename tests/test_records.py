@@ -254,6 +254,7 @@ class TestLoad:
             ({"reviews": [1]}, "reviews[0] is not an object"),
             ({"reviews": {"a": 1}}, "'reviews' is not an array"),
             ({"reviews": [], "meta_reviews": [None]}, "meta_reviews[0] is not an object"),
+            ({"reviews": [{"paper_id": "P1", "score": 3}]}, "unknown field(s) ['score']"),
         ],
     )
     def test_json_of_the_wrong_shape_names_the_entry(self, tmp_path, payload, problem):
@@ -261,6 +262,10 @@ class TestLoad:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
             read_exports(path, format="json")
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            read_exports(tmp_path / "export.xml", format="xml")
 
     def test_json_format_rejects_a_meta_path(self, tmp_path):
         path = tmp_path / "export.json"

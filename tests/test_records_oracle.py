@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from reviewpipe.records import (
     DUPLICATE_PAIR,
-    META_CSV_HEADER,
-    REVIEW_CSV_HEADER,
+    META_SCHEMA,
+    REVIEW_SCHEMA,
     MetaReviewForm,
     ReviewForm,
     UnknownLabelError,
@@ -40,7 +40,7 @@ from reviewpipe.scoring import ReviewTable, exports_table, review_score
 
 
 def oracle_review(row: dict) -> ReviewForm:
-    for col in REVIEW_CSV_HEADER[:-3]:
+    for col in REVIEW_SCHEMA.required:
         if row.get(col) in (None, ""):
             raise UnknownLabelError(f"missing required field {col!r}")
     award_raw = row.get("award", "")
@@ -63,7 +63,7 @@ def oracle_review(row: dict) -> ReviewForm:
 
 
 def oracle_meta(row: dict) -> MetaReviewForm:
-    for col in META_CSV_HEADER:
+    for col in META_SCHEMA.columns:
         if row.get(col) in (None, ""):
             raise UnknownLabelError(f"missing required field {col!r}")
     return MetaReviewForm(

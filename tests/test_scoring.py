@@ -202,6 +202,10 @@ class TestRankAndCut:
             SI=si,
         )
 
+    def test_calibrated_rank_needs_a_calibrated_table(self):
+        with pytest.raises(ValueError, match="table is uncalibrated"):
+            rank_and_cut(self.make_table(3), DecisionConfig(40.0), use_calibrated=True)
+
     def test_floor_rule(self):
         result = rank_and_cut(self.make_table(10), DecisionConfig(40.0))
         assert result.n_accept == 4
