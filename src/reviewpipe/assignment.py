@@ -30,6 +30,7 @@ __all__ = [
 
 WEIGHTS = (0.2, 0.3, 0.5)  # bid, matching service, subject area
 AUTHOR_TAG = "Rev2"
+TAGS = ("Rev1", AUTHOR_TAG)  # a reviewer, an author-reviewer
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,9 @@ class SimilaritySources:
     tpms: float | None = None
 
     def __post_init__(self):
-        for name, v in (("bid", self.bid), ("subject", self.subject), ("tpms", self.tpms)):
+        # each source named as the similarity file's column
+        named = (("bid", self.bid), ("subject_relevance", self.subject), ("tpms", self.tpms))
+        for name, v in named:
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} similarity {v} outside [0, 1]")
 

@@ -11,12 +11,13 @@ A key that is not an option of the subcommand, spelled in full, or another
 boolean word is an error naming the file and line.  ``assign`` reads its
 CSV files under the review exports' header rules, each field stripped: an
 unknown, missing or repeated column, a row with non-empty fields beyond
-the header, an empty required field, a repeated key or a similarity that
-is not a number in [0, 1] is bad input.  Bad input, a missing or
-unreadable file included, ends the command with a one-line message on
-stderr and exit status 2.  Every ``ValueError`` and ``OSError`` is
-reported that way, one raised by an internal consistency check included,
-so such a message can also point at a bug.
+the header, an empty required field, a repeated key, a similarity that
+is not a number in [0, 1] or a tag other than Rev1 and Rev2 is bad
+input.  Bad input, a missing or unreadable file included, ends the
+command with a one-line message on stderr and exit status 2.  Every
+``ValueError`` and ``OSError`` is reported that way, one raised by an
+internal consistency check included, so such a message can also point at
+a bug.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import sys
 from pathlib import Path
 
-from .assignment import AssignmentConstraints, SimilaritySources, assign
+from .assignment import TAGS, AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
@@ -140,6 +141,9 @@ def cmd_assign(args) -> int:
     tags = {}
     if args.tags:
         tags = {r: tag for (r,), (tag,) in read_keyed_csv(args.tags, TAG_SCHEMA).items()}
+        other = ", ".join(f"{r} ({tag!r})" for r, tag in tags.items() if tag not in TAGS)
+        if other:
+            raise ValueError(f"{args.tags}: tag other than {' or '.join(TAGS)} for {other}")
     conflicts = read_keyed_csv(args.conflicts, CONFLICT_SCHEMA) if args.conflicts else {}
     constraints = AssignmentConstraints(
         min_reviewers_per_paper=args.min_reviewers,

@@ -33,8 +33,7 @@ from .scoring import (
     rank_and_cut,
     score_index,
     score_table,
-    score_table_csv,
-    score_table_json,
+    score_table_texts,
 )
 
 __all__ = [
@@ -255,8 +254,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             gray = gray_area(decisions, decisions_cal)
         else:
             gray = GrayAreaReport(notice="calibration disabled: no gray-area comparison")
-        write("score_table.csv", score_table_csv(table))
-        write("score_table.json", score_table_json(table))
+        table_csv, table_json = score_table_texts(table)
+        write("score_table.csv", table_csv)
+        write("score_table.json", table_json)
         write("decisions.csv", decision_list_csv(decisions))
         write("gray_area.json", _json_text(gray.to_dict()))
         if cfg.calibrate:

@@ -11,6 +11,13 @@ stored once however many rows carry it.  :func:`read_keyed_csv` reads the
 other CSV inputs (similarities, tags, conflicts) under the same header
 and row rules, but aborts on a bad row instead of rejecting it.
 
+CSV and JSON rows reach the checks in one form, ``(values, overlong,
+raw, row)``: the values in schema column order, why the row is too long
+or ``None``, the input's one function from a row to the dict the report
+shows, and the row as read.  The report's dict is built only for a
+rejected row, and a CSV row with as many fields as the header is not
+sliced or padded beyond the columns the header lacks.
+
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
 arithmetic works in integer half-steps (see :mod:`reviewpipe.scoring`).
@@ -272,11 +279,13 @@ def _check_header(header, schema: CsvSchema, path):
 
 
 def _csv_rows(path, schema: CsvSchema):
-    """Each row of a CSV file, blank lines skipped, as (values, raw,
-    overlong): the row's values in schema column order, ``None`` where short
-    or absent; ``raw()``, the row as the report shows it; and why the row
-    is rejected if it has non-empty fields beyond the header, else
-    ``None``.  The file stays open until the last row is drawn."""
+    """Each row of a CSV file, blank lines skipped, under the readers' row
+    protocol (values, overlong, raw, row): the row's values in schema
+    column order, ``None`` where short or absent; why the row is rejected
+    if it has non-empty fields beyond the header, else ``None``; the
+    file's one function that turns ``row`` into the dict the report shows;
+    and the row as read.  The file stays open until the last row is
+    drawn."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -284,11 +293,15 @@ def _csv_rows(path, schema: CsvSchema):
         n = len(header)
         columns = header + [c for c in schema.columns if c not in header]
         pick = operator.itemgetter(*map(columns.index, schema.columns))
+        absent = [None] * (len(columns) - n)
         pad = [None] * len(columns)
+        raw = functools.partial(_csv_raw, header)
         for row in reader:
-            if row:
+            if len(row) == n:
+                yield pick(row + absent if absent else row), None, raw, row
+            elif row:
                 overlong = f"row has {len(row)} fields, header has {n}" if any(row[n:]) else None
-                yield pick(row[:n] + pad), functools.partial(_csv_raw, header, row), overlong
+                yield pick(row[:n] + pad), overlong, raw, row
 
 
 def _csv_raw(header: list[str], row: list[str]) -> dict:
@@ -310,11 +323,11 @@ def read_keyed_csv(path, schema: CsvSchema) -> dict[tuple, tuple]:
     naming every repeat."""
     rows: dict[tuple, tuple] = {}
     repeated = set()
-    for values, raw, overlong in _csv_rows(path, schema):
+    for values, overlong, raw, row in _csv_rows(path, schema):
         values = tuple(v and v.strip() for v in values)
         reason = overlong or _missing(values, schema.required)
         if reason is not None:
-            raise ValueError(f"{path}: {reason}: {raw()}")
+            raise ValueError(f"{path}: {reason}: {raw(row)}")
         key = values[: schema.key]
         if key in rows and schema.unique:
             repeated.add(key)
@@ -341,7 +354,7 @@ def _json_rows(payload: dict, key: str, schema: list[str], path):
         unknown = [c for c in row if c not in schema]
         if unknown:
             raise ValueError(f"{path}: unknown field(s) {unknown}")
-    return ((tuple(map(row.get, schema)), functools.partial(dict, row), None) for row in rows)
+    return ((tuple(map(row.get, schema)), None, dict, row) for row in rows)
 
 
 def _missing(values, names) -> str | None:
@@ -351,7 +364,7 @@ def _missing(values, names) -> str | None:
     return None
 
 
-def _check_labels(labels: list, forms: list[ReviewForm]) -> int | str:
+def _check_labels(labels: tuple, forms: list[ReviewForm]) -> int | str:
     """Check one raw label tuple (recommendation, c1-c4, confidence, award)
     by appending its form to ``forms``: the form's index, or why rows
     carrying the tuple are rejected."""
@@ -371,46 +384,54 @@ def _check_labels(labels: list, forms: list[ReviewForm]) -> int | str:
     return len(forms) - 1
 
 
+# a review row's values as (paper, reviewer, label tuple, comments); each
+# distinct label tuple is checked once
+_REVIEW_PARTS = operator.itemgetter(0, 1, slice(2, 9), 9)
+
+
 def _take_reviews(rows, key, ids: dict[str, str], out: Exports):
     """Append each review row to ``out``'s columns or, with its reason, to
     its report's rejections.  Ids go through ``ids``, so each distinct id
     is kept once."""
     checked: dict[Hashable, int | str] = {}
     seen: set[tuple[str, str]] = set()
-    for (paper, reviewer, *labels, comments), raw, overlong in rows:
+    for values, overlong, raw, row in rows:
+        paper, reviewer, labels, comments = _REVIEW_PARTS(values)
         if labels[5] in (None, ""):
-            labels[5] = "Good"
+            labels = (*labels[:5], "Good", labels[6])
             out.report.warnings.append(
                 f"review ({reviewer}, {paper}): missing confidence, defaulted to 'Good'"
             )
         k = key(labels)
-        if k not in checked:
-            checked[k] = _check_labels(labels, out.labels)
+        label = checked.get(k)
+        if label is None:
+            label = checked[k] = _check_labels(labels, out.labels)
         r, p = str(reviewer).strip(), str(paper).strip()
         pair = (ids.setdefault(r, r), ids.setdefault(p, p))
         ids_ok = paper not in (None, "") and reviewer not in (None, "") and overlong is None
-        if ids_ok and type(checked[k]) is int and pair not in seen:
+        if ids_ok and type(label) is int and pair not in seen:
             seen.add(pair)
             out.reviewer.append(pair[0])
             out.paper.append(pair[1])
-            out.label.append(checked[k])
+            out.label.append(label)
             out.comments.append(str(comments or ""))
             continue
-        row = raw()
-        if row.get("confidence") in (None, ""):
-            row["confidence"] = "Good"
+        shown = raw(row)
+        if shown.get("confidence") in (None, ""):
+            shown["confidence"] = "Good"
         reason = overlong or _missing((paper, reviewer), REVIEW_SCHEMA.required)
         if reason is None:
-            reason = checked[k] if type(checked[k]) is str else DUPLICATE_PAIR
-        out.report.rejected.append((row, reason))
+            reason = label if type(label) is str else DUPLICATE_PAIR
+        out.report.rejected.append((shown, reason))
 
 
 def _take_metas(rows, key, ids: dict[str, str], out: Exports):
     """:func:`_take_reviews` for meta-review rows."""
     checked: dict[Hashable, str | None] = {}
     seen: set[tuple[str, str]] = set()
-    for (paper, metareviewer, rec), raw, overlong in rows:
-        k = key([rec])
+    for values, overlong, raw, row in rows:
+        paper, metareviewer, rec = values
+        k = key(values[2:])
         if k not in checked:
             try:
                 MetaReviewForm("", "", str(rec))  # the form is the label check
@@ -426,8 +447,8 @@ def _take_metas(rows, key, ids: dict[str, str], out: Exports):
             out.meta_paper.append(pair[1])
             out.meta_recommendation.append(str(rec))
             continue
-        reason = overlong or _missing((paper, metareviewer, rec), META_SCHEMA.required)
-        out.report.rejected.append((raw(), reason or checked[k] or DUPLICATE_PAIR))
+        reason = overlong or _missing(values, META_SCHEMA.required)
+        out.report.rejected.append((raw(row), reason or checked[k] or DUPLICATE_PAIR))
 
 
 def read_exports(path, format: str = "csv", meta_path=None) -> Exports:

@@ -11,10 +11,13 @@ and the top floor(a% of P) papers are accepted.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +40,7 @@ __all__ = [
     "score_table",
     "id_rank",
     "rank_and_cut",
-    "score_table_csv",
-    "score_table_json",
+    "score_table_texts",
     "decision_list_csv",
 ]
 
@@ -167,8 +169,8 @@ class ReviewTable:
 def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
     """Sorted distinct ids and the code of each entry of ``ids``."""
     uniq = sorted(set(ids))
-    index = {x: i for i, x in enumerate(uniq)}
-    return uniq, np.array([index[x] for x in ids], dtype=int)
+    index = dict(zip(uniq, range(len(uniq))))
+    return uniq, np.fromiter(map(index.__getitem__, ids), dtype=int, count=len(ids))
 
 
 def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
@@ -295,8 +297,7 @@ class DecisionConfig:
         return int(f"{self.acceptance_rate:.12f}".replace(".", "")) * n_papers // 10**14
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     rank: int
     paper: str
     score_index: float
@@ -335,11 +336,11 @@ def rank_and_cut(
         raise ValueError("requested calibrated ranking but table is uncalibrated")
     si = np.asarray(si, dtype=float)
     order = np.lexsort((id_rank(table.papers), -np.asarray(sm, dtype=float), -si))
-    k = cfg.n_accept(len(table.papers))
-    decisions = [
-        Decision(rank=pos + 1, paper=table.papers[i], score_index=x, accept=pos < k)
-        for pos, (i, x) in enumerate(zip(order.tolist(), si[order].tolist()))
-    ]
+    n = len(table.papers)
+    k = cfg.n_accept(n)
+    papers = map(table.papers.__getitem__, order.tolist())
+    accept = [True] * k + [False] * (n - k)
+    decisions = list(map(Decision, range(1, n + 1), papers, si[order].tolist(), accept))
     return DecisionList(decisions, n_accept=k, acceptance_rate=cfg.acceptance_rate)
 
 
@@ -347,49 +348,46 @@ def rank_and_cut(
 # is all that exists beside the finished part of the output
 _BLOCK = 512
 
+# how json spells the non-finite floats that repr() and csv spell nan, inf
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-def _float_names(table: ScoreTable) -> list[str]:
-    """The table's float columns in CSV header order."""
+
+def score_table_texts(table: ScoreTable) -> tuple[str, str]:
+    """The score table as CSV text and as the text of ``json.dumps({"papers":
+    rows}, indent=2, sort_keys=True)`` plus a newline, written block by
+    block.  Each float is formatted once, by ``repr`` as csv formats it;
+    csv.writer writes the CSV rows from those strings, and the JSON text
+    spells NaN and Infinity as json does and passes the ids through json's
+    ASCII string escaper."""
     names = ["s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
     if table.calibrated:
         names += ["sR_cal", "sM_cal", "SI_cal"]
-    return names
-
-
-def _row_blocks(table: ScoreTable):
-    """The table in blocks of rows: each block's paper ids and its float
-    columns, in CSV header order, as Python floats."""
-    columns = {name: np.asarray(getattr(table, name), dtype=float) for name in _float_names(table)}
-    for lo in range(0, len(table.papers), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        yield table.papers[block], {name: col[block].tolist() for name, col in columns.items()}
-
-
-def score_table_csv(table: ScoreTable) -> str:
-    # csv writes floats as repr() does
-    rows = itertools.chain.from_iterable(
-        zip(papers, *columns.values()) for papers, columns in _row_blocks(table)
-    )
-    return _csv_text(["paper_id", *_float_names(table)], rows)
-
-
-def score_table_json(table: ScoreTable) -> str:
-    """The text of ``json.dumps({"papers": rows}, indent=2, sort_keys=True)``
-    plus a newline, written block by block and column by column: json's C
-    float formatter (NaN, Infinity) for the scores, its ASCII string
-    escaper for the ids."""
-    keys = sorted(["paper_id", *_float_names(table)])
-    row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
+    columns = {name: np.asarray(getattr(table, name), dtype=float) for name in names}
+    keys = sorted(["paper_id", *names])
+    # a JSON row is these parts with the values of ``keys`` between them
+    row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    },\n"
+    parts = row.split("%s")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["paper_id", *names])
     pieces = []
-    for papers, columns in _row_blocks(table):
-        text = {name: json.dumps(col)[1:-1].split(", ") for name, col in columns.items()}
+    for lo in range(0, len(table.papers), _BLOCK):
+        papers = table.papers[lo : lo + _BLOCK]
+        blocks = {name: col[lo : lo + _BLOCK] for name, col in columns.items()}
+        text = {name: list(map(float.__repr__, block.tolist())) for name, block in blocks.items()}
+        writer.writerows(zip(papers, *text.values()))
+        for name, block in blocks.items():
+            if not np.isfinite(block).all():
+                text[name] = [_JSON_FLOAT.get(x, x) for x in text[name]]
         text["paper_id"] = map(json.encoder.encode_basestring_ascii, papers)
-        pieces += (",\n", ",\n".join(row % values for values in zip(*map(text.get, keys))))
+        fields = [itertools.repeat(parts[0])]
+        for key, part in zip(keys, parts[1:]):
+            fields += (text[key], itertools.repeat(part))
+        pieces.append("".join(itertools.chain.from_iterable(zip(*fields))))
     if not pieces:
-        return '{\n  "papers": []\n}\n'
-    pieces[0] = '{\n  "papers": [\n'  # in place of the first block's separator
-    pieces.append("\n  ]\n}\n")
-    return "".join(pieces)
+        return buf.getvalue(), '{\n  "papers": []\n}\n'
+    pieces[-1] = pieces[-1][:-2]  # no comma after the last row
+    return buf.getvalue(), "".join(['{\n  "papers": [\n', *pieces, "\n  ]\n}\n"])
 
 
 def decision_list_csv(decisions: DecisionList) -> str:

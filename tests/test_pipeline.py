@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -941,6 +942,23 @@ class TestCli:
         audit = json.loads((tmp_path / "o" / "assignment_audit.json").read_text())
         assert audit["constraints"]["lone-wolf mitigation"]["pass"] is True
 
+    def test_assign_tag_other_than_rev1_or_rev2_is_a_one_line_error(self, tmp_path, capsys):
+        # a tag the assignment does not know would lift the author-reviewer
+        # cap for that reviewer without a word
+        sim = tmp_path / "sim.csv"
+        sim.write_text("reviewer_id,paper_id,bid,subject_relevance\n"
+                       "R0,P0,0.9,0.9\nR1,P0,0.8,0.8\nR2,P0,0.1,0.1\n")
+        tags = tmp_path / "tags.csv"
+        tags.write_text("reviewer_id,tag\nR0,Rev9\nR1,Rev1\nR2,rev2\n")
+        argv = ["assign", "--similarities", str(sim), "--tags", str(tags),
+                "--min-reviewers", "2", "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"reviewpipe assign: error: {tags}: tag other than Rev1 or Rev2 for "
+            "R0 ('Rev9'), R2 ('rev2')\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -948,7 +966,8 @@ class TestCli:
             ("R1,P0,0.5,high,0.1", "subject_relevance 'high' of (R1, P0) is not a number"),
             ("R1,P0,0.5,0.8,n/a", "tpms 'n/a' of (R1, P0) is not a number"),
             ("R1,P0,1.5,0.8,0.1", "bid similarity 1.5 outside [0, 1] in row (R1, P0)"),
-            ("R1,P0,0.5,-0.1,0.1", "subject similarity -0.1 outside [0, 1] in row (R1, P0)"),
+            ("R1,P0,0.5,-0.1,0.1",
+             "subject_relevance similarity -0.1 outside [0, 1] in row (R1, P0)"),
             ("R1,P0,0.5,0.8,nan", "tpms similarity nan outside [0, 1] in row (R1, P0)"),
         ],
     )
@@ -1215,3 +1234,110 @@ def test_gray_area_report_serialization():
     report = GrayAreaReport(agree_accept=["A"], agree_reject=["B"], disagree=["C"])
     payload = report.to_dict()
     assert payload["counts"] == {"agree-accept": 1, "agree-reject": 1, "disagree": 1}
+
+
+# A small export with every kind of row the readers handle: a reordered
+# header without the award and comments columns, ids quoted for their
+# commas and padded with spaces, a blank confidence, a blank line, a short
+# row, an overlong row, a row whose extra fields are empty, unknown labels
+# and repeated pairs.
+MESSY_REVIEWS = """\
+reviewer_id,c2,paper_id,recommendation,c1,confidence,c4,c3
+R1,Good,P1,Accept,Very good,Good,Good,Fair
+R2,Fair,P1,Weak Accept,Good,,Good,Good
+R3,Excellent,P1,reject,Poor,very  GOOD,Fair,Poor
+"R,4",Good,"P,2",Strong Accept,Excellent,Excellent,Very good,Good
+R1,Poor,"P,2",Borderline,Fair,Fair,Poor,Fair
+R2,Good,"P,2",Maybe,Good,Good,Good,Good
+
+R1,Good,P3,Weak Reject,Fair,Good,Good
+R2,Very good,P3,Accept,Good,Poor,Excellent,Good
+R3,Good,P3,Borderline,Good,Good,Good,Good,extra
+R3,Good,P3,Weak Accept,Good,Good,Good,Good,,
+R2,Very good,P3,Reject,Good,Good,Good,Good
+ R4 ,Good,P4,Accept,Good,Excellent,Good,Good
+R1,Excellent,P4,Strong Accept,Excellent,Good,Very good,Excellent
+"R,4",Fair,P5,Weak Reject,Fair,Poor,Fair,Poor
+"""
+MESSY_METAS = """\
+recommendation,paper_id,metareviewer_id
+Accept,P1,M1
+Weak Reject,"P,2",M1
+Borderline,P3,M2
+Strong Accept,P4,M2
+Bogus,P4,M1
+Reject,P5,M1
+Accept,P1,M1
+"""
+
+
+def _json_twin(text: str) -> list[dict]:
+    """The CSV rows as JSON objects: blank lines and fields beyond the
+    header dropped, fields a short row lacks absent."""
+    header, *rows = csv.reader(text.splitlines())
+    return [dict(zip(header, row)) for row in rows if row]
+
+
+def _messy_artifacts(tmp_path, format, dequantize) -> dict[str, str]:
+    if format == "csv":
+        reviews, metas = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        reviews.write_text(MESSY_REVIEWS, encoding="utf-8")
+        metas.write_text(MESSY_METAS, encoding="utf-8")
+    else:
+        reviews, metas = tmp_path / "reviews.json", None
+        payload = {"reviews": _json_twin(MESSY_REVIEWS), "meta_reviews": _json_twin(MESSY_METAS)}
+        reviews.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = PipelineConfig(
+        reviews_path=str(reviews),
+        meta_path=metas and str(metas),
+        format=format,
+        out_dir=str(out),
+        dequantize=dequantize,
+        calibrate=False,
+    )
+    run_pipeline(cfg)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+# sha256 of each artifact, recorded before the readers and writers were
+# rewritten for speed: the rewrite must not move a byte
+VALIDATION = {
+    "csv": "1c706cf10e6acbb9981fcacaad28785b115759d0c0aab1937599e7aae28715df",
+    "json": "c33f3f9e252cc5a9fd5d947ed1d269a23da5bb1386dd2c4c01109b0e077667cb",
+}
+GRAY = "7c3d2982dfd55910dd8a431d74ceeb34243f5f981ac5db463c6197c012d27a8b"
+MESSY_SHA256 = {
+    ("csv", False): (
+        "0c07ab34ed9c3de51c4b3554513e133eb177cce5cd236d650ac4d58368ad1682",
+        "8c6c58bd24e215a3af52c36fc6c36415f11df71c0b9a42a54f3df7c6e40e448e",
+        "3aaa35f14ae6a85320ff5ebdfc7efaeea64b510d2c9e41e92db851b0abf66cd6",
+    ),
+    ("csv", True): (
+        "4f92c20e2f67355c15fd6defc17827053a4a367a11b360b0016c13b6e2d6364e",
+        "0aae99dfbc1db61092a5512fe25cc3292b3659b03041ea816f1e7631bf0727c8",
+        "2bad38bf4fbda33885f6e345878f06827234819b0e1f6c6ea142e3f863716c12",
+    ),
+    ("json", False): (
+        "53bc7d65767c9791615a1dbd9dc307eda36c970a9b81700af6d1bcce4abd068c",
+        "4a2ca2f94a65bcf9129278270f89f857e4a09360088be9036907d6abe904cfc6",
+        "a1ffa1be847b37327b5ee8fb8d59e5718775c16f605de21d12abaf697f41d7c7",
+    ),
+    ("json", True): (
+        "28d4e05299cc7a5d26d89c66ecfb94217829a12ce6809cd39ce3f083641e306e",
+        "2e1bff4c2279dd64063ee7e0c6d2d43a332b6c6846789e12a614808113ad0bf1",
+        "e4475e1a1bdbeac3d2757b7c3e4884d816d098fb8e353fbddda4d183e32fe3ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("format, dequantize", list(MESSY_SHA256))
+def test_messy_export_artifacts_are_pinned(tmp_path, format, dequantize):
+    decisions, table_csv, table_json = MESSY_SHA256[format, dequantize]
+    assert _messy_artifacts(tmp_path, format, dequantize) == {
+        "decisions.csv": decisions,
+        "gray_area.json": GRAY,
+        "score_table.csv": table_csv,
+        "score_table.json": table_json,
+        "validation.json": VALIDATION[format],
+    }

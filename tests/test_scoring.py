@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +23,7 @@ from reviewpipe.scoring import (
     review_table,
     score_index,
     score_table,
-    score_table_csv,
-    score_table_json,
+    score_table_texts,
     weighted_paper_mean,
 )
 
@@ -364,7 +365,7 @@ class TestExports:
         reviews = [make_review("A", "R1", rec="Accept"), make_review("B", "R2", rec="Reject")]
         metas = [MetaReviewForm("A", "M1", "Accept"), MetaReviewForm("B", "M2", "Reject")]
         table = build_score_table(reviews, metas)
-        lines = score_table_csv(table).strip().splitlines()
+        lines = score_table_texts(table)[0].strip().splitlines()
         assert lines[0] == "paper_id,s_p,xi_p,sR_norm,sM_norm,SI"
         assert len(lines) == 3
         decisions = rank_and_cut(table, DecisionConfig(50.0))
@@ -399,6 +400,12 @@ def oracle_score_table_json(table):
     return json.dumps({"papers": rows}, indent=2, sort_keys=True) + "\n"
 
 
+def assert_texts_match_oracles(table):
+    table_csv, table_json = score_table_texts(table)
+    assert table_csv == oracle_score_table_csv(table)
+    assert table_json == oracle_score_table_json(table)
+
+
 def oracle_rank_order(table, use_calibrated=False):
     si = table.SI_cal if use_calibrated else table.SI
     sm = table.sM_cal if use_calibrated else table.sM_norm
@@ -406,7 +413,7 @@ def oracle_rank_order(table, use_calibrated=False):
     return [(pos + 1, table.papers[i], float(si[i])) for pos, i in enumerate(order)]
 
 
-AWKWARD_IDS = ['P"1"', "P\\2", "P,3", "Pä4", "P€5", "P\t6", "P\n7", "a", "a\x00", "", "Z 9"]
+AWKWARD_IDS = ['P"1"', "P\\2", "P,3", "Pä4", "P€5", "P\t6", "P\n7", "a", "a\x00", "", "Z 9", "P\r8"]
 
 
 def random_score_table(rng, papers, calibrated, levels=None):
@@ -429,24 +436,21 @@ class TestColumnWriters:
     @pytest.mark.parametrize("calibrated", [False, True])
     def test_match_row_writers_on_awkward_ids(self, rng, calibrated):
         table = random_score_table(rng, AWKWARD_IDS, calibrated)
-        assert score_table_csv(table) == oracle_score_table_csv(table)
-        assert score_table_json(table) == oracle_score_table_json(table)
+        assert_texts_match_oracles(table)
 
     @pytest.mark.parametrize("calibrated", [False, True])
     def test_match_row_writers_on_random_tables(self, rng, calibrated):
         for n in (1, 2, 7, 40):
             papers = [f"P{i:03d}" for i in rng.permutation(n)]
             table = random_score_table(rng, papers, calibrated, levels=int(rng.integers(1, 4)))
-            assert score_table_csv(table) == oracle_score_table_csv(table)
-            assert score_table_json(table) == oracle_score_table_json(table)
+            assert_texts_match_oracles(table)
 
     @pytest.mark.parametrize("calibrated", [False, True])
     def test_match_row_writers_across_blocks(self, rng, calibrated):
         for n in (511, 512, 513, 1100):
             papers = [f"P{i:04d}" for i in rng.permutation(n)]
             table = random_score_table(rng, papers, calibrated)
-            assert score_table_csv(table) == oracle_score_table_csv(table)
-            assert score_table_json(table) == oracle_score_table_json(table)
+            assert_texts_match_oracles(table)
 
     def test_nan_and_infinity_match(self, rng):
         table = random_score_table(rng, ["A", "B", "C", "D"], calibrated=True)
@@ -454,10 +458,10 @@ class TestColumnWriters:
         table.SI_cal[1] = np.nan
         table.xi_p[2] = 1e-300
         table.sM_norm[3] = 1.5e16
-        text = score_table_json(table)
-        assert "NaN" in text and "-Infinity" in text
-        assert text == oracle_score_table_json(table)
-        assert score_table_csv(table) == oracle_score_table_csv(table)
+        table_csv, table_json = score_table_texts(table)
+        assert "NaN" in table_json and "-Infinity" in table_json
+        assert "nan" in table_csv and "-inf" in table_csv
+        assert_texts_match_oracles(table)
 
     @pytest.mark.parametrize("calibrated", [False, True])
     def test_zero_papers(self, calibrated):
@@ -466,15 +470,29 @@ class TestColumnWriters:
         table = ScoreTable(
             papers=[], s_p=empty, xi_p=empty, sR_norm=empty, sM_norm=empty, SI=empty, **cal
         )
-        assert score_table_json(table) == '{\n  "papers": []\n}\n'
-        assert score_table_json(table) == oracle_score_table_json(table)
-        assert score_table_csv(table) == oracle_score_table_csv(table)
+        assert score_table_texts(table)[1] == '{\n  "papers": []\n}\n'
+        assert_texts_match_oracles(table)
+
+    def test_paper_scale_tables_are_formatted_block_by_block(self, rng):
+        # 5,526 papers, the paper's count.  Beside the two texts, writing
+        # holds at most one more copy of them (the CSV's buffer, the JSON's
+        # blocks) and one block's float texts, about 170 KiB: the bound
+        # leaves 256 KiB for that block.  Formatting whole columns at once
+        # holds all 27,630 float texts, about 2 MiB more, and fails it.
+        table = random_score_table(rng, [f"P{i:05d}" for i in range(5526)], calibrated=False)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            texts = score_table_texts(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(map(len, texts)) + 256 * 1024
 
     def test_pipeline_table_matches(self, rng):
         _, _, reviews, metas = random_corpus(rng, 30, 12)
         table = build_score_table(reviews, metas)
-        assert score_table_csv(table) == oracle_score_table_csv(table)
-        assert score_table_json(table) == oracle_score_table_json(table)
+        assert_texts_match_oracles(table)
 
 
 class TestRankOracle:
