@@ -12,8 +12,9 @@ boolean word is an error naming the file and line.  ``assign`` reads its
 CSV files under the review exports' header rules, each field stripped: an
 unknown, missing or repeated column, a row with non-empty fields beyond
 the header, an empty required field, a repeated key, a similarity that
-is not a number in [0, 1] or a tag other than Rev1 and Rev2 is bad
-input.  Bad input, a missing or unreadable file included, ends the
+is not a number in [0, 1], a tag other than Rev1 and Rev2, or a tag or
+conflict row naming a reviewer or paper absent from the similarities is
+bad input.  Bad input, a missing or unreadable file included, ends the
 command with a one-line message on stderr and exit status 2.  Every
 ``ValueError`` and ``OSError`` is reported that way, one raised by an
 internal consistency check included, so such a message can also point at
@@ -138,21 +139,30 @@ def cmd_assign(args) -> int:
             sources[key] = SimilaritySources(*numbers)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc} in row {_show_key(key)}") from None
+    papers, reviewers = {p for _, p in sources}, {r for r, _ in sources}
     tags = {}
     if args.tags:
         tags = {r: tag for (r,), (tag,) in read_keyed_csv(args.tags, TAG_SCHEMA).items()}
         other = ", ".join(f"{r} ({tag!r})" for r, tag in tags.items() if tag not in TAGS)
         if other:
             raise ValueError(f"{args.tags}: tag other than {' or '.join(TAGS)} for {other}")
+        absent = ", ".join(r for r in tags if r not in reviewers)
+        if absent:
+            raise ValueError(f"{args.tags}: tag for a reviewer absent from {path}: {absent}")
     conflicts = read_keyed_csv(args.conflicts, CONFLICT_SCHEMA) if args.conflicts else {}
+    absent = ", ".join(
+        _show_key(key) for key in conflicts if key[0] not in reviewers or key[1] not in papers
+    )
+    if absent:
+        raise ValueError(
+            f"{args.conflicts}: conflict with a reviewer or paper absent from {path}: {absent}"
+        )
     constraints = AssignmentConstraints(
         min_reviewers_per_paper=args.min_reviewers,
         max_papers_per_reviewer=args.max_papers,
         conflicts=frozenset(conflicts),
     )
-    papers = sorted({p for _, p in sources})
-    reviewers = sorted({r for r, _ in sources})
-    result = assign(papers, reviewers, sources, constraints, tags)
+    result = assign(sorted(papers), sorted(reviewers), sources, constraints, tags)
     write_atomic(
         Path(args.out) / "assignment.csv",
         _csv_text(["reviewer_id", "paper_id"], sorted(result.pairs)),

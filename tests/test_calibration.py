@@ -769,6 +769,32 @@ class TestSearch:
         best = min(summary["grid"], key=lambda row: row["nll"])
         assert best["sb2_hat"] == 0.5
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_few_evaluations(self, seed):
+        # the benchmark's review shape and the meta-review shape
+        for inputs in (corpus_like(np.random.default_rng(seed), 200, 145),
+                       meta_shape(np.random.default_rng(seed))):
+            summary = calibrate(inputs).summary
+            assert not summary["stopped_on_budget"]
+            assert summary["evaluations"] <= 20
+
+    def test_box_corner_optimum_stops_below_budget(self):
+        # one entry per paper and no meta-reviewer offsets: the likelihood
+        # depends on a / (1 + c) alone and falls toward its least value, at
+        # the box's corner (lo, hi)
+        rng = np.random.default_rng(3)
+        s = np.round(rng.normal(0, 1, 200) + rng.normal(0, 0.3, 200), 1)
+        inputs = CalibrationInputs(
+            s, np.arange(200), rng.integers(0, 14, 200),
+            [f"P{i:03d}" for i in range(200)], [f"M{i:02d}" for i in range(14)],
+        )
+        summary = calibrate(inputs).summary
+        assert summary["argmin_on_grid_edge"] is True
+        assert not summary["stopped_on_budget"]
+        assert summary["evaluations"] < reviewpipe.calibration.SEARCH_BUDGET
+        best = min(summary["grid"], key=lambda row: row["nll"])
+        assert (best["sb2_hat"], best["se2_hat"]) == (0.01, 100.0)
+
 
 def lstsq_moments(inputs):
     """The Gao-Owen moment system by pair sums, each row divided by its

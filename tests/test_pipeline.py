@@ -959,6 +959,41 @@ class TestCli:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_assign_tag_for_absent_reviewer_is_a_one_line_error(self, tmp_path, capsys):
+        # a tag for an id the similarities lack, a typo included, is no silent no-op
+        sim = tmp_path / "sim.csv"
+        sim.write_text("reviewer_id,paper_id,bid,subject_relevance\n"
+                       "R0,P0,0.9,0.9\nR1,P0,0.8,0.8\nR2,P0,0.1,0.1\n")
+        tags = tmp_path / "tags.csv"
+        tags.write_text("reviewer_id,tag\nR9,Rev2\nR1,Rev1\nP0,Rev2\n")
+        argv = ["assign", "--similarities", str(sim), "--tags", str(tags),
+                "--min-reviewers", "2", "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"reviewpipe assign: error: {tags}: tag for a reviewer absent from {sim}: R9, P0\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_assign_conflict_with_absent_reviewer_or_paper_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        sim = tmp_path / "sim.csv"
+        sim.write_text("reviewer_id,paper_id,bid,subject_relevance\n"
+                       "R0,P0,0.9,0.9\nR1,P0,0.8,0.8\nR2,P1,0.1,0.1\n")
+        conflicts = tmp_path / "conflicts.csv"
+        # (R1, P1) is no candidate pair, but both ids are known: harmless
+        conflicts.write_text("reviewer_id,paper_id\nR1,P1\nR9,P0\nR0,P7\nP0,R0\n")
+        argv = ["assign", "--similarities", str(sim), "--conflicts", str(conflicts),
+                "--min-reviewers", "1", "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"reviewpipe assign: error: {conflicts}: conflict with a reviewer or paper "
+            f"absent from {sim}: (R9, P0), (R0, P7), (P0, R0)\n"
+        )
+        assert not (tmp_path / "o").exists()
+        conflicts.write_text("reviewer_id,paper_id\nR1,P1\n")
+        assert self.run(argv) == 0
+
     @pytest.mark.parametrize(
         "row, message",
         [
