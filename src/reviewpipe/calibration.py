@@ -34,11 +34,13 @@ search in the manner of BOBYQA (Powell 2009), as lme4 fits the same
 crossed model (Bates et al. 2015): six points fix an interpolating
 quadratic, each step goes to its least point in the box within the trust
 radius, and the ratio of the actual to the predicted decrease resizes the
-radius.  It stops at a radius of XATOL where the model, its points near
-the best, predicts at most FATOL nats, or after SEARCH_BUDGET
-evaluations; on the benchmark's corpora that takes 12 to 18 evaluations
-on the review side and a median of 15 on the meta-review side, up to 37
-where its likelihood is flat toward an edge of the box.
+radius.  Once, after its first gain, a search heading for the box's
+no-bias corner (least a, most c) tries that corner.  It stops at a
+radius of XATOL where the model, its points near the best or its best at
+a corner of the box, predicts at most FATOL nats, or after SEARCH_BUDGET
+evaluations; on the benchmark's corpora that takes 11 to 19 evaluations
+on the review side and 12 to 29, a median of 14, on the meta-review
+side.
 :func:`fit_hyperparams` is the exact grid search on the same evaluator.
 The bias term is removed by Gaussian conditioning, E[b | s] =
 a Zr^T K^-1 r, and Monte-Carlo draws of b from the same factor turn
@@ -466,11 +468,13 @@ SEARCH_BUDGET = 60
 # the BLAS thread count, cannot move them.  On the benchmark's corpora
 # (200 and 1,000 papers), FATOL = 1e-6 stopped a meta-review fit 1.6e-6
 # nats short on the likelihood's flat tail toward a = 0, and 1e-7 none by
-# more than 2e-7; SPREAD = 8 took the fewest evaluations of 2, 4, 8 and 16.
+# more than 2e-7.  Of SPREAD = 8, 10, 12, 14 and 16, 12 and 14 left the
+# fewest fits above 20 evaluations (5 of 198) and 16 stopped a meta-review
+# fit 2.7e-6 nats short; 12 keeps a margin from 16.
 SEARCH_STEP = 0.3
 XATOL = 1e-2
 FATOL = 1e-7
-SPREAD = 8.0
+SPREAD = 12.0
 POISED = 1e-3
 LATTICE = 2.0**-12
 
@@ -521,12 +525,22 @@ def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
     0.1, else at least the step, and twice the step above 0.7.  After a
     step that failed, ratio below 0.1, the farthest point, if further than
     SPREAD radii, moves to where its Lagrange function is largest in size
-    within the radius (at least XATOL).  A model that predicts at most
-    FATOL sets the radius to XATOL; at that radius the search stops if
-    every point is within SPREAD x XATOL of the best, else the farthest
-    point moves.  It also stops where no point within reach would keep
-    the six well posed, as at a corner of the box, and at a point where
-    the likelihood is degenerate.
+    within the radius (at least XATOL).
+
+    The first step that gains, if it lowers a and raises c, is followed by
+    one try of the box's corner (lo, hi), where the bias variance is least
+    and the noise most; it joins the points only if it is better than the
+    best, and the radius grows to reach it.  Where no reviewer bias shows,
+    the likelihood falls toward that corner as a / (1 + c) shrinks, ever
+    more slowly in log space, and a quadratic model follows it there only
+    in many short steps.
+
+    A model that predicts at most FATOL sets the radius to XATOL; at that
+    radius the search stops if every point is within SPREAD x XATOL of the
+    best or the best is a corner of the box that the model's slope points
+    out of on both sides, else the farthest point moves.  It also stops
+    where no point within reach would keep the six well posed, and at a
+    point where the likelihood is degenerate.
     """
     bounds = sorted((grid.lo, grid.hi))
     lo, hi = np.log(bounds).tolist()
@@ -567,7 +581,8 @@ def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
             corner[i] = ys[-2][i] if fs[-2] <= fs[-1] else ys[-1][i]
         ys.append(tuple(corner))
         fs.append(f(ys[-1]))
-        improve = False
+        improve = due = False
+        probe = True
         while np.isfinite(fs).all():
             fb = min(fs)
             b = fs.index(fb)
@@ -599,26 +614,42 @@ def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
                 ys[far] = options[sizes.index(max(sizes))]
                 fs[far] = f(ys[far])
                 continue
-            coef = inverse @ (np.array(fs) - fb)
-            x = least(coef, radius)
-            t = np.array(terms(x))
-            pred = float(coef[0] - t @ coef)
-            if pred <= FATOL:
-                if radius > XATOL:
-                    radius = XATOL
-                elif scale <= SPREAD * XATOL:
-                    return False
-                else:
-                    improve = True
-                continue
-            fx = f(x)
-            ratio = (fb - fx) / pred
-            step = gap(x, xb)
-            if ratio < 0.1:
-                radius /= 2.0
+            probing, due = due and (lo, hi) not in ys, False
+            if probing:
+                x = (lo, hi)
+                t = np.array(terms(x))
+                fx = f(x)
+                if fx >= fb:
+                    continue
+                radius = max(radius, gap(x, xb))
             else:
-                radius = max(radius / 2.0, step if ratio < 0.7 else 2.0 * step)
-            improve = ratio < 0.1
+                coef = inverse @ (np.array(fs) - fb)
+                x = least(coef, radius)
+                t = np.array(terms(x))
+                pred = float(coef[0] - t @ coef)
+                if pred <= FATOL:
+                    # at a corner of the box whose every side the model's
+                    # slope points out of, the points need not gather
+                    cornered = all(v in (lo, hi) for v in xb) and all(
+                        g >= 0.0 if v == lo else g <= 0.0 for v, g in zip(xb, coef[1:3].tolist())
+                    )
+                    if radius > XATOL:
+                        radius = XATOL
+                    elif scale <= SPREAD * XATOL or cornered:
+                        return False
+                    else:
+                        improve = True
+                    continue
+                fx = f(x)
+                ratio = (fb - fx) / pred
+                step = gap(x, xb)
+                if ratio < 0.1:
+                    radius /= 2.0
+                else:
+                    radius = max(radius / 2.0, step if ratio < 0.7 else 2.0 * step)
+                improve = ratio < 0.1
+                if probe and fx < fb:
+                    probe, due = False, x[0] < xb[0] and x[1] > xb[1]
             # x takes the place of the point farthest from the best whose
             # Lagrange value at x, the factor by which the interpolation
             # system's determinant changes, is large enough; of the best
@@ -858,7 +889,7 @@ def acceptance_probability(
         raise ValueError(f"every paper needs at least one review entry; none for {missing}")
     weights = inputs.confidences / den[inputs.paper_idx]
     # columns are papers in id order, so that tied papers are taken left
-    # to right.  The aggregates put the columns in ``place``: by entry
+    # to right.  The sums are taken with the columns in ``place``: by entry
     # count, most first (ties in id order), so that slot j, the j-th entry
     # of each column with more than j entries, spans the first ``width``
     # of them.  A column's sum is its first entry plus the sum of the rest,
@@ -872,7 +903,7 @@ def acceptance_probability(
     place[by_count] = np.arange(p)
     order = np.argsort(place[col], kind="stable")
     entry_reviewer, entry_weight = inputs.reviewer_idx[order], weights[order]
-    per_place, mean = per_col[by_count], mean[by_count]
+    per_place = per_col[by_count]
     starts = np.cumsum(per_place) - per_place
     slots = []
     for j in range(per_place[0]):
@@ -891,15 +922,10 @@ def acceptance_probability(
             agg[:, :width] += bias[:, reviewer] * weight
         _, reviewer, weight = slots[0]
         agg += bias[:, reviewer] * weight
-        agg += mean
+        agg = mean + agg[:, place]
         kth = np.partition(agg, p - k, axis=1)[:, p - k, None]
-        take = agg >= kth
-        tie = take.sum(axis=1) > k
-        if tie.any():  # more papers at the k-th value than slots left for them
-            take[tie] = False
-            above = (agg[tie] > kth[tie])[:, place]
-            tied = (agg[tie] == kth[tie])[:, place]
-            room = k - above.sum(axis=1, keepdims=True)
-            counts += (above | (tied & (np.cumsum(tied, axis=1) <= room))).sum(axis=0)
-        counts += take.sum(axis=0)[place]
+        above = agg > kth
+        tied = agg == kth
+        room = k - above.sum(axis=1, keepdims=True)
+        counts += (above | (tied & (np.cumsum(tied, axis=1) <= room))).sum(axis=0)
     return AcceptanceEstimate(counts=counts[col_of], n_samples=n_samples, n_accept=k)

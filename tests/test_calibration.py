@@ -381,6 +381,30 @@ class TestSelectionMatchesArgsortOracle:
         assert np.array_equal(est.counts, expected)
         assert est.counts.sum() == k * 300
 
+    @pytest.mark.parametrize("rate, k", [(25.0, 1), (50.0, 2), (75.0, 3)])
+    def test_ties_on_uneven_entry_counts(self, rate, k):
+        # papers c, a and d tie at 2.0 with 2, 1 and 2 entries; b, at 1.0,
+        # has 3, so the order by entry count (b, c, d, a) is not the id
+        # order.  Only b's reviewer r3 has a bias spread: b moves past the
+        # tied papers in some samples and they stay tied.  Dyadic weights
+        # keep the means exact.
+        paper_ids = ["c", "a", "d", "b"]
+        paper_idx = [0, 0, 1, 2, 2, 3, 3, 3]
+        reviewer_idx = [0, 1, 0, 1, 2, 0, 1, 3]
+        s = [1.0, 3.0, 2.0, 3.0, 1.0, 2.0, 2.0, 0.0]
+        conf = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]
+        inputs = CalibrationInputs(s, paper_idx, reviewer_idx, paper_ids, ["r0", "r1", "r2", "r3"], conf)
+        sigma_y = PosteriorCovariance(inputs.reviewer_idx, np.zeros(4), sd=np.array([0.0, 0.0, 0.0, 4.0]))
+        cfg = DecisionConfig(rate)
+        assert cfg.n_accept(inputs.n_papers) == k
+        est = acceptance_probability(inputs.s, sigma_y, inputs, cfg, 200, seed=2)
+        expected = argsort_counts(inputs.s, sigma_y, inputs, k, 200, seed=2)
+        assert np.array_equal(est.counts, expected)
+        # b is above the tie in some samples, and then the last tied paper
+        # in id order that had a slot loses it
+        assert 0 < est.counts[3] < 200
+        assert est.counts[[1, 0, 2][k - 1]] == 200 - est.counts[3]
+
     def test_tie_order_keeps_trailing_nuls(self):
         # a NumPy string sort reads "a\x00" as "a": the tie must go to "a"
         inputs = self.tied_inputs(["b", "a\x00", "a"], [1.0, 1.0, 1.0])
@@ -791,7 +815,8 @@ class TestSearch:
         summary = calibrate(inputs).summary
         assert summary["argmin_on_grid_edge"] is True
         assert not summary["stopped_on_budget"]
-        assert summary["evaluations"] < reviewpipe.calibration.SEARCH_BUDGET
+        # Nelder-Mead took 20 here
+        assert summary["evaluations"] <= 20
         best = min(summary["grid"], key=lambda row: row["nll"])
         assert (best["sb2_hat"], best["se2_hat"]) == (0.01, 100.0)
 
