@@ -42,8 +42,8 @@ from .records import (
     export_json,
     export_metas_csv,
     export_reviews_csv,
+    label_score,
     likert_labels,
-    load_reviews,
     read_exports,
     validate,
 )

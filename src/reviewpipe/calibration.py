@@ -314,9 +314,11 @@ class _Model:
     the reviewers when R <= P, else the papers.  Called at (a, c), it gives
     the profile NLL with sigma_q^2 at its closed-form optimum and mu_q the
     mean score.  Each distinct point is evaluated once; the non-degenerate
-    ones are kept as rows, in evaluation order."""
+    ones are kept as rows, in evaluation order.  :meth:`posterior`
+    conditions on the inputs at fitted hyperparameters."""
 
     def __init__(self, inputs: CalibrationInputs):
+        self.inputs = inputs
         n_rev = len(inputs.reviewer_ids)
         self.on_reviewers = n_rev <= inputs.n_papers
         if self.on_reviewers:
@@ -392,6 +394,39 @@ class _Model:
             sigma_q2=row["sigma_q2"], sb2_hat=row["sb2_hat"], se2_hat=row["se2_hat"],
             mu_q=self.mu_q, grid=tuple(self.rows),
         )
+
+    def posterior(self, hp: Hyperparams) -> tuple[np.ndarray, PosteriorCovariance]:
+        """Conditional Gaussian over the bias-removed scores y = s - b(reviewer).
+
+        With a = sb2_hat, c = se2_hat and the bordered factor at (a, c),
+        v = L^-T L[m, :m] is sqrt(g) (I + g Z^T O^-1 Z)^-1 u, so
+
+            K^-1 r   = O^-1 (r - sqrt(g) Z v),   mu_y = s - Zr a Zr^T K^-1 r.
+
+        Cov(b | s) / sigma_q^2 is a (L L^T)^-1 when reviewers are factored,
+        and diag(a c / (c + a m_r)) + a^2 Q (L L^T)^-1 Q^T when papers are,
+        with m_r the reviewer's entries and Q = Zr^T O^-1 Zp, 1 / (c + a m_r)
+        where reviewer r scored paper p.  Exact at a = 0.
+        """
+        inputs = self.inputs
+        a, c, r = hp.sb2_hat, hp.se2_hat, inputs.s - hp.mu_q
+        g, _, w = self.ratios(a, c)
+        fac, _ = self.factor(a, c, r)
+        v = fac.solve_t(fac.border[None])[0]
+        k_inv_r = self.o_inv(r - np.sqrt(g) * v[self.group], w, c)
+        n_rev = len(inputs.reviewer_ids)
+        bias = a * np.bincount(inputs.reviewer_idx, weights=k_inv_r, minlength=n_rev)
+        mu_y = inputs.s - bias[inputs.reviewer_idx]
+        sq = np.sqrt(hp.sigma_q2)
+        if self.on_reviewers:
+            sigma_y = PosteriorCovariance(inputs.reviewer_idx, np.full(n_rev, sq * np.sqrt(a)), fac)
+        else:
+            load = np.bincount(inputs.reviewer_idx, minlength=n_rev)
+            sigma_y = PosteriorCovariance(
+                inputs.reviewer_idx, sq * a / (c + a * load), fac,
+                sd=sq * np.sqrt(a * c / (c + a * load)), paper_idx=inputs.paper_idx,
+            )
+        return mu_y, sigma_y
 
 
 def fit_hyperparams(inputs: CalibrationInputs, grid: GridSpec | None = None) -> Hyperparams:
@@ -729,37 +764,9 @@ class PosteriorCovariance:
 
 
 def posterior(inputs: CalibrationInputs, hp: Hyperparams) -> tuple[np.ndarray, PosteriorCovariance]:
-    """Conditional Gaussian over the bias-removed scores y = s - b(reviewer).
-
-    With a = sb2_hat, c = se2_hat and the bordered factor at (a, c),
-    v = L^-T L[m, :m] is sqrt(g) (I + g Z^T O^-1 Z)^-1 u, so
-
-        K^-1 r   = O^-1 (r - sqrt(g) Z v),   mu_y = s - Zr a Zr^T K^-1 r.
-
-    Cov(b | s) / sigma_q^2 is a (L L^T)^-1 when reviewers are factored, and
-    diag(a c / (c + a m_r)) + a^2 Q (L L^T)^-1 Q^T when papers are, with
-    m_r the reviewer's entries and Q = Zr^T O^-1 Zp, 1 / (c + a m_r) where
-    reviewer r scored paper p.  Exact at a = 0.
-    """
-    a, c, r = hp.sb2_hat, hp.se2_hat, inputs.s - hp.mu_q
-    model = _Model(inputs)
-    g, _, w = model.ratios(a, c)
-    fac, _ = model.factor(a, c, r)
-    v = fac.solve_t(fac.border[None])[0]
-    k_inv_r = model.o_inv(r - np.sqrt(g) * v[model.group], w, c)
-    n_rev = len(inputs.reviewer_ids)
-    bias = a * np.bincount(inputs.reviewer_idx, weights=k_inv_r, minlength=n_rev)
-    mu_y = inputs.s - bias[inputs.reviewer_idx]
-    sq = np.sqrt(hp.sigma_q2)
-    if model.on_reviewers:
-        sigma_y = PosteriorCovariance(inputs.reviewer_idx, np.full(n_rev, sq * np.sqrt(a)), fac)
-    else:
-        load = np.bincount(inputs.reviewer_idx, minlength=n_rev)
-        sigma_y = PosteriorCovariance(
-            inputs.reviewer_idx, sq * a / (c + a * load), fac,
-            sd=sq * np.sqrt(a * c / (c + a * load)), paper_idx=inputs.paper_idx,
-        )
-    return mu_y, sigma_y
+    """(mu_y, sigma_y), the conditional Gaussian over the bias-removed
+    scores at ``hp``; see :meth:`_Model.posterior`."""
+    return _Model(inputs).posterior(hp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -820,7 +827,7 @@ def calibrate(
         fit = _Model(inputs)
         on_budget = _search(fit, (b2 / q2, e2 / q2), grid)
         hp = fit.best()
-        mu_y, sigma_y = posterior(inputs, hp)
+        mu_y, sigma_y = fit.posterior(hp)
         edges = (grid.lo, grid.hi)
         summary.update(
             argmin_on_grid_edge=hp.sb2_hat in edges or hp.se2_hat in edges,

@@ -178,9 +178,11 @@ def cmd_assign(args) -> int:
 
 
 def cmd_dequantize(args) -> int:
-    lam = getattr(args, "lambda")
-    rows = exports_table(read_exports(args.input, args.format), metas=False)
-    s_dq = dequantize_rows(rows.paper, rows.s, DequantConfig(lam=lam))
+    cfg = DequantConfig(lam=getattr(args, "lambda"))
+    exports = read_exports(args.input, args.format)
+    write_atomic(Path(args.out) / "validation.json", _json_text(exports.report.to_dict()))
+    rows = exports_table(exports, metas=False)
+    s_dq = dequantize_rows(rows.paper, rows.s, cfg)
     entries = [
         (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))
         for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist())
@@ -189,7 +191,10 @@ def cmd_dequantize(args) -> int:
         Path(args.out) / "dequantized.csv",
         _csv_text(["paper_id", "reviewer_id", "s", "s_dq"], entries),
     )
-    sys.stdout.write(f"dequantized {len(entries)} reviews (lambda={lam}) -> {args.out}\n")
+    sys.stdout.write(
+        f"dequantized {len(entries)} reviews, {len(exports.report.rejected)} rows rejected"
+        f" (lambda={cfg.lam}) -> {args.out}\n"
+    )
     return 0
 
 

@@ -1,15 +1,17 @@
 """Typed review records and ingestion of raw review exports.
 
-Raw exports (CSV or JSON) are read into the columns of :class:`Exports`,
-which :func:`load_reviews` turns into immutable :class:`ReviewForm` /
-:class:`MetaReviewForm` records.  Every input row either becomes exactly
-one accepted row or one rejection entry in the :class:`ValidationReport`;
-nothing is dropped silently.  Each distinct label tuple of an export is
-checked once, by building one form.  CSV rows are read from the open file
-one at a time and held only while they are checked; each distinct id is
-stored once however many rows carry it.  :func:`read_keyed_csv` reads the
-other CSV inputs (similarities, tags, conflicts) under the same header
-and row rules, but aborts on a bad row instead of rejecting it.
+Raw exports (CSV or JSON) are read into the columns of :class:`Exports`:
+the ids and the scores of each row's labels.  Every input row either
+becomes exactly one accepted row or one rejection entry in the
+:class:`ValidationReport`; nothing is dropped silently.  Each distinct
+label tuple of an export is checked and scored once, by
+:func:`label_score`, the rule :class:`ReviewForm` also checks with; each
+distinct meta-review recommendation is encoded once.  CSV rows are read
+from the open file one at a time and held only while they are checked;
+each distinct id is stored once however many rows carry it.
+:func:`read_keyed_csv` reads the other CSV inputs (similarities, tags,
+conflicts) under the same header and row rules, but aborts on a bad row
+instead of rejecting it.
 
 CSV and JSON rows reach the checks in one form, ``(values, overlong,
 raw, row)``: the values in schema column order, why the row is too long
@@ -41,13 +43,12 @@ __all__ = [
     "MetaReviewForm",
     "ValidationReport",
     "Exports",
-    "LoadResult",
     "encode_likert",
+    "label_score",
     "likert_labels",
     "CsvSchema",
     "read_keyed_csv",
     "read_exports",
-    "load_reviews",
     "validate",
     "export_reviews_csv",
     "export_metas_csv",
@@ -147,6 +148,22 @@ def likert_labels(scale: str) -> list[str]:
     return list(_WEIGHTS[scale])
 
 
+def label_score(rec, c1, c2, c3, c4, conf, award) -> tuple[int, float]:
+    """One review's composite score in half-steps -- recommendation plus
+    the four criteria plus the award flag, each doubled -- and its
+    confidence weight.  Checks the labels in that order, recommendation,
+    c1-c4, confidence, raising :class:`UnknownLabelError` at the first
+    unknown one, then raises ``ValueError`` for an award other than 0 or 1.
+    """
+    s_half = 2 * int(encode_likert(rec, "recommendation"))
+    for c in (c1, c2, c3, c4):
+        s_half += int(round(2 * encode_likert(c, "criterion")))
+    confidence = encode_likert(conf, "confidence")
+    if award not in (0, 1):
+        raise ValueError(f"award flag must be 0 or 1, got {award!r}")
+    return s_half + 2 * award, confidence
+
+
 @dataclass(frozen=True)
 class ReviewForm:
     """One reviewer's structured evaluation of one paper."""
@@ -160,12 +177,7 @@ class ReviewForm:
     comments: str = ""
 
     def __post_init__(self):
-        encode_likert(self.recommendation, "recommendation")
-        for c in self.criteria:
-            encode_likert(c, "criterion")
-        encode_likert(self.confidence, "confidence")
-        if self.award not in (0, 1):
-            raise ValueError(f"award flag must be 0 or 1, got {self.award!r}")
+        label_score(self.recommendation, *self.criteria, self.confidence, self.award)
 
 
 @dataclass(frozen=True)
@@ -221,47 +233,37 @@ class ValidationReport:
 class Exports:
     """The accepted rows of review exports as columns, and their report.
 
-    Review row ``i`` is ``paper[i]``, ``reviewer[i]``, the labels of
-    ``labels[label[i]]`` and ``comments[i]``; ``labels`` holds one checked
-    form, with blank ids, per distinct label tuple (recommendation,
-    criteria, confidence, award).
+    Review row ``i`` is ``paper[i]`` and ``reviewer[i]``, scored
+    ``scores[label[i]]``; ``scores`` holds the :func:`label_score`,
+    ``(s_half, confidence)``, of each distinct label tuple (recommendation,
+    criteria, confidence, award).  Meta row ``j`` is ``meta_paper[j]`` and
+    ``metareviewer[j]`` with the recommendation weight ``xi[j]``.
     """
 
     paper: list[str] = field(default_factory=list)
     reviewer: list[str] = field(default_factory=list)
     label: list[int] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
-    labels: list[ReviewForm] = field(default_factory=list)
+    scores: list[tuple[int, float]] = field(default_factory=list)
     meta_paper: list[str] = field(default_factory=list)
     metareviewer: list[str] = field(default_factory=list)
-    meta_recommendation: list[str] = field(default_factory=list)
+    xi: list[float] = field(default_factory=list)
     report: ValidationReport = field(default_factory=ValidationReport)
 
     @classmethod
     def from_forms(cls, reviews: list[ReviewForm], metas: list[MetaReviewForm] = ()):
         """Columns of typed records, with an empty report."""
         index: dict[tuple, int] = {}
-        keys = [(f.recommendation, tuple(f.criteria), f.confidence, f.award) for f in reviews]
+        keys = [(f.recommendation, *f.criteria, f.confidence, f.award) for f in reviews]
         label = [index.setdefault(key, len(index)) for key in keys]
         return cls(
             [f.paper for f in reviews],
             [f.reviewer for f in reviews],
             label,
-            [f.comments for f in reviews],
-            [ReviewForm("", "", *key) for key in index],
+            [label_score(*key) for key in index],
             [m.paper for m in metas],
             [m.metareviewer for m in metas],
-            [m.recommendation for m in metas],
+            [encode_likert(m.recommendation, "recommendation") for m in metas],
         )
-
-
-@dataclass
-class LoadResult:
-    """Outcome of :func:`load_reviews`."""
-
-    reviews: list[ReviewForm]
-    metas: list[MetaReviewForm]
-    report: ValidationReport
 
 
 def _check_header(header, schema: CsvSchema, path):
@@ -364,10 +366,10 @@ def _missing(values, names) -> str | None:
     return None
 
 
-def _check_labels(labels: tuple, forms: list[ReviewForm]) -> int | str:
-    """Check one raw label tuple (recommendation, c1-c4, confidence, award)
-    by appending its form to ``forms``: the form's index, or why rows
-    carrying the tuple are rejected."""
+def _check_labels(labels: tuple, scores: list[tuple[int, float]]) -> int | str:
+    """Check and score one raw label tuple (recommendation, c1-c4,
+    confidence, award) by appending its :func:`label_score` to ``scores``:
+    the score's index, or why rows carrying the tuple are rejected."""
     rec, c1, c2, c3, c4, conf, award = labels
     reason = _missing(labels, REVIEW_SCHEMA.required[2:])
     if reason is not None:
@@ -377,26 +379,25 @@ def _check_labels(labels: tuple, forms: list[ReviewForm]) -> int | str:
     except ValueError:
         return f"award flag not 0/1: {labels[6]!r}"
     try:
-        criteria = (str(c1), str(c2), str(c3), str(c4))
-        forms.append(ReviewForm("", "", str(rec), criteria, str(conf), award))
+        scores.append(label_score(*map(str, labels[:6]), award))
     except ValueError as exc:  # UnknownLabelError included
         return str(exc)
-    return len(forms) - 1
+    return len(scores) - 1
 
 
-# a review row's values as (paper, reviewer, label tuple, comments); each
-# distinct label tuple is checked once
-_REVIEW_PARTS = operator.itemgetter(0, 1, slice(2, 9), 9)
+# a review row's values as (paper, reviewer, label tuple); each distinct
+# label tuple is checked once
+_REVIEW_PARTS = operator.itemgetter(0, 1, slice(2, 9))
 
 
 def _take_reviews(rows, key, ids: dict[str, str], out: Exports):
     """Append each review row to ``out``'s columns or, with its reason, to
     its report's rejections.  Ids go through ``ids``, so each distinct id
-    is kept once."""
+    is kept once; an id that is empty once stripped is missing."""
     checked: dict[Hashable, int | str] = {}
     seen: set[tuple[str, str]] = set()
     for values, overlong, raw, row in rows:
-        paper, reviewer, labels, comments = _REVIEW_PARTS(values)
+        paper, reviewer, labels = _REVIEW_PARTS(values)
         if labels[5] in (None, ""):
             labels = (*labels[:5], "Good", labels[6])
             out.report.warnings.append(
@@ -405,21 +406,21 @@ def _take_reviews(rows, key, ids: dict[str, str], out: Exports):
         k = key(labels)
         label = checked.get(k)
         if label is None:
-            label = checked[k] = _check_labels(labels, out.labels)
-        r, p = str(reviewer).strip(), str(paper).strip()
-        pair = (ids.setdefault(r, r), ids.setdefault(p, p))
-        ids_ok = paper not in (None, "") and reviewer not in (None, "") and overlong is None
-        if ids_ok and type(label) is int and pair not in seen:
-            seen.add(pair)
-            out.reviewer.append(pair[0])
-            out.paper.append(pair[1])
-            out.label.append(label)
-            out.comments.append(str(comments or ""))
-            continue
+            label = checked[k] = _check_labels(labels, out.scores)
+        p = paper if paper is None else str(paper).strip()
+        r = reviewer if reviewer is None else str(reviewer).strip()
+        if p and r and overlong is None and type(label) is int:
+            pair = (ids.setdefault(r, r), ids.setdefault(p, p))
+            if pair not in seen:
+                seen.add(pair)
+                out.reviewer.append(pair[0])
+                out.paper.append(pair[1])
+                out.label.append(label)
+                continue
         shown = raw(row)
         if shown.get("confidence") in (None, ""):
             shown["confidence"] = "Good"
-        reason = overlong or _missing((paper, reviewer), REVIEW_SCHEMA.required)
+        reason = overlong or _missing((p, r), REVIEW_SCHEMA.required)
         if reason is None:
             reason = label if type(label) is str else DUPLICATE_PAIR
         out.report.rejected.append((shown, reason))
@@ -427,28 +428,31 @@ def _take_reviews(rows, key, ids: dict[str, str], out: Exports):
 
 def _take_metas(rows, key, ids: dict[str, str], out: Exports):
     """:func:`_take_reviews` for meta-review rows."""
-    checked: dict[Hashable, str | None] = {}
+    checked: dict[Hashable, float | str] = {}
     seen: set[tuple[str, str]] = set()
     for values, overlong, raw, row in rows:
         paper, metareviewer, rec = values
         k = key(values[2:])
         if k not in checked:
             try:
-                MetaReviewForm("", "", str(rec))  # the form is the label check
-                checked[k] = None
+                checked[k] = encode_likert(str(rec), "recommendation")
             except ValueError as exc:
                 checked[k] = str(exc)
-        m, p = str(metareviewer).strip(), str(paper).strip()
-        pair = (ids.setdefault(m, m), ids.setdefault(p, p))
-        ids_ok = paper not in (None, "") and metareviewer not in (None, "") and overlong is None
-        if ids_ok and checked[k] is None and pair not in seen:
-            seen.add(pair)
-            out.metareviewer.append(pair[0])
-            out.meta_paper.append(pair[1])
-            out.meta_recommendation.append(str(rec))
-            continue
-        reason = overlong or _missing(values, META_SCHEMA.required)
-        out.report.rejected.append((raw(row), reason or checked[k] or DUPLICATE_PAIR))
+        xi = checked[k]
+        p = paper if paper is None else str(paper).strip()
+        m = metareviewer if metareviewer is None else str(metareviewer).strip()
+        if p and m and overlong is None and type(xi) is not str:
+            pair = (ids.setdefault(m, m), ids.setdefault(p, p))
+            if pair not in seen:
+                seen.add(pair)
+                out.metareviewer.append(pair[0])
+                out.meta_paper.append(pair[1])
+                out.xi.append(xi)
+                continue
+        reason = overlong or _missing((p, m, rec), META_SCHEMA.required)
+        if reason is None:
+            reason = xi if type(xi) is str else DUPLICATE_PAIR
+        out.report.rejected.append((raw(row), reason))
 
 
 def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
@@ -490,18 +494,6 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
         raise ValueError(f"unknown format {format!r}")
     _audit(out)
     return out
-
-
-def load_reviews(path, format: str = "csv", meta_path=None) -> LoadResult:
-    """:func:`read_exports` as typed records."""
-    ex = read_exports(path, format, meta_path)
-    labels = map(ex.labels.__getitem__, ex.label)
-    reviews = [
-        ReviewForm(p, r, t.recommendation, t.criteria, t.confidence, t.award, c)
-        for p, r, t, c in zip(ex.paper, ex.reviewer, labels, ex.comments)
-    ]
-    metas = list(map(MetaReviewForm, ex.meta_paper, ex.metareviewer, ex.meta_recommendation))
-    return LoadResult(reviews, metas, ex.report)
 
 
 def _audit(ex: Exports, min_reviews: int = 2, duplicates=()):
@@ -573,7 +565,7 @@ def _json_text(obj) -> str:
 
 
 def export_reviews_csv(reviews: list[ReviewForm]) -> str:
-    """Canonical CSV text for review records (round-trips via load_reviews)."""
+    """Canonical CSV text for review records (round-trips via read_exports)."""
     return _csv_text(REVIEW_SCHEMA.columns, map(_review_row, reviews))
 
 

@@ -3,7 +3,9 @@ and the acceptance-rate cutoff.
 
 The per-review score is the recommendation weight plus the four criterion
 weights plus the award flag; it lives on a 0.5 lattice in [-7, 8] and is
-kept as an integer number of half-steps until aggregation.  Reviewer
+kept as an integer number of half-steps until aggregation.  Ingestion
+computes it, by :func:`reviewpipe.records.label_score`, once per distinct
+label tuple; :func:`exports_table` only looks the scores up.  Reviewer
 confidence weights the aggregation, not the score itself.  Normalized
 reviewer and meta-reviewer scores are fused per paper with a harmonic mean,
 and the top floor(a% of P) papers are accepted.
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import Exports, MetaReviewForm, ReviewForm, _csv_text, encode_likert
+from .records import Exports, MetaReviewForm, ReviewForm, _csv_text, label_score
 
 __all__ = [
     "ReviewScore",
@@ -44,10 +46,6 @@ __all__ = [
     "decision_list_csv",
 ]
 
-S_MIN_HALF = -14  # S=-3, all criteria -1, AQ=0
-S_MAX_HALF = 16  # S=+3, all criteria +1, AQ=1
-
-
 class DegenerateScaleWarning(UserWarning):
     """All values identical: min-max normalization has no span."""
 
@@ -69,17 +67,10 @@ class ReviewScore:
 
 def review_score(form: ReviewForm) -> ReviewScore:
     """Composite score: recommendation + four criteria + award flag."""
-    s_half = 2 * int(encode_likert(form.recommendation, "recommendation"))
-    for c in form.criteria:
-        s_half += int(round(2 * encode_likert(c, "criterion")))
-    s_half += 2 * form.award
-    assert S_MIN_HALF <= s_half <= S_MAX_HALF
-    return ReviewScore(
-        paper=form.paper,
-        reviewer=form.reviewer,
-        s_half=s_half,
-        confidence=encode_likert(form.confidence, "confidence"),
+    s_half, confidence = label_score(
+        form.recommendation, *form.criteria, form.confidence, form.award
     )
+    return ReviewScore(form.paper, form.reviewer, s_half, confidence)
 
 
 def normalize(v) -> np.ndarray:
@@ -174,19 +165,18 @@ def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
 
 
 def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
-    """Score each distinct label tuple of accepted rows once and code
-    reviews and meta-reviews by id.
+    """Code reviews and meta-reviews by id, with the scores ingestion
+    computed.
 
     With ``metas`` set, every reviewed paper needs a meta-review and every
     meta-reviewed paper a review: fusion needs both sides.  Without it the
     meta columns are ignored and the meta arrays are empty.
     """
-    used, label = np.unique(np.asarray(exports.label, dtype=int), return_inverse=True)
-    scores = [review_score(exports.labels[k]) for k in used.tolist()]
+    label = np.asarray(exports.label, dtype=int)
     if metas:
         meta_papers = exports.meta_paper
         metareviewers = exports.metareviewer
-        recommendations = exports.meta_recommendation
+        xi = exports.xi
         meta_set = set(meta_papers)
         missing_meta = sorted(set(exports.paper).difference(meta_set))
         if missing_meta:
@@ -195,7 +185,7 @@ def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
         if extra_meta:
             raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
     else:
-        meta_papers, metareviewers, recommendations = [], [], []
+        meta_papers, metareviewers, xi = [], [], []
     # one coding for both sides: the meta papers are among the reviewed ones
     paper_ids, codes = _codes([*exports.paper, *meta_papers])
     paper, meta_paper = np.split(codes, [len(exports.paper)])
@@ -209,13 +199,11 @@ def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
         metareviewer_ids=metareviewer_ids,
         paper=paper[rows],
         reviewer=reviewer[rows],
-        s_half=np.array([sc.s_half for sc in scores], dtype=int)[label][rows],
-        confidence=np.array([sc.confidence for sc in scores], dtype=float)[label][rows],
+        s_half=np.array([s for s, _ in exports.scores], dtype=int)[label][rows],
+        confidence=np.array([w for _, w in exports.scores], dtype=float)[label][rows],
         meta_paper=meta_paper[meta_rows],
         metareviewer=metareviewer[meta_rows],
-        xi=np.array(
-            [encode_likert(r, "recommendation") for r in recommendations], dtype=float
-        )[meta_rows],
+        xi=np.array(xi, dtype=float)[meta_rows],
     )
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import reviewpipe.pipeline
-import reviewpipe.scoring
+import reviewpipe.records
 
 from reviewpipe.pipeline import (
     GrayAreaReport,
@@ -113,6 +113,21 @@ def write_corpus(tmp_path, rng, n_papers=60, n_reviewers=25):
     rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
     mpath.write_text(export_metas_csv(metas), encoding="utf-8")
     return rpath, mpath
+
+
+def count_label_scores(monkeypatch) -> list:
+    """The arguments of every later ``label_score`` call in the package."""
+    original = reviewpipe.records.label_score
+    calls = []
+
+    def counted(*labels):
+        calls.append(labels)
+        return original(*labels)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reviewpipe") and getattr(module, "label_score", None) is original:
+            monkeypatch.setattr(module, "label_score", counted)
+    return calls
 
 
 class TestRunPipeline:
@@ -340,18 +355,9 @@ class TestRunPipeline:
             assert summary["argmin_on_grid_edge"] is on_edge
 
 
-    def test_review_score_runs_once_per_review(self, tmp_path, rng, monkeypatch):
+    def test_label_score_runs_once_per_review(self, tmp_path, rng, monkeypatch):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=20, n_reviewers=10)
-        original = reviewpipe.scoring.review_score
-        calls = []
-
-        def counted(form):
-            calls.append(form)
-            return original(form)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("reviewpipe") and getattr(module, "review_score", None) is original:
-                monkeypatch.setattr(module, "review_score", counted)
+        calls = count_label_scores(monkeypatch)
         cfg = PipelineConfig(
             reviews_path=str(rpath),
             meta_path=str(mpath),
@@ -364,9 +370,7 @@ class TestRunPipeline:
         run_pipeline(cfg)
         assert len(calls) == 60
 
-    def test_review_score_runs_once_per_distinct_accepted_label_tuple(
-        self, tmp_path, rng, monkeypatch
-    ):
+    def test_label_score_runs_once_per_distinct_raw_label_tuple(self, tmp_path, rng, monkeypatch):
         _, _, reviews, metas = random_corpus(rng, 20, 10)
         pool = reviews[:4]
         reviews = [
@@ -380,21 +384,13 @@ class TestRunPipeline:
         text = export_reviews_csv(reviews + [repeat]) + "P0000,R0099,Maybe,Good,Good,Good,Good,Good,0,\n"
         rpath.write_text(text, encoding="utf-8")
         mpath.write_text(export_metas_csv(metas), encoding="utf-8")
-        original = reviewpipe.scoring.review_score
-        calls = []
-
-        def counted(form):
-            calls.append(form)
-            return original(form)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("reviewpipe") and getattr(module, "review_score", None) is original:
-                monkeypatch.setattr(module, "review_score", counted)
+        calls = count_label_scores(monkeypatch)
         out = tmp_path / "out"
         run_pipeline(
             PipelineConfig(reviews_path=str(rpath), meta_path=str(mpath), out_dir=str(out), dequantize=True)
         )
-        assert len(calls) == len(distinct) < len(reviews)
+        # the rejected rows' tuples are scored too: the repeat's and the unknown label's
+        assert len(calls) == len(distinct) + 2 < len(reviews)
         assert len(json.loads((out / "validation.json").read_text())["rejected"]) == 2
 
     def test_constant_meta_scores_pass_through(self, tmp_path, rng):
@@ -825,6 +821,27 @@ class TestCli:
         for line in lines[1:]:
             _, _, s, s_dq = line.split(",")
             assert abs(float(s) - float(s_dq)) <= 0.25 + 1e-12
+
+    def test_dequantize_reports_rejected_rows(self, tmp_path, capsys):
+        rpath = tmp_path / "reviews.csv"
+        rpath.write_text(
+            "paper_id,reviewer_id,recommendation,c1,c2,c3,c4\n"
+            "P1,R1,Accept,Good,Good,Good,Good\n"
+            "P1,R2,Maybe,Good,Good,Good,Good\n"
+            "P1,R1,Reject,Good,Good,Good,Good\n"
+        )
+        out = tmp_path / "o"
+        argv = ["dequantize", "--input", str(rpath), "--lambda", "1.5", "--out", str(out)]
+        assert self.run(argv) == 0
+        assert capsys.readouterr().out == (
+            f"dequantized 1 reviews, 2 rows rejected (lambda=1.5) -> {out}\n"
+        )
+        assert len((out / "dequantized.csv").read_text().splitlines()) == 2
+        rejected = json.loads((out / "validation.json").read_text())["rejected"]
+        assert [r["reason"] for r in rejected] == [
+            "unknown label 'Maybe' for scale 'recommendation'",
+            DUPLICATE_PAIR,
+        ]
 
     def test_assign_command(self, tmp_path):
         sim = tmp_path / "sim.csv"

@@ -20,12 +20,13 @@ from reviewpipe.records import (
     export_json,
     export_metas_csv,
     export_reviews_csv,
+    label_score,
     likert_labels,
-    load_reviews,
     read_exports,
     read_keyed_csv,
     validate,
 )
+from reviewpipe.scoring import exports_table, review_table
 
 from conftest import make_review
 
@@ -40,6 +41,19 @@ def write_reviews(tmp_path, rows, name="reviews.csv"):
 
 def review_row(paper="P1", reviewer="R1", rec="Accept", crit="Good", conf="Good", award="0"):
     return f"{paper},{reviewer},{rec},{crit},{crit},{crit},{crit},{conf},{award},fine"
+
+
+def assert_reads_as(exports, reviews, metas=None):
+    """The accepted rows of ``exports`` make the review table of ``reviews``
+    (and ``metas``, if given)."""
+    got = exports_table(exports, metas=metas is not None)
+    want = review_table(reviews, metas)
+    for name, value in vars(want).items():
+        if isinstance(value, list):
+            assert getattr(got, name) == value, name
+        else:
+            assert getattr(got, name).dtype == value.dtype, name
+            assert np.array_equal(getattr(got, name), value), name
 
 
 class TestEncodeLikert:
@@ -125,26 +139,25 @@ class TestKeyedCsv:
 class TestLoad:
     def test_well_formed_rows(self, tmp_path):
         path = write_reviews(tmp_path, [review_row(reviewer=f"R{i}") for i in range(3)])
-        result = load_reviews(path)
-        assert len(result.reviews) == 3
-        assert not result.report.rejected
-        assert {(f.reviewer, f.paper) for f in result.reviews} == {(f"R{i}", "P1") for i in range(3)}
+        exports = read_exports(path)
+        assert not exports.report.rejected
+        assert_reads_as(exports, [make_review("P1", f"R{i}", rec="Accept") for i in range(3)])
 
     def test_unknown_label_rejected_not_aborted(self, tmp_path):
         path = write_reviews(
             tmp_path, [review_row(), review_row(reviewer="R2", rec="Maybe")]
         )
-        result = load_reviews(path)
-        assert len(result.reviews) == 1
-        assert len(result.report.rejected) == 1
-        row, reason = result.report.rejected[0]
+        exports = read_exports(path)
+        assert_reads_as(exports, [make_review("P1", "R1", rec="Accept")])
+        assert len(exports.report.rejected) == 1
+        row, reason = exports.report.rejected[0]
         assert "unknown label" in reason and row["recommendation"] == "Maybe"
 
     def test_unknown_column_aborts(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(REVIEW_HEADER + ",sentiment\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown column"):
-            load_reviews(path)
+            read_exports(path)
 
     def test_repeated_columns_abort(self, tmp_path):
         # DictReader would keep the later column: R1's Strong Reject read as Strong Accept
@@ -152,30 +165,30 @@ class TestLoad:
         path = tmp_path / "dup.csv"
         path.write_text(REVIEW_HEADER + ",recommendation\n" + row + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape("repeated column(s) ['recommendation']")):
-            load_reviews(path)
+            read_exports(path)
         path.write_text("paper_id,reviewer_id,reviewer_id,recommendation,c1,c2,c3,c4,c1\n")
         with pytest.raises(ValueError, match=re.escape("repeated column(s) ['c1', 'reviewer_id']")):
-            load_reviews(path)
+            read_exports(path)
         meta = tmp_path / "meta.csv"
         meta.write_text("paper_id,metareviewer_id,recommendation,recommendation\nP1,M1,Reject,Accept\n")
         with pytest.raises(ValueError, match=re.escape("repeated column(s) ['recommendation']")):
-            load_reviews(write_reviews(tmp_path, [review_row()]), meta_path=meta)
+            read_exports(write_reviews(tmp_path, [review_row()]), meta_path=meta)
 
     def test_row_with_surplus_fields_rejected(self, tmp_path):
         path = write_reviews(
             tmp_path, [review_row(), "P1,R2,Accept,Good,Good,Good,Good,Good,0,great, really"]
         )
-        result = load_reviews(path)
-        assert [f.reviewer for f in result.reviews] == ["R1"]
-        [(row, reason)] = result.report.rejected
+        exports = read_exports(path)
+        assert exports.reviewer == ["R1"]
+        [(row, reason)] = exports.report.rejected
         assert reason == "row has 11 fields, header has 10"
         assert row["comments"] == "great" and row["extra_fields"] == [" really"]
 
     def test_trailing_empty_fields_accepted(self, tmp_path):
         path = write_reviews(tmp_path, ["P1,R1,Accept,Good,Good,Good,Good,Good,0,,,"])
-        result = load_reviews(path)
-        assert result.reviews == [make_review("P1", "R1", rec="Accept")]
-        assert not result.report.rejected
+        exports = read_exports(path)
+        assert_reads_as(exports, [make_review("P1", "R1", rec="Accept")])
+        assert not exports.report.rejected
 
     def test_long_rejected_rows_serialize(self, tmp_path):
         path = write_reviews(
@@ -188,7 +201,7 @@ class TestLoad:
         )
         meta = tmp_path / "meta.csv"
         meta.write_text("paper_id,metareviewer_id,recommendation\nP1,M1,Accept\nP1,M1,Accept,\n")
-        report = load_reviews(path, meta_path=meta).report
+        report = read_exports(path, meta_path=meta).report
         payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert [
             (r["row"].get("reviewer_id", r["row"].get("metareviewer_id")), r["row"]["extra_fields"], r["reason"])
@@ -201,25 +214,27 @@ class TestLoad:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_reviews(tmp_path / "nope.csv")
+            read_exports(tmp_path / "nope.csv")
 
     def test_missing_confidence_defaults_with_warning(self, tmp_path):
         path = write_reviews(tmp_path, ["P1,R1,Accept,Good,Good,Good,Good,,0,"])
-        result = load_reviews(path)
-        assert result.reviews[0].confidence == "Good"
-        assert any("confidence" in w for w in result.report.warnings)
+        exports = read_exports(path)
+        assert_reads_as(exports, [make_review("P1", "R1", rec="Accept", conf="Good")])
+        assert any("confidence" in w for w in exports.report.warnings)
 
     def test_missing_award_defaults_zero(self, tmp_path):
         path = write_reviews(tmp_path, ["P1,R1,Accept,Good,Good,Good,Good,Good,,"])
-        result = load_reviews(path)
-        assert result.reviews[0].award == 0
+        assert_reads_as(read_exports(path), [make_review("P1", "R1", rec="Accept", award=0)])
 
     def test_meta_csv(self, tmp_path):
         path = write_reviews(tmp_path, [review_row()])
         meta = tmp_path / "meta.csv"
         meta.write_text("paper_id,metareviewer_id,recommendation\nP1,M1,Accept\n")
-        result = load_reviews(path, meta_path=meta)
-        assert result.metas == [MetaReviewForm("P1", "M1", "Accept")]
+        assert_reads_as(
+            read_exports(path, meta_path=meta),
+            [make_review("P1", "R1", rec="Accept")],
+            [MetaReviewForm("P1", "M1", "Accept")],
+        )
 
     def test_json_format(self, tmp_path):
         payload = {
@@ -243,8 +258,11 @@ class TestLoad:
         }
         path = tmp_path / "export.json"
         path.write_text(json.dumps(payload))
-        result = load_reviews(path, format="json")
-        assert len(result.reviews) == 1 and len(result.metas) == 1
+        assert_reads_as(
+            read_exports(path, format="json"),
+            [make_review("P1", "R1", rec="Accept")],
+            [MetaReviewForm("P1", "M1", "Accept")],
+        )
 
     @pytest.mark.parametrize(
         "payload, problem",
@@ -282,17 +300,17 @@ class TestLoad:
                 review_row(reviewer="R1", rec="Strong Reject"),
             ],
         )
-        result = load_reviews(path)
-        assert [(f.reviewer, f.recommendation) for f in result.reviews] == [
-            ("R1", "Accept"),
-            ("R2", "Borderline"),
-        ]
-        assert len(result.report.rejected) == 1
-        row, reason = result.report.rejected[0]
+        exports = read_exports(path)
+        assert exports.reviewer == ["R1", "R2"]
+        assert_reads_as(
+            exports,
+            [make_review("P1", "R1", rec="Accept"), make_review("P1", "R2", rec="Borderline")],
+        )
+        assert len(exports.report.rejected) == 1
+        row, reason = exports.report.rejected[0]
         assert reason == DUPLICATE_PAIR
         assert row["recommendation"] == "Strong Reject"
-        findings = validate(result.reviews, result.metas).findings
-        assert not [f for f in findings if f[0] == "duplicate assignment"]
+        assert not [f for f in exports.report.findings if f[0] == "duplicate assignment"]
 
     def test_duplicate_meta_pair_keeps_first_row(self, tmp_path):
         path = write_reviews(tmp_path, [review_row()])
@@ -300,19 +318,40 @@ class TestLoad:
         meta.write_text(
             "paper_id,metareviewer_id,recommendation\nP1,M1,Accept\nP1,M2,Reject\nP1,M1,Reject\n"
         )
-        result = load_reviews(path, meta_path=meta)
-        assert result.metas == [MetaReviewForm("P1", "M1", "Accept"), MetaReviewForm("P1", "M2", "Reject")]
-        assert [(row["metareviewer_id"], reason) for row, reason in result.report.rejected] == [
+        exports = read_exports(path, meta_path=meta)
+        assert list(zip(exports.meta_paper, exports.metareviewer, exports.xi)) == [
+            ("P1", "M1", 2),
+            ("P1", "M2", -2),
+        ]
+        assert [(row["metareviewer_id"], reason) for row, reason in exports.report.rejected] == [
             ("M1", DUPLICATE_PAIR)
         ]
+
+    def test_whitespace_only_ids_are_missing(self, tmp_path):
+        path = write_reviews(
+            tmp_path, [review_row(), review_row(paper="  "), review_row(reviewer=" ")]
+        )
+        meta = tmp_path / "meta.csv"
+        meta.write_text("paper_id,metareviewer_id,recommendation\nP1,M1,Accept\n ,M2,Accept\nP1,\t,Reject\n")
+        exports = read_exports(path, meta_path=meta)
+        assert exports.paper == ["P1"] and exports.meta_paper == ["P1"]
+        assert [reason for _, reason in exports.report.rejected] == [
+            "missing required field 'paper_id'",
+            "missing required field 'reviewer_id'",
+            "missing required field 'paper_id'",
+            "missing required field 'metareviewer_id'",
+        ]
+        assert exports.report.n_papers == 1
 
     def test_same_ids_in_review_and_meta_roles_are_not_duplicates(self, tmp_path):
         path = write_reviews(tmp_path, [review_row(reviewer="X1")])
         meta = tmp_path / "meta.csv"
         meta.write_text("paper_id,metareviewer_id,recommendation\nP1,X1,Accept\n")
-        result = load_reviews(path, meta_path=meta)
-        assert len(result.reviews) == 1 and len(result.metas) == 1
-        assert not result.report.rejected
+        exports = read_exports(path, meta_path=meta)
+        assert_reads_as(
+            exports, [make_review("P1", "X1", rec="Accept")], [MetaReviewForm("P1", "X1", "Accept")]
+        )
+        assert not exports.report.rejected
 
 
 class TestValidate:
@@ -362,19 +401,19 @@ class TestRoundTrip:
         mpath = tmp_path / "m.csv"
         rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
         mpath.write_text(export_metas_csv(metas), encoding="utf-8")
-        result = load_reviews(rpath, meta_path=mpath)
-        assert result.reviews == reviews
-        assert result.metas == metas
-        assert rpath.read_text() == export_reviews_csv(result.reviews)
+        exports = read_exports(rpath, meta_path=mpath)
+        assert exports.paper == ["P1", "P2"] and exports.reviewer == ["R1", "R2"]
+        assert not exports.report.rejected
+        assert_reads_as(exports, reviews, metas)
 
     def test_json_round_trip(self, tmp_path):
         reviews = [make_review("P1", "R1", rec="Accept", crit="Excellent")]
         metas = [MetaReviewForm("P1", "M1", "Borderline")]
         path = tmp_path / "e.json"
         path.write_text(export_json(reviews, metas), encoding="utf-8")
-        result = load_reviews(path, format="json")
-        assert result.reviews == reviews and result.metas == metas
-        assert path.read_text() == export_json(result.reviews, result.metas)
+        exports = read_exports(path, format="json")
+        assert not exports.report.rejected
+        assert_reads_as(exports, reviews, metas)
 
 
 @given(st.sampled_from(["recommendation", "criterion", "confidence"]), st.text(max_size=20))
@@ -388,6 +427,32 @@ def test_encode_rejects_arbitrary_text(scale, text):
 def test_award_flag_domain():
     with pytest.raises(ValueError):
         ReviewForm("P1", "R1", "Accept", ("Good",) * 4, "Good", award=2)
+
+
+def test_label_score():
+    # 2 * (2 + 0 + 0.5 - 0.5 + 1 + 1): Accept, four criteria, the award
+    assert label_score("Accept", "Good", "Very good", "Fair", "Excellent", "Poor", 1) == (8, 0.8)
+    assert label_score(" strong  ACCEPT", *["excellent"] * 4, "Excellent", 1) == (16, 1.2)
+    assert label_score("Strong Reject", *["Poor"] * 4, "Good", 0) == (-14, 1.0)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (("Maybe", "Superb", "Good", "Good", "Good", "Bad", 2), "'Maybe'"),
+        (("Accept", "Good", "Good", "Superb", "Bad", "Bad", 2), "'Superb'"),
+        (("Accept", "Good", "Good", "Good", "Good", "Bad", 2), "'Bad'"),
+        (("Accept", "Good", "Good", "Good", "Good", "Good", 2), "award flag must be 0 or 1, got 2"),
+    ],
+)
+def test_label_score_checks_in_form_order(labels, message):
+    """The first bad field names the error: recommendation, c1-c4,
+    confidence, then the award; the form raises the same."""
+    rec, *criteria, conf, award = labels
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        label_score(*labels)
+    with pytest.raises(type(raised.value), match=f"^{re.escape(str(raised.value))}$"):
+        ReviewForm("P1", "R1", rec, tuple(criteria), conf, award)
 
 
 def test_encode_cache_keeps_scales_apart():

@@ -4,7 +4,8 @@ The oracle below is that loader: ``csv.DictReader`` rows, one
 ``ReviewForm`` per row, one ``review_score`` per review in the table, and a
 separate ``validate`` pass merged with the loader's rejections and
 warnings.  On messy CSV and JSON exports both paths must give the same
-forms, the same ``ReviewTable`` and the same ``validation.json`` text.
+accepted rows in input order (ids, scores and meta-review weights), the
+same ``ReviewTable`` and the same ``validation.json`` text.
 Rows longer than their header are left out: the oracle drops their surplus
 fields or fails on them, which the reader now rejects by design.
 """
@@ -31,7 +32,6 @@ from reviewpipe.records import (
     UnknownLabelError,
     ValidationReport,
     encode_likert,
-    load_reviews,
     read_exports,
 )
 from reviewpipe.scoring import ReviewTable, exports_table, review_score
@@ -195,10 +195,15 @@ def assert_tables_equal(a: ReviewTable, b: ReviewTable):
 
 def assert_matches_oracle(path, format="csv", meta_path=None):
     reviews, metas, report = oracle_load(path, format, meta_path)
-    loaded = load_reviews(path, format, meta_path)
-    assert loaded.reviews == reviews
-    assert loaded.metas == metas
     exports = read_exports(path, format, meta_path)
+    assert exports.paper == [f.paper for f in reviews]
+    assert exports.reviewer == [f.reviewer for f in reviews]
+    assert [exports.scores[k] for k in exports.label] == [
+        (sc.s_half, sc.confidence) for sc in map(review_score, reviews)
+    ]
+    assert exports.meta_paper == [m.paper for m in metas]
+    assert exports.metareviewer == [m.metareviewer for m in metas]
+    assert exports.xi == [encode_likert(m.recommendation, "recommendation") for m in metas]
     assert json.dumps(exports.report.to_dict(), indent=2, sort_keys=True) == json.dumps(
         report.to_dict(), indent=2, sort_keys=True
     )
