@@ -47,7 +47,8 @@ a Zr^T K^-1 r, and Monte-Carlo draws of b from the same factor turn
 ranked samples into per-paper acceptance probabilities.  One evaluation
 costs O(sum of block sizes squared) to build the m x m matrix and O(m^3)
 to factor it, m = min(R, P) + 1; memory is O(m^2 + n).  The sampler works
-SAMPLE_BLOCK samples at a time, so its memory is O(SAMPLE_BLOCK x (n + m))
+SAMPLE_BLOCK samples at a time from padded entry tables in paper-id order;
+its memory is O(SAMPLE_BLOCK x (P + R + m) + P x most entries per paper)
 whatever the number of samples.
 
 :func:`calibrate` serves reviews and meta-reviews alike (meta-reviewers
@@ -874,12 +875,13 @@ def acceptance_probability(
 
     Samples are taken SAMPLE_BLOCK at a time, each one row of
     ``sigma_y.draw``, so the draws do not depend on the block size.  The
-    per-paper aggregates follow directly; no array grows with n_samples,
-    and none exceeds SAMPLE_BLOCK x max(n, R + P).  Each sample accepts
-    exactly k = floor(a% of P) papers: every paper above its k-th best
-    aggregate, then the papers tied with that value in lexicographic id
-    order.  So the probability column sums to k exactly.  Deterministic
-    for a fixed seed.
+    aggregates come from two fixed tables, (most entries per paper) x P;
+    a block holds S x (P + R') values, S = SAMPLE_BLOCK and R' <= R + m
+    the width of one draw, and no array grows with n_samples.  Each
+    sample accepts exactly k = floor(a% of P) papers: every paper above
+    its k-th best aggregate, then the papers tied with that value in
+    lexicographic id order.  So the probability column sums to k exactly.
+    Deterministic for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -896,27 +898,20 @@ def acceptance_probability(
         raise ValueError(f"every paper needs at least one review entry; none for {missing}")
     weights = inputs.confidences / den[inputs.paper_idx]
     # columns are papers in id order, so that tied papers are taken left
-    # to right.  The sums are taken with the columns in ``place``: by entry
-    # count, most first (ties in id order), so that slot j, the j-th entry
-    # of each column with more than j entries, spans the first ``width``
-    # of them.  A column's sum is its first entry plus the sum of the rest,
-    # taken slot by slot.
+    # to right.  Row j of the entry tables holds each column's j-th entry,
+    # weight 0 past its last.  A column sums rows 1, 2, ... then row 0; a
+    # zero-weight term adds +-0.0 to a sum that is never -0.0: no change.
     col_of = id_rank(inputs.paper_ids)
     col = col_of[inputs.paper_idx]
     mean = np.bincount(col, weights=weights * mu_y, minlength=p)
     per_col = np.bincount(col, minlength=p)
-    by_count = np.argsort(-per_col, kind="stable")
-    place = np.empty(p, dtype=np.intp)
-    place[by_count] = np.arange(p)
-    order = np.argsort(place[col], kind="stable")
-    entry_reviewer, entry_weight = inputs.reviewer_idx[order], weights[order]
-    per_place = per_col[by_count]
-    starts = np.cumsum(per_place) - per_place
-    slots = []
-    for j in range(per_place[0]):
-        width = int(np.count_nonzero(per_place > j))
-        entries = starts[:width] + j
-        slots.append((width, entry_reviewer[entries], entry_weight[entries]))
+    order = np.argsort(col, kind="stable")
+    cols = col[order]
+    rows = np.arange(inputs.n) - (np.cumsum(per_col) - per_col)[cols]
+    entry_reviewer = np.zeros((per_col.max(), p), dtype=np.intp)
+    entry_weight = np.zeros((per_col.max(), p))
+    entry_reviewer[rows, cols] = inputs.reviewer_idx[order]
+    entry_weight[rows, cols] = weights[order]
 
     k = cfg.n_accept(p)
     counts = np.zeros(p, dtype=np.int64)
@@ -925,11 +920,10 @@ def acceptance_probability(
     for first in range(0, n_samples if k else 0, SAMPLE_BLOCK):
         bias = sigma_y.draw(rng, min(SAMPLE_BLOCK, n_samples - first))
         agg = np.zeros((len(bias), p))
-        for width, reviewer, weight in slots[1:]:
-            agg[:, :width] += bias[:, reviewer] * weight
-        _, reviewer, weight = slots[0]
-        agg += bias[:, reviewer] * weight
-        agg = mean + agg[:, place]
+        for reviewer, weight in zip(entry_reviewer[1:], entry_weight[1:]):
+            agg += bias[:, reviewer] * weight
+        agg += bias[:, entry_reviewer[0]] * entry_weight[0]
+        agg += mean
         kth = np.partition(agg, p - k, axis=1)[:, p - k, None]
         above = agg > kth
         tied = agg == kth

@@ -13,7 +13,6 @@ byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,11 +109,12 @@ class PipelineResult:
 
 
 def write_atomic(path, text: str) -> str:
-    """Write text to ``path`` via a temp file in the same directory;
-    returns the path as a string."""
+    """Write text to ``path`` via a temp file in the same directory, with
+    the mode ``open`` gives (0666 less the umask); returns str(path)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

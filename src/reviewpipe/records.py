@@ -470,7 +470,8 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     columns abort with ``ValueError``.  Each distinct label tuple is
     checked once, and the columns share one string per distinct id.  The
     report also holds the counts and findings of :func:`validate` for the
-    accepted rows.
+    accepted rows, papers without a meta-review only if meta-reviews were
+    read (a ``meta_path``, or a ``meta_reviews`` key).
     """
     out = Exports()
     ids: dict[str, str] = {}
@@ -492,12 +493,13 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
         _take_metas(metas, repr, ids, out)
     else:
         raise ValueError(f"unknown format {format!r}")
-    _audit(out)
+    _audit(out, meta_path is not None if format == "csv" else "meta_reviews" in payload)
     return out
 
 
-def _audit(ex: Exports, min_reviews: int = 2, duplicates=()):
-    """Fill the report's counts and findings from the id columns."""
+def _audit(ex: Exports, metas_read: bool, min_reviews: int = 2, duplicates=()):
+    """Fill the report's counts and findings from the id columns; papers
+    without a meta-review are findings only if ``metas_read``."""
     report = ex.report
     per_paper = Counter(ex.paper)
     meta_papers = set(ex.meta_paper)
@@ -514,9 +516,8 @@ def _audit(ex: Exports, min_reviews: int = 2, duplicates=()):
         if n < min_reviews
     ]
     report.findings += duplicates
-    report.findings += [
-        ("missing meta-review", f"paper {p}") for p in sorted(per_paper) if p not in meta_papers
-    ]
+    unmet = sorted(per_paper.keys() - meta_papers) if metas_read else []
+    report.findings += [("missing meta-review", f"paper {p}") for p in unmet]
 
 
 def validate(
@@ -525,14 +526,14 @@ def validate(
     min_reviews: int = 2,
 ) -> ValidationReport:
     """Audit loaded records: review-count floor, duplicate assignments,
-    papers without a meta-review.  Purely reporting, never raises."""
+    papers without a meta-review if ``metas`` is given.  Purely reporting, never raises."""
     ex = Exports.from_forms(reviews, metas or [])
     duplicates = [
         ("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times")
         for (r, p), n in sorted(Counter(zip(ex.reviewer, ex.paper)).items())
         if n > 1
     ]
-    _audit(ex, min_reviews, duplicates)
+    _audit(ex, metas is not None, min_reviews, duplicates)
     return ex.report
 
 

@@ -191,8 +191,8 @@ def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
     paper, meta_paper = np.split(codes, [len(exports.paper)])
     reviewer_ids, reviewer = _codes(exports.reviewer)
     metareviewer_ids, metareviewer = _codes(metareviewers)
-    rows = np.lexsort((reviewer, paper))
-    meta_rows = np.lexsort((metareviewer, meta_paper))
+    rows = np.argsort(paper * len(reviewer_ids) + reviewer, kind="stable")  # by paper, reviewer
+    meta_rows = np.argsort(meta_paper * len(metareviewer_ids) + metareviewer, kind="stable")
     return ReviewTable(
         paper_ids=paper_ids,
         reviewer_ids=reviewer_ids,

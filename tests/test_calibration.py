@@ -414,16 +414,27 @@ class TestSelectionMatchesArgsortOracle:
 
     @pytest.mark.parametrize("block", [7, reviewpipe.calibration.SAMPLE_BLOCK])
     def test_sampled_posterior(self, rng, monkeypatch, block):
-        inputs, _, _ = planted_instance(rng, 30, 12)
-        # ids whose sorted order is not their code order
-        inputs.paper_ids = [f"P{(7 * i) % 30:02d}" for i in range(30)]
-        mu_y, sigma_y = posterior(inputs, fit_hyperparams(inputs, GridSpec(points=3)))
+        planted, _, _ = planted_instance(rng, 30, 12)
+        # 1 to 6 entries per paper, in an order unlike the id order: the
+        # sampler's last entry rows are mostly zero weight
+        counts = rng.permutation(np.repeat(np.arange(1, 7), 5))
+        uneven = CalibrationInputs(
+            rng.normal(0.0, 1.0, counts.sum()),
+            np.repeat(np.arange(30), counts),
+            np.concatenate([rng.choice(12, size=c, replace=False) for c in counts]),
+            planted.paper_ids,
+            planted.reviewer_ids,
+        )
         monkeypatch.setattr(reviewpipe.calibration, "SAMPLE_BLOCK", block)
-        # 300 samples: whole blocks and a partial last one
-        est = acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 300, seed=5)
-        expected = argsort_counts(mu_y, sigma_y, inputs, 12, 300, seed=5)
-        assert np.array_equal(est.counts, expected)
-        assert np.any((est.counts > 0) & (est.counts < 300))  # the draws move the cut
+        for inputs in (planted, uneven):
+            # ids whose sorted order is not their code order
+            inputs.paper_ids = [f"P{(7 * i) % 30:02d}" for i in range(30)]
+            mu_y, sigma_y = posterior(inputs, fit_hyperparams(inputs, GridSpec(points=3)))
+            # 300 samples: whole blocks and a partial last one
+            est = acceptance_probability(mu_y, sigma_y, inputs, DecisionConfig(40.0), 300, seed=5)
+            expected = argsort_counts(mu_y, sigma_y, inputs, 12, 300, seed=5)
+            assert np.array_equal(est.counts, expected)
+            assert np.any((est.counts > 0) & (est.counts < 300))  # the draws move the cut
 
 
 class TestCalibrateMeta:

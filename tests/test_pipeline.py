@@ -696,6 +696,23 @@ class TestWriteAtomic:
         assert path.read_text() == "two"
         assert list(path.parent.iterdir()) == [path]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+    def test_mode_is_what_open_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            write_atomic(tmp_path / "x.txt", "one")
+            with open(tmp_path / "y.txt", "w") as fh:
+                fh.write("one")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "x.txt").stat().st_mode & 0o777 == mode
+        assert (tmp_path / "y.txt").stat().st_mode & 0o777 == mode
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(tmp_path / "x.txt", None)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def run(self, argv):
@@ -841,6 +858,35 @@ class TestCli:
         assert [r["reason"] for r in rejected] == [
             "unknown label 'Maybe' for scale 'recommendation'",
             DUPLICATE_PAIR,
+        ]
+
+    def test_missing_meta_review_only_when_metas_read(self, tmp_path, capsys):
+        rpath = tmp_path / "reviews.csv"
+        rpath.write_text(
+            "paper_id,reviewer_id,recommendation,c1,c2,c3,c4\n"
+            "P1,R1,Accept,Good,Good,Good,Good\n"
+            "P1,R2,Accept,Good,Good,Good,Good\n"
+            "P2,R1,Reject,Good,Good,Good,Good\n"
+            "P2,R2,Reject,Good,Good,Good,Good\n"
+        )
+        mpath = tmp_path / "metas.csv"
+        mpath.write_text("paper_id,metareviewer_id,recommendation\nP2,M1,Reject\n")
+        jpath = tmp_path / "reviews.json"
+        with open(rpath, newline="") as fh:
+            jpath.write_text(json.dumps({"reviews": list(csv.DictReader(fh)), "meta_reviews": []}))
+
+        def findings(*argv):
+            out = tmp_path / "o"
+            assert self.run([*argv, "--out", str(out)]) == 0
+            capsys.readouterr()
+            return json.loads((out / "validation.json").read_text())["findings"]
+
+        assert findings("dequantize", "--input", str(rpath)) == []
+        assert findings("validate", "--input", str(rpath)) == []
+        missing = [["missing meta-review", "paper P1"]]
+        assert findings("validate", "--input", str(rpath), "--meta", str(mpath)) == missing
+        assert findings("validate", "--input", str(jpath), "--format", "json") == [
+            ["missing meta-review", "paper P1"], ["missing meta-review", "paper P2"]
         ]
 
     def test_assign_command(self, tmp_path):

@@ -73,7 +73,7 @@ def oracle_meta(row: dict) -> MetaReviewForm:
     )
 
 
-def oracle_validate(reviews, metas, min_reviews=2) -> ValidationReport:
+def oracle_validate(reviews, metas, metas_read, min_reviews=2) -> ValidationReport:
     report = ValidationReport()
     papers = {f.paper for f in reviews} | {f.paper for f in metas}
     report.n_papers = len(papers)
@@ -95,7 +95,7 @@ def oracle_validate(reviews, metas, min_reviews=2) -> ValidationReport:
         report.findings.append(("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times"))
     meta_papers = {f.paper for f in metas}
     for paper in sorted(per_paper):
-        if paper not in meta_papers:
+        if metas_read and paper not in meta_papers:
             report.findings.append(("missing meta-review", f"paper {paper}"))
     return report
 
@@ -106,13 +106,15 @@ def oracle_load(path, format="csv", meta_path=None):
         with open(path, newline="", encoding="utf-8") as fh:
             review_rows = list(csv.DictReader(fh))
         meta_rows = []
-        if meta_path is not None:
+        metas_read = meta_path is not None
+        if metas_read:
             with open(meta_path, newline="", encoding="utf-8") as fh:
                 meta_rows = list(csv.DictReader(fh))
     else:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         review_rows = payload.get("reviews", [])
         meta_rows = payload.get("meta_reviews", [])
+        metas_read = "meta_reviews" in payload
     rejected, warnings = [], []
     reviews, metas = [], []
     for rows, parse, out in ((review_rows, oracle_review, reviews), (meta_rows, oracle_meta, metas)):
@@ -135,7 +137,7 @@ def oracle_load(path, format="csv", meta_path=None):
                 continue
             seen.add(pair)
             out.append(form)
-    report = oracle_validate(reviews, metas)
+    report = oracle_validate(reviews, metas, metas_read)
     report.rejected = rejected
     report.warnings = warnings
     return reviews, metas, report
