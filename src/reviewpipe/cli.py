@@ -41,7 +41,11 @@ def _config_argv(args) -> list[str]:
     """The ``key = value`` lines of ``args.config`` as flags; a '#' at the
     start of a line or after whitespace starts a comment."""
     path, out = args.config, []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue

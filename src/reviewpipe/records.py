@@ -13,12 +13,13 @@ each distinct id is stored once however many rows carry it.
 conflicts) under the same header and row rules, but aborts on a bad row
 instead of rejecting it.
 
-CSV and JSON rows reach the checks in one form, ``(values, overlong,
-raw, row)``: the values in schema column order, why the row is too long
-or ``None``, the input's one function from a row to the dict the report
-shows, and the row as read.  The report's dict is built only for a
-rejected row, and a CSV row with as many fields as the header is not
-sliced or padded beyond the columns the header lacks.
+CSV rows, JSON rows and typed records (as their JSON export) go through
+one accept-or-reject loop, in one form, ``(values, overlong, raw, row)``:
+the values in schema column order, why the row is too long or ``None``,
+the input's one function from a row to the dict the report shows, and the
+row as read.  The report's dict is built only for a rejected row, and a
+CSV row with as many fields as the header is not sliced or padded beyond
+the columns the header lacks.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -34,7 +35,6 @@ import itertools
 import json
 import operator
 from collections import Counter
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -250,20 +250,12 @@ class Exports:
     report: ValidationReport = field(default_factory=ValidationReport)
 
     @classmethod
-    def from_forms(cls, reviews: list[ReviewForm], metas: list[MetaReviewForm] = ()):
-        """Columns of typed records, with an empty report."""
-        index: dict[tuple, int] = {}
-        keys = [(f.recommendation, *f.criteria, f.confidence, f.award) for f in reviews]
-        label = [index.setdefault(key, len(index)) for key in keys]
-        return cls(
-            [f.paper for f in reviews],
-            [f.reviewer for f in reviews],
-            label,
-            [label_score(*key) for key in index],
-            [m.paper for m in metas],
-            [m.metareviewer for m in metas],
-            [encode_likert(m.recommendation, "recommendation") for m in metas],
-        )
+    def from_forms(cls, reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None):
+        """Typed records read as :func:`read_exports` reads their JSON
+        export: ids become stripped strings, and a repeated pair, a blank id
+        or an award other than 0 or 1 is a rejected record.  Papers without
+        a meta-review are findings only if ``metas`` is given."""
+        return _read_payload(_export_object(reviews, metas), "typed records")
 
 
 def _check_header(header, schema: CsvSchema, path):
@@ -287,23 +279,27 @@ def _csv_rows(path, schema: CsvSchema):
     if it has non-empty fields beyond the header, else ``None``; the
     file's one function that turns ``row`` into the dict the report shows;
     and the row as read.  The file stays open until the last row is
-    drawn."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    drawn; a byte-order mark is skipped, and text that is not UTF-8 is a
+    ``ValueError`` naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, schema, path)
-        n = len(header)
-        columns = header + [c for c in schema.columns if c not in header]
-        pick = operator.itemgetter(*map(columns.index, schema.columns))
-        absent = [None] * (len(columns) - n)
-        pad = [None] * len(columns)
-        raw = functools.partial(_csv_raw, header)
-        for row in reader:
-            if len(row) == n:
-                yield pick(row + absent if absent else row), None, raw, row
-            elif row:
-                overlong = f"row has {len(row)} fields, header has {n}" if any(row[n:]) else None
-                yield pick(row[:n] + pad), overlong, raw, row
+        try:
+            header = next(reader, None)
+            _check_header(header, schema, path)
+            n = len(header)
+            columns = header + [c for c in schema.columns if c not in header]
+            pick = operator.itemgetter(*map(columns.index, schema.columns))
+            absent = [None] * (len(columns) - n)
+            pad = [None] * len(columns)
+            raw = functools.partial(_csv_raw, header)
+            for row in reader:
+                if len(row) == n:
+                    yield pick(row + absent if absent else row), None, raw, row
+                elif row:
+                    overlong = f"row has {len(row)} fields, header has {n}" if any(row[n:]) else None
+                    yield pick(row[:n] + pad), overlong, raw, row
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _csv_raw(header: list[str], row: list[str]) -> dict:
@@ -369,11 +365,9 @@ def _missing(values, names) -> str | None:
 def _check_labels(labels: tuple, scores: list[tuple[int, float]]) -> int | str:
     """Check and score one raw label tuple (recommendation, c1-c4,
     confidence, award) by appending its :func:`label_score` to ``scores``:
-    the score's index, or why rows carrying the tuple are rejected."""
-    rec, c1, c2, c3, c4, conf, award = labels
-    reason = _missing(labels, REVIEW_SCHEMA.required[2:])
-    if reason is not None:
-        return reason
+    the score's index, or why rows carrying the tuple are rejected.  A
+    missing label fails here too; :func:`_take` names it as missing."""
+    award = labels[6]
     try:
         award = 0 if award in (None, "") else int(str(award).strip())
     except ValueError:
@@ -385,74 +379,92 @@ def _check_labels(labels: tuple, scores: list[tuple[int, float]]) -> int | str:
     return len(scores) - 1
 
 
-# a review row's values as (paper, reviewer, label tuple); each distinct
-# label tuple is checked once
-_REVIEW_PARTS = operator.itemgetter(0, 1, slice(2, 9))
+def _check_meta(labels: tuple) -> float | str:
+    """The weight of one raw meta-review recommendation ``(rec,)``, or why
+    rows carrying it are rejected."""
+    try:
+        return encode_likert(str(labels[0]), "recommendation")
+    except ValueError as exc:
+        return str(exc)
 
 
-def _take_reviews(rows, key, ids: dict[str, str], out: Exports):
-    """Append each review row to ``out``'s columns or, with its reason, to
-    its report's rejections.  Ids go through ``ids``, so each distinct id
-    is kept once; an id that is empty once stripped is missing."""
-    checked: dict[Hashable, int | str] = {}
+def _review_rows(rows, warnings: list[str]):
+    """Review rows without comments; a blank confidence reads 'Good', with
+    one warning per row, and a rejected row shows it so."""
+    for values, overlong, raw, row in rows:
+        if values[7] in (None, ""):
+            warnings.append(
+                f"review ({values[1]}, {values[0]}): missing confidence, defaulted to 'Good'"
+            )
+            values = (*values[:7], "Good", values[8])
+            raw = functools.partial(_shown_good, raw)
+        yield values[:9], overlong, raw, row
+
+
+def _shown_good(raw, row) -> dict:
+    return {**raw(row), "confidence": "Good"}
+
+
+def _take(rows, schema: CsvSchema, key, check, ids: dict[str, str], columns, rejected: list):
+    """Append each row's (person, paper, value) to the lists ``columns``,
+    or the row and its reason to ``rejected``.  ``check`` turns the labels,
+    the values after the ids, into the value or a reason, once per ``key``
+    of the labels; a missing required field, an id empty once stripped
+    included, comes first.  Ids go through ``ids``, so each distinct id is
+    kept once; a (person, paper) pair's rows after its first are rejected."""
+    people, papers, values_out = columns
+    checked: dict = {}
     seen: set[tuple[str, str]] = set()
     for values, overlong, raw, row in rows:
-        paper, reviewer, labels = _REVIEW_PARTS(values)
-        if labels[5] in (None, ""):
-            labels = (*labels[:5], "Good", labels[6])
-            out.report.warnings.append(
-                f"review ({reviewer}, {paper}): missing confidence, defaulted to 'Good'"
-            )
+        labels = values[2:]
         k = key(labels)
-        label = checked.get(k)
-        if label is None:
-            label = checked[k] = _check_labels(labels, out.scores)
+        value = checked.get(k)
+        if value is None:
+            value = checked[k] = check(labels)
+        paper, person = values[0], values[1]
         p = paper if paper is None else str(paper).strip()
-        r = reviewer if reviewer is None else str(reviewer).strip()
-        if p and r and overlong is None and type(label) is int:
+        r = person if person is None else str(person).strip()
+        if p and r and overlong is None and type(value) is not str:
             pair = (ids.setdefault(r, r), ids.setdefault(p, p))
             if pair not in seen:
                 seen.add(pair)
-                out.reviewer.append(pair[0])
-                out.paper.append(pair[1])
-                out.label.append(label)
+                people.append(pair[0])
+                papers.append(pair[1])
+                values_out.append(value)
                 continue
-        shown = raw(row)
-        if shown.get("confidence") in (None, ""):
-            shown["confidence"] = "Good"
-        reason = overlong or _missing((p, r), REVIEW_SCHEMA.required)
+        reason = overlong or _missing((p, r, *labels), schema.required)
         if reason is None:
-            reason = label if type(label) is str else DUPLICATE_PAIR
-        out.report.rejected.append((shown, reason))
+            reason = value if type(value) is str else DUPLICATE_PAIR
+        rejected.append((raw(row), reason))
 
 
-def _take_metas(rows, key, ids: dict[str, str], out: Exports):
-    """:func:`_take_reviews` for meta-review rows."""
-    checked: dict[Hashable, float | str] = {}
-    seen: set[tuple[str, str]] = set()
-    for values, overlong, raw, row in rows:
-        paper, metareviewer, rec = values
-        k = key(values[2:])
-        if k not in checked:
-            try:
-                checked[k] = encode_likert(str(rec), "recommendation")
-            except ValueError as exc:
-                checked[k] = str(exc)
-        xi = checked[k]
-        p = paper if paper is None else str(paper).strip()
-        m = metareviewer if metareviewer is None else str(metareviewer).strip()
-        if p and m and overlong is None and type(xi) is not str:
-            pair = (ids.setdefault(m, m), ids.setdefault(p, p))
-            if pair not in seen:
-                seen.add(pair)
-                out.metareviewer.append(pair[0])
-                out.meta_paper.append(pair[1])
-                out.xi.append(xi)
-                continue
-        reason = overlong or _missing((p, m, rec), META_SCHEMA.required)
-        if reason is None:
-            reason = xi if type(xi) is str else DUPLICATE_PAIR
-        out.report.rejected.append((raw(row), reason))
+def _read(reviews, metas, key, min_reviews: int = 2) -> Exports:
+    """Take review rows and, unless ``metas`` is None, meta-review rows
+    into columns, each distinct label tuple checked once under ``key``,
+    and audit the accepted rows."""
+    out = Exports()
+    ids: dict[str, str] = {}
+    score = functools.partial(_check_labels, scores=out.scores)
+    columns = (out.reviewer, out.paper, out.label)
+    rows = _review_rows(reviews, out.report.warnings)
+    _take(rows, REVIEW_SCHEMA, key, score, ids, columns, out.report.rejected)
+    if metas is not None:
+        columns = (out.metareviewer, out.meta_paper, out.xi)
+        _take(metas, META_SCHEMA, key, _check_meta, ids, columns, out.report.rejected)
+    _audit(out, metas is not None, min_reviews)
+    return out
+
+
+def _read_payload(payload, path, min_reviews: int = 2) -> Exports:
+    """:func:`_read` of a JSON export's object; meta-reviews are read if it
+    has a ``meta_reviews`` key."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: top level is not an object")
+    reviews = _json_rows(payload, "reviews", REVIEW_SCHEMA.columns, path)
+    has_metas = "meta_reviews" in payload
+    metas = _json_rows(payload, "meta_reviews", META_SCHEMA.columns, path) if has_metas else None
+    # repr keys: JSON values may be lists, and True == 1 as a dict key
+    return _read(reviews, metas, repr, min_reviews)
 
 
 def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
@@ -461,43 +473,35 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     CSV mode reads reviews from ``path`` and, if given, meta-reviews from
     ``meta_path``.  JSON mode reads a single object with ``reviews`` and
     ``meta_reviews`` arrays whose objects mirror the CSV column names, and
-    takes no ``meta_path``.
+    takes no ``meta_path``.  A UTF-8 byte-order mark is skipped.
 
     Rows with unknown labels, malformed fields or non-empty fields beyond
     the header are rejected record by record (collected in the report), as
     is every repeat of a (reviewer, paper) or (metareviewer, paper) pair
     after its first row; structural problems such as unknown or repeated
-    columns abort with ``ValueError``.  Each distinct label tuple is
-    checked once, and the columns share one string per distinct id.  The
-    report also holds the counts and findings of :func:`validate` for the
-    accepted rows, papers without a meta-review only if meta-reviews were
-    read (a ``meta_path``, or a ``meta_reviews`` key).
+    columns, or text that does not decode, abort with ``ValueError`` naming
+    the file.  Each distinct label tuple is checked once, and the columns
+    share one string per distinct id.  The report also holds the counts and
+    findings of :func:`validate` for the accepted rows, papers without a
+    meta-review only if meta-reviews were read (a ``meta_path``, or a
+    ``meta_reviews`` key).
     """
-    out = Exports()
-    ids: dict[str, str] = {}
     if format == "csv":
-        _take_reviews(_csv_rows(path, REVIEW_SCHEMA), tuple, ids, out)
-        if meta_path is not None:
-            _take_metas(_csv_rows(meta_path, META_SCHEMA), tuple, ids, out)
-    elif format == "json":
-        if meta_path is not None:
-            raise ValueError(f"{meta_path}: JSON exports carry their own meta_reviews")
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: top level is not an object")
-        reviews = _json_rows(payload, "reviews", REVIEW_SCHEMA.columns, path)
-        metas = _json_rows(payload, "meta_reviews", META_SCHEMA.columns, path)
-        # repr keys: JSON values may be lists, and True == 1 as a dict key
-        _take_reviews(reviews, repr, ids, out)
-        _take_metas(metas, repr, ids, out)
-    else:
+        metas = None if meta_path is None else _csv_rows(meta_path, META_SCHEMA)
+        return _read(_csv_rows(path, REVIEW_SCHEMA), metas, tuple)
+    if format != "json":
         raise ValueError(f"unknown format {format!r}")
-    _audit(out, meta_path is not None if format == "csv" else "meta_reviews" in payload)
-    return out
+    if meta_path is not None:
+        raise ValueError(f"{meta_path}: JSON exports carry their own meta_reviews")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # a JSON or Unicode decode error
+        raise ValueError(f"{path}: {exc}") from None
+    return _read_payload(payload, path)
 
 
-def _audit(ex: Exports, metas_read: bool, min_reviews: int = 2, duplicates=()):
+def _audit(ex: Exports, metas_read: bool, min_reviews: int = 2):
     """Fill the report's counts and findings from the id columns; papers
     without a meta-review are findings only if ``metas_read``."""
     report = ex.report
@@ -515,7 +519,6 @@ def _audit(ex: Exports, metas_read: bool, min_reviews: int = 2, duplicates=()):
         for p, n in sorted(per_paper.items())
         if n < min_reviews
     ]
-    report.findings += duplicates
     unmet = sorted(per_paper.keys() - meta_papers) if metas_read else []
     report.findings += [("missing meta-review", f"paper {p}") for p in unmet]
 
@@ -525,16 +528,10 @@ def validate(
     metas: list[MetaReviewForm] | None = None,
     min_reviews: int = 2,
 ) -> ValidationReport:
-    """Audit loaded records: review-count floor, duplicate assignments,
-    papers without a meta-review if ``metas`` is given.  Purely reporting, never raises."""
-    ex = Exports.from_forms(reviews, metas or [])
-    duplicates = [
-        ("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times")
-        for (r, p), n in sorted(Counter(zip(ex.reviewer, ex.paper)).items())
-        if n > 1
-    ]
-    _audit(ex, metas is not None, min_reviews, duplicates)
-    return ex.report
+    """The report of :meth:`Exports.from_forms`, which :func:`read_exports`
+    gives for the records' export, with its review-count floor at
+    ``min_reviews``.  Purely reporting, never raises."""
+    return _read_payload(_export_object(reviews, metas), "typed records", min_reviews).report
 
 
 def _canon(label: str) -> str:
@@ -574,10 +571,15 @@ def export_metas_csv(metas: list[MetaReviewForm]) -> str:
     return _csv_text(META_SCHEMA.columns, map(_meta_row, metas))
 
 
+def _export_object(reviews: list[ReviewForm], metas: list[MetaReviewForm] | None) -> dict:
+    """The object :func:`export_json` writes; without ``metas`` it has no
+    ``meta_reviews`` key."""
+    obj = {"reviews": [dict(zip(REVIEW_SCHEMA.columns, _review_row(f))) for f in reviews]}
+    if metas is not None:
+        obj["meta_reviews"] = [dict(zip(META_SCHEMA.columns, _meta_row(f))) for f in metas]
+    return obj
+
+
 def export_json(reviews: list[ReviewForm], metas: list[MetaReviewForm]) -> str:
     """Canonical JSON text mirroring the CSV schemas 1:1."""
-    payload = {
-        "reviews": [dict(zip(REVIEW_SCHEMA.columns, _review_row(f))) for f in reviews],
-        "meta_reviews": [dict(zip(META_SCHEMA.columns, _meta_row(f))) for f in metas],
-    }
-    return _json_text(payload)
+    return _json_text(_export_object(reviews, metas))

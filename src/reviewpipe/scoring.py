@@ -210,9 +210,14 @@ def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
 def review_table(
     reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None
 ) -> ReviewTable:
-    """:func:`exports_table` of typed records; without ``metas`` the meta
-    arrays are empty."""
-    return exports_table(Exports.from_forms(reviews, metas or []), metas=metas is not None)
+    """:func:`exports_table` of typed records, read by
+    :meth:`Exports.from_forms` under the export rules; a rejected record, a
+    repeated (reviewer, paper) pair included, is a ``ValueError`` naming
+    it.  Without ``metas`` the meta arrays are empty."""
+    exports = Exports.from_forms(reviews, metas)
+    if exports.report.rejected:
+        raise ValueError(f"rejected records: {exports.report.rejected}")
+    return exports_table(exports, metas=metas is not None)
 
 
 def weighted_paper_mean(values, paper, weights, n_papers: int) -> np.ndarray:
@@ -239,10 +244,15 @@ def score_table(rows: ReviewTable, values=None) -> ScoreTable:
 
     ``values`` optionally replaces the raw review scores, aligned with the
     table's rows -- used for the dequantized variant of the pipeline.
-    Papers are ordered lexicographically.
+    Papers are ordered lexicographically; papers without a meta-review are
+    rejected.
     """
     values = rows.s if values is None else np.asarray(values, dtype=float)
     n_papers = len(rows.paper_ids)
+    unmet = np.bincount(rows.meta_paper, minlength=n_papers) == 0
+    if unmet.any():
+        missing_meta = [rows.paper_ids[p] for p in np.flatnonzero(unmet)]
+        raise ValueError(f"papers without meta-review: {missing_meta}")
     s_p = weighted_paper_mean(values, rows.paper, rows.confidence, n_papers)
     xi_p = weighted_paper_mean(rows.xi, rows.meta_paper, np.ones(len(rows.xi)), n_papers)
     sR = normalize(s_p)

@@ -21,8 +21,9 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    # CI's warning flags, which a subprocess does not inherit
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -27,7 +27,13 @@ from reviewpipe.pipeline import (
 )
 from reviewpipe.plots import histogram_artifact, scatter_artifact
 from reviewpipe.calibration import GridSpec, UnidentifiableModelWarning
-from reviewpipe.records import DUPLICATE_PAIR, MetaReviewForm, export_metas_csv, export_reviews_csv
+from reviewpipe.records import (
+    DUPLICATE_PAIR,
+    MetaReviewForm,
+    export_json,
+    export_metas_csv,
+    export_reviews_csv,
+)
 from reviewpipe.scoring import Decision, DecisionConfig, DecisionList, ScoreTable
 
 from conftest import RECS, random_corpus, random_review
@@ -859,6 +865,74 @@ class TestCli:
             "unknown label 'Maybe' for scale 'recommendation'",
             DUPLICATE_PAIR,
         ]
+
+    def test_inputs_with_a_byte_order_mark_read_as_without(self, tmp_path, rng):
+        """Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark:
+        exports, assign inputs and config files read the same with one."""
+        _, _, reviews, metas = random_corpus(rng, 10, 8)
+        texts = {
+            "reviews.csv": export_reviews_csv(reviews),
+            "metas.csv": export_metas_csv(metas),
+            "export.json": export_json(reviews, metas),
+            "sim.csv": "reviewer_id,paper_id,bid,subject_relevance,tpms\n"
+            + "".join(f"R{r},P{p},0.5,0.8,\n" for r in range(4) for p in range(2)),
+            "tags.csv": "reviewer_id,tag\nR0,Rev1\n",
+            "conflicts.csv": "reviewer_id,paper_id\nR1,P0\n",
+            "run.cfg": "calibrate = false\nacceptance_rate = 50\n",
+        }
+        results = []
+        for bom in ("", "\ufeff"):
+            d = tmp_path / f"bom{len(bom)}"
+            d.mkdir()
+            for name, text in texts.items():
+                (d / name).write_text(bom + text, encoding="utf-8")
+            f = {name: str(d / name) for name in texts}
+            runs = {
+                "csv": ["validate", "--input", f["reviews.csv"], "--meta", f["metas.csv"]],
+                "json": ["validate", "--format", "json", "--input", f["export.json"]],
+                "config": ["pipeline", "--input", f["reviews.csv"], "--meta", f["metas.csv"],
+                           "--config", f["run.cfg"]],
+                "assign": ["assign", "--similarities", f["sim.csv"], "--tags", f["tags.csv"],
+                           "--conflicts", f["conflicts.csv"], "--min-reviewers", "2",
+                           "--max-papers", "2"],
+            }
+            for out, argv in runs.items():
+                assert self.run([*argv, "--out", str(d / out)]) == 0, (bom, out)
+            results.append(
+                {a.relative_to(d): a.read_bytes() for out in runs for a in (d / out).iterdir()}
+            )
+        assert results[0] == results[1]
+        decisions = (tmp_path / "bom1" / "config" / "decisions.csv").read_text()
+        assert decisions.count(",accept") == 5  # the config's 50%, not the default 40%
+
+    @pytest.mark.parametrize(
+        "command, name, data, message",
+        [
+            ("pipeline", "r.json", b'{"reviews": [', "Expecting value: line 1 column 14"),
+            ("validate", "r.csv", "paper_id,reviewer_id,recommendation,c1,c2,c3,c4\n"
+             "P1,Ren\xe9,Accept,Good,Good,Good,Good\n".encode("latin-1"),
+             "'utf-8' codec can't decode byte 0xe9"),
+            ("assign", "sim.csv", "reviewer_id,paper_id,bid,subject_relevance\n"
+             "Ren\xe9,P0,0.5,0.8\n".encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+            ("config", "run.cfg", "# r\xe9glages\n".encode("latin-1"),
+             "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["json-export", "csv-export", "assign-input", "config"],
+    )
+    def test_decode_errors_name_the_file(self, tmp_path, rng, capsys, command, name, data, message):
+        rpath, _ = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        out = ["--out", str(tmp_path / "o")]
+        argv = {
+            "pipeline": ["pipeline", "--format", "json", "--input", str(bad), *out],
+            "validate": ["validate", "--input", str(bad), *out],
+            "assign": ["assign", "--similarities", str(bad), *out],
+            "config": ["validate", "--input", str(rpath), "--config", str(bad), *out],
+        }[command]
+        assert self.run(argv) == 2
+        err = capsys.readouterr().err
+        assert f": {bad}: {message}" in err and err.count("\n") == 1
 
     def test_missing_meta_review_only_when_metas_read(self, tmp_path, capsys):
         rpath = tmp_path / "reviews.csv"

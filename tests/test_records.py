@@ -1,11 +1,13 @@
 import gc
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewpipe.records import (
@@ -28,7 +30,7 @@ from reviewpipe.records import (
 )
 from reviewpipe.scoring import exports_table, review_table
 
-from conftest import make_review
+from conftest import CONFS, CRITS, RECS, make_review
 
 REVIEW_HEADER = "paper_id,reviewer_id,recommendation,c1,c2,c3,c4,confidence,award,comments"
 
@@ -367,7 +369,8 @@ class TestValidate:
     def test_duplicate_assignment(self):
         reviews = [make_review("P1", "R1"), make_review("P1", "R1"), make_review("P1", "R2")]
         report = validate(reviews, [MetaReviewForm("P1", "M1", "Accept")])
-        assert any(kind == "duplicate assignment" for kind, _ in report.findings)
+        assert [reason for _, reason in report.rejected] == [DUPLICATE_PAIR]
+        assert report.n_reviews == 2
 
     def test_missing_meta_review(self):
         report = validate([make_review("P1", "R1"), make_review("P1", "R2")], [])
@@ -388,6 +391,80 @@ class TestValidate:
             b.n_reviews,
             b.reviews_per_paper,
         )
+
+
+def padded_ids(names):
+    """Ids from ``names`` (a blank one among them) with spaces around."""
+    pad = st.sampled_from(["", " ", "  "])
+    return st.builds(lambda a, name, b: a + name + b, pad, st.sampled_from(["", *names]), pad)
+
+
+typed_reviews = st.lists(
+    st.builds(
+        ReviewForm,
+        padded_ids(["P1", "P2", "P3"]),
+        padded_ids(["R1", "R2"]),
+        st.sampled_from(RECS),
+        st.tuples(*[st.sampled_from(CRITS)] * 4),
+        st.sampled_from(CONFS),
+        st.sampled_from([0, 1]),
+    ),
+    max_size=10,
+)
+typed_metas = st.lists(
+    st.builds(
+        MetaReviewForm,
+        padded_ids(["P1", "P2", "P3"]),
+        padded_ids(["M1", "M2"]),
+        st.sampled_from(RECS),
+    ),
+    max_size=6,
+)
+
+
+def first_of_each_pair(forms, person):
+    """The first form of each stripped (person, paper) pair, none blank."""
+    first = {}
+    for f in forms:
+        pair = (getattr(f, person).strip(), f.paper.strip())
+        if all(pair):
+            first.setdefault(pair, f)
+    return list(first.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(typed_reviews, typed_metas, st.booleans())
+def test_typed_records_report_as_their_export(reviews, metas, clean):
+    """``validate`` of typed records gives the report ``read_exports`` gives
+    for their CSV export, repeated pairs and padded or blank ids included; a
+    rejected row is compared by its reason, as its shown values differ in
+    type (0 against "0").  With nothing rejected (``clean`` drops what
+    would be), ``review_table`` is the table of that read."""
+    if clean:
+        reviews = first_of_each_pair(reviews, "reviewer")
+        metas = first_of_each_pair(metas, "metareviewer")
+    with tempfile.TemporaryDirectory() as tmp:
+        rpath, mpath = Path(tmp, "reviews.csv"), Path(tmp, "metas.csv")
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8")
+        exports = read_exports(rpath, meta_path=mpath)
+
+    def summary(report):
+        out = report.to_dict()
+        out["rejected"] = [r["reason"] for r in out["rejected"]]
+        return out
+
+    assert summary(validate(reviews, metas)) == summary(exports.report)
+    if exports.report.rejected:
+        return
+    assert_reads_as(exports, reviews)
+    try:
+        exports_table(exports)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            review_table(reviews, metas)
+    else:
+        assert_reads_as(exports, reviews, metas)
 
 
 class TestRoundTrip:

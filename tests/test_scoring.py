@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from reviewpipe.records import MetaReviewForm, ReviewForm, encode_likert
+from reviewpipe.records import DUPLICATE_PAIR, MetaReviewForm, ReviewForm, encode_likert
 from reviewpipe.scoring import (
     DecisionConfig,
     DegenerateScaleWarning,
@@ -286,6 +287,17 @@ class TestBuildScoreTable:
         for p in papers[1:]:
             assert repr(p) in str(info.value)
 
+    def test_repeated_typed_pair_rejected(self):
+        """A typed review passed twice is rejected as its exported row is,
+        not counted twice: here it would pull P1 from 0.0 to -0.667."""
+        reviews = [make_review("P1", "R1", rec="Accept"), make_review("P1", "R2", rec="Reject")]
+        reviews.append(make_review("P2", "R1", rec="Reject"))
+        metas = [MetaReviewForm("P1", "M1", "Accept"), MetaReviewForm("P2", "M1", "Reject")]
+        assert build_score_table(reviews, metas).s_p.tolist() == [0.0, -2.0]
+        with pytest.raises(ValueError, match=re.escape(DUPLICATE_PAIR)) as info:
+            build_score_table([*reviews, reviews[1]], metas)
+        assert "'reviewer_id': 'R2'" in str(info.value)
+
     def test_every_unreviewed_meta_named(self):
         reviews = [make_review("A", "R1")]
         metas = [MetaReviewForm("A", "M1", "Accept")]
@@ -350,6 +362,11 @@ class TestReviewTable:
         rows = review_table([make_review("A", "R1"), make_review("B", "R1")])
         assert rows.paper_ids == ["A", "B"]
         assert len(rows.meta_paper) == len(rows.xi) == 0
+
+    def test_score_table_names_papers_without_meta_review(self):
+        rows = review_table([make_review("A", "R1"), make_review("B", "R2")])
+        with pytest.raises(ValueError, match=re.escape("papers without meta-review: ['A', 'B']")):
+            score_table(rows)
 
     def test_score_table_values_replace_raw_scores(self):
         reviews = [make_review("A", "R1", conf="Excellent"), make_review("A", "R2", conf="Poor")]
