@@ -7,14 +7,14 @@ comment, that the parser reads after the command line, as ``--key=value``
 (``_`` in the key read as ``-``) or, for a boolean key, as ``--key`` or
 ``--no-key`` from 1/0, true/false, yes/no or on/off.  So the file wins,
 and a value of the wrong type or choice is a usage error, as a flag's is.
-A key that is not an option of the subcommand, spelled in full, or another
-boolean word is an error naming the file and line.  ``assign`` reads its
-CSV files under the review exports' header rules, each field stripped: an
-unknown, missing or repeated column, a row with non-empty fields beyond
-the header, an empty required field, a repeated key, a similarity that
-is not a number in [0, 1], a tag other than Rev1 and Rev2, or a tag or
-conflict row naming a reviewer or paper absent from the similarities is
-bad input.  Bad input, a missing or unreadable file included, ends the
+A key that is not an option of the subcommand, spelled in full, a key set
+twice, or another boolean word is an error naming the file and line.
+``assign`` reads its CSV files under the review exports' header rules,
+each field stripped: an unknown, missing or repeated column, a row with
+non-empty fields beyond the header, an empty required field, a repeated
+key, a similarity that is not a number in [0, 1], a tag other than Rev1
+and Rev2, or a tag or conflict row naming a reviewer or paper absent from
+the similarities is bad input.  Bad input, a missing or unreadable file included, ends the
 command with a one-line message on stderr and exit status 2.  Every
 ``ValueError`` and ``OSError`` is reported that way, one raised by an
 internal consistency check included, so such a message can also point at
@@ -39,8 +39,9 @@ from .scoring import DecisionConfig, exports_table
 
 def _config_argv(args) -> list[str]:
     """The ``key = value`` lines of ``args.config`` as flags; a '#' at the
-    start of a line or after whitespace starts a comment."""
-    path, out = args.config, []
+    start of a line or after whitespace starts a comment, and a key may be
+    set once."""
+    path, out, first = args.config, [], {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -54,6 +55,9 @@ def _config_argv(args) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in ("command", "config") or key not in vars(args):
             raise ValueError(f"{path}:{lineno}: {args.command} has no option {key!r}")
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: {key} set twice, first on line {first[key]}")
+        first[key] = lineno
         flag = key.replace("_", "-")
         if not isinstance(getattr(args, key), bool):
             out.append(f"--{flag}={value}")

@@ -1,25 +1,26 @@
 """Typed review records and ingestion of raw review exports.
 
 Raw exports (CSV or JSON) are read into the columns of :class:`Exports`:
-the ids and the scores of each row's labels.  Every input row either
-becomes exactly one accepted row or one rejection entry in the
+integer codes for the ids, the index of each row's label score, and one
+list per role (paper, reviewer, meta-reviewer) of the distinct stripped
+ids in the order accepted rows first carry them.  An id gets its code the
+first time an accepted row carries it.  Every input row either becomes
+exactly one accepted row or one rejection entry in the
 :class:`ValidationReport`; nothing is dropped silently.  Each distinct
 label tuple of an export is checked and scored once, by
 :func:`label_score`, the rule :class:`ReviewForm` also checks with; each
 distinct meta-review recommendation is encoded once.  CSV rows are read
-from the open file one at a time and held only while they are checked;
-each distinct id is stored once however many rows carry it.
+from the open file one at a time and held only while they are checked.
 :func:`read_keyed_csv` reads the other CSV inputs (similarities, tags,
 conflicts) under the same header and row rules, but aborts on a bad row
 instead of rejecting it.
 
 CSV rows, JSON rows and typed records (as their JSON export) go through
-one accept-or-reject loop, in one form, ``(values, overlong, raw, row)``:
-the values in schema column order, why the row is too long or ``None``,
-the input's one function from a row to the dict the report shows, and the
-row as read.  The report's dict is built only for a rejected row, and a
-CSV row with as many fields as the header is not sliced or padded beyond
-the columns the header lacks.
+one accept-or-reject loop, :func:`_take`, which reads each input through
+its :class:`_Layout`.  A CSV row as long as its header reaches the loop as
+``csv.reader`` gives it; a short or overlong row, and a JSON object, is
+first put in that form.  The report's dict is built only for a rejected
+row.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -28,6 +29,7 @@ arithmetic works in integer half-steps (see :mod:`reviewpipe.scoring`).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -35,7 +37,11 @@ import itertools
 import json
 import operator
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "UnknownLabelError",
@@ -123,24 +129,32 @@ CONFLICT_SCHEMA = CsvSchema(("reviewer_id", "paper_id"), key=2, unique=False)
 DUPLICATE_PAIR = "duplicate (reviewer, paper) pair"
 
 
-@functools.lru_cache(maxsize=1024)
+# each scale's raw spellings met so far and their weights, filled by
+# encode_likert; label_score reads them directly.  Only spellings of known
+# labels get in, as in _canon's cache.
+_SEEN: dict[str, dict[str, float]] = {scale: {} for scale in _WEIGHTS}
+
+
 def encode_likert(label: str, scale: str) -> float:
     """Map a Likert label to its numeric weight on the named scale.
 
     ``scale`` is one of ``recommendation``, ``criterion``, ``confidence``.
     Matching is case-insensitive after trimming; anything else raises
-    :class:`UnknownLabelError`.  Results are cached per (label, scale), so
-    an export's few distinct labels are normalized once each; errors are
-    not cached and raise on every call.
+    :class:`UnknownLabelError`.  Each raw spelling is normalized once and
+    its weight kept in the scale's table; errors are not kept and raise on
+    every call.
     """
     try:
-        table = _SCALES[scale]
+        seen = _SEEN[scale]
     except KeyError:
         raise ValueError(f"unknown scale {scale!r}") from None
-    key = _norm_label(label)
-    if key not in table:
-        raise UnknownLabelError(f"unknown label {label!r} for scale {scale!r}")
-    return table[key]
+    weight = seen.get(label)
+    if weight is None:
+        key = _norm_label(label)
+        if key not in _SCALES[scale]:
+            raise UnknownLabelError(f"unknown label {label!r} for scale {scale!r}")
+        weight = seen[label] = _SCALES[scale][key]
+    return weight
 
 
 def likert_labels(scale: str) -> list[str]:
@@ -155,10 +169,16 @@ def label_score(rec, c1, c2, c3, c4, conf, award) -> tuple[int, float]:
     c1-c4, confidence, raising :class:`UnknownLabelError` at the first
     unknown one, then raises ``ValueError`` for an award other than 0 or 1.
     """
-    s_half = 2 * int(encode_likert(rec, "recommendation"))
-    for c in (c1, c2, c3, c4):
-        s_half += int(round(2 * encode_likert(c, "criterion")))
-    confidence = encode_likert(conf, "confidence")
+    recs, crits, confs = _SEEN["recommendation"], _SEEN["criterion"], _SEEN["confidence"]
+    try:
+        s_half = 2 * recs[rec] + int(2 * (crits[c1] + crits[c2] + crits[c3] + crits[c4]))
+        confidence = confs[conf]
+    except KeyError:  # a spelling not met yet: encode_likert adds it or names the first bad label
+        encode_likert(rec, "recommendation")
+        for c in (c1, c2, c3, c4):
+            encode_likert(c, "criterion")
+        encode_likert(conf, "confidence")
+        return label_score(rec, c1, c2, c3, c4, conf, award)
     if award not in (0, 1):
         raise ValueError(f"award flag must be 0 or 1, got {award!r}")
     return s_half + 2 * award, confidence
@@ -231,22 +251,29 @@ class ValidationReport:
 
 @dataclass
 class Exports:
-    """The accepted rows of review exports as columns, and their report.
+    """The accepted rows of review exports as integer-coded columns, and
+    their report.
 
-    Review row ``i`` is ``paper[i]`` and ``reviewer[i]``, scored
-    ``scores[label[i]]``; ``scores`` holds the :func:`label_score`,
-    ``(s_half, confidence)``, of each distinct label tuple (recommendation,
-    criteria, confidence, award).  Meta row ``j`` is ``meta_paper[j]`` and
-    ``metareviewer[j]`` with the recommendation weight ``xi[j]``.
+    Review row ``i`` is paper ``paper_ids[paper[i]]`` and reviewer
+    ``reviewer_ids[reviewer[i]]``, scored ``scores[label[i]]``; ``scores``
+    holds the :func:`label_score`, ``(s_half, confidence)``, of each
+    distinct label tuple (recommendation, criteria, confidence, award).
+    Meta row ``j`` is paper ``paper_ids[meta_paper[j]]`` and meta-reviewer
+    ``metareviewer_ids[metareviewer[j]]`` with the recommendation weight
+    ``xi[j]``.  Each id list holds the stripped ids in the order accepted
+    rows first carry them; reviews and meta-reviews share the paper list.
     """
 
-    paper: list[str] = field(default_factory=list)
-    reviewer: list[str] = field(default_factory=list)
+    paper: list[int] = field(default_factory=list)
+    reviewer: list[int] = field(default_factory=list)
     label: list[int] = field(default_factory=list)
     scores: list[tuple[int, float]] = field(default_factory=list)
-    meta_paper: list[str] = field(default_factory=list)
-    metareviewer: list[str] = field(default_factory=list)
+    meta_paper: list[int] = field(default_factory=list)
+    metareviewer: list[int] = field(default_factory=list)
     xi: list[float] = field(default_factory=list)
+    paper_ids: list[str] = field(default_factory=list)
+    reviewer_ids: list[str] = field(default_factory=list)
+    metareviewer_ids: list[str] = field(default_factory=list)
     report: ValidationReport = field(default_factory=ValidationReport)
 
     @classmethod
@@ -256,6 +283,22 @@ class Exports:
         or an award other than 0 or 1 is a rejected record.  Papers without
         a meta-review are findings only if ``metas`` is given."""
         return _read_payload(_export_object(reviews, metas), "typed records")
+
+
+class _Layout(NamedTuple):
+    """How the row loop reads the rows of one input.  A row of length
+    ``n`` holds schema column ``k`` at position ``at[k]``; any other row
+    goes through ``fix``, which gives the row in that form and why it is
+    too long (or ``None``), or ``(None, None)`` for a blank line.  ``raw``
+    turns a row as read into the dict the report shows, and ``key`` the
+    labels into their key in the check cache (``None``: the labels
+    themselves)."""
+
+    n: int | None
+    at: Sequence[int]
+    fix: Callable
+    raw: Callable
+    key: Callable | None = None
 
 
 def _check_header(header, schema: CsvSchema, path):
@@ -272,34 +315,37 @@ def _check_header(header, schema: CsvSchema, path):
         raise ValueError(f"{path}: repeated column(s) {repeated}")
 
 
+@contextlib.contextmanager
 def _csv_rows(path, schema: CsvSchema):
-    """Each row of a CSV file, blank lines skipped, under the readers' row
-    protocol (values, overlong, raw, row): the row's values in schema
-    column order, ``None`` where short or absent; why the row is rejected
-    if it has non-empty fields beyond the header, else ``None``; the
-    file's one function that turns ``row`` into the dict the report shows;
-    and the row as read.  The file stays open until the last row is
-    drawn; a byte-order mark is skipped, and text that is not UTF-8 is a
-    ``ValueError`` naming the file."""
+    """The ``csv.reader`` of a CSV file past its header, and its
+    :class:`_Layout`: the header's columns, then the schema's columns it
+    lacks, which read ``None``.  A row as long as the header is used as
+    read if the header names every column; a short one is padded, and one
+    with non-empty fields beyond the header is rejected.  The file is open
+    while the context lasts; a byte-order mark is skipped, and text that is
+    not UTF-8 is a ``ValueError`` naming the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             _check_header(header, schema, path)
-            n = len(header)
             columns = header + [c for c in schema.columns if c not in header]
-            pick = operator.itemgetter(*map(columns.index, schema.columns))
-            absent = [None] * (len(columns) - n)
-            pad = [None] * len(columns)
-            raw = functools.partial(_csv_raw, header)
-            for row in reader:
-                if len(row) == n:
-                    yield pick(row + absent if absent else row), None, raw, row
-                elif row:
-                    overlong = f"row has {len(row)} fields, header has {n}" if any(row[n:]) else None
-                    yield pick(row[:n] + pad), overlong, raw, row
+            n = len(header)
+            yield reader, _Layout(
+                n if n == len(columns) else None,
+                tuple(map(columns.index, schema.columns)),
+                functools.partial(_csv_fix, n, [None] * len(columns)),
+                functools.partial(_csv_raw, header),
+            )
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _csv_fix(n: int, pad: list, row: list[str]):
+    if not row:
+        return None, None
+    overlong = f"row has {len(row)} fields, header has {n}" if any(row[n:]) else None
+    return row[:n] + pad, overlong
 
 
 def _csv_raw(header: list[str], row: list[str]) -> dict:
@@ -321,15 +367,19 @@ def read_keyed_csv(path, schema: CsvSchema) -> dict[tuple, tuple]:
     naming every repeat."""
     rows: dict[tuple, tuple] = {}
     repeated = set()
-    for values, overlong, raw, row in _csv_rows(path, schema):
-        values = tuple(v and v.strip() for v in values)
-        reason = overlong or _missing(values, schema.required)
-        if reason is not None:
-            raise ValueError(f"{path}: {reason}: {raw(row)}")
-        key = values[: schema.key]
-        if key in rows and schema.unique:
-            repeated.add(key)
-        rows[key] = values[schema.key :]
+    with _csv_rows(path, schema) as (reader, layout):
+        for row in reader:
+            values, overlong = layout.fix(row)
+            if values is None:
+                continue
+            values = tuple(values[k] and values[k].strip() for k in layout.at)
+            reason = overlong or _missing(values, schema.required)
+            if reason is not None:
+                raise ValueError(f"{path}: {reason}: {layout.raw(row)}")
+            key = values[: schema.key]
+            if key in rows and schema.unique:
+                repeated.add(key)
+            rows[key] = values[schema.key :]
     if repeated:
         what = _show_key([c.removesuffix("_id") for c in schema.required[: schema.key]])
         named = ", ".join(map(_show_key, sorted(repeated)))
@@ -341,18 +391,37 @@ def _show_key(ids) -> str:
     return ids[0] if len(ids) == 1 else f"({', '.join(ids)})"
 
 
-def _json_rows(payload: dict, key: str, schema: list[str], path):
-    """:func:`_csv_rows` for the objects of a JSON export's ``key`` array."""
+def _json_rows(payload: dict, key: str, schema: CsvSchema, path):
+    """:func:`_csv_rows` for the objects of a JSON export's ``key`` array:
+    each object is read as its values in schema column order, and its
+    labels are keyed by ``repr``, as JSON values may be lists and
+    ``True == 1``."""
     rows = payload.get(key, [])
     if not isinstance(rows, list):
         raise ValueError(f"{path}: {key!r} is not an array")
+    columns = schema.columns
+    known = set(columns)
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"{path}: {key}[{i}] is not an object")
-        unknown = [c for c in row if c not in schema]
-        if unknown:
-            raise ValueError(f"{path}: unknown field(s) {unknown}")
-    return ((tuple(map(row.get, schema)), None, dict, row) for row in rows)
+        if not known.issuperset(row):
+            raise ValueError(f"{path}: unknown field(s) {[c for c in row if c not in known]}")
+    fix = functools.partial(_json_fix, columns)
+    return contextlib.nullcontext((rows, _Layout(None, range(len(columns)), fix, dict, repr)))
+
+
+def _json_fix(columns: list[str], row: dict):
+    return list(map(row.get, columns)), None
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object, whose keys must differ: a repeated one would
+    silently keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated key(s) {repeated} in one object")
+    return obj
 
 
 def _missing(values, names) -> str | None:
@@ -362,7 +431,7 @@ def _missing(values, names) -> str | None:
     return None
 
 
-def _check_labels(labels: tuple, scores: list[tuple[int, float]]) -> int | str:
+def _check_labels(scores: list[tuple[int, float]], labels: tuple) -> int | str:
     """Check and score one raw label tuple (recommendation, c1-c4,
     confidence, award) by appending its :func:`label_score` to ``scores``:
     the score's index, or why rows carrying the tuple are rejected.  A
@@ -379,7 +448,7 @@ def _check_labels(labels: tuple, scores: list[tuple[int, float]]) -> int | str:
     return len(scores) - 1
 
 
-def _check_meta(labels: tuple) -> float | str:
+def _check_meta(labels: tuple) -> int | str:
     """The weight of one raw meta-review recommendation ``(rec,)``, or why
     rows carrying it are rejected."""
     try:
@@ -388,69 +457,101 @@ def _check_meta(labels: tuple) -> float | str:
         return str(exc)
 
 
-def _review_rows(rows, warnings: list[str]):
-    """Review rows without comments; a blank confidence reads 'Good', with
-    one warning per row, and a rejected row shows it so."""
-    for values, overlong, raw, row in rows:
-        if values[7] in (None, ""):
-            warnings.append(
-                f"review ({values[1]}, {values[0]}): missing confidence, defaulted to 'Good'"
-            )
-            values = (*values[:7], "Good", values[8])
-            raw = functools.partial(_shown_good, raw)
-        yield values[:9], overlong, raw, row
+def _stripped(value) -> str | None:
+    return value if value is None else str(value).strip()
 
 
-def _shown_good(raw, row) -> dict:
-    return {**raw(row), "confidence": "Good"}
+def _one(pick, row) -> tuple:
+    return (pick(row),)
 
 
-def _take(rows, schema: CsvSchema, key, check, ids: dict[str, str], columns, rejected: list):
-    """Append each row's (person, paper, value) to the lists ``columns``,
-    or the row and its reason to ``rejected``.  ``check`` turns the labels,
-    the values after the ids, into the value or a reason, once per ``key``
-    of the labels; a missing required field, an id empty once stripped
-    included, comes first.  Ids go through ``ids``, so each distinct id is
-    kept once; a (person, paper) pair's rows after its first are rejected."""
-    people, papers, values_out = columns
+def _take(rows, layout: _Layout, schema: CsvSchema, check, codes, columns, report):
+    """Append each accepted row's paper code, person code and value to the
+    three lists ``columns``, or the row as the report shows it and its
+    reason to the report's rejected rows.  The row's labels are the
+    schema's columns after the two ids, the comments aside; ``check`` turns
+    them into an int value or a reason, once per distinct labels.  A
+    review's blank confidence reads 'Good', with one warning per row, and a
+    rejected row shows it so.  A missing required field, an id empty once
+    stripped included, is named first.  The two dicts ``codes`` give each
+    stripped (paper, person) id its code, in the order accepted rows first
+    carry them; a (person, paper) pair's rows after its first are
+    rejected."""
+    n, at, fix, raw, key = layout
+    ip, ir = at[0], at[1]
+    names = [c for c in schema.columns[2:] if c != "comments"]
+    pick = operator.itemgetter(*[at[schema.columns.index(c)] for c in names])
+    if len(names) == 1:
+        pick = functools.partial(_one, pick)
+    blank = names.index("confidence") if "confidence" in names else None
+    paper_codes, person_codes = codes
+    papers, people, values_out = columns
     checked: dict = {}
-    seen: set[tuple[str, str]] = set()
-    for values, overlong, raw, row in rows:
-        labels = values[2:]
-        k = key(labels)
+    seen: set[int] = set()
+    for row in rows:
+        if len(row) == n:
+            values, overlong = row, None
+            paper, person = row[ip].strip(), row[ir].strip()
+        else:
+            values, overlong = fix(row)
+            if values is None:
+                continue
+            paper, person = _stripped(values[ip]), _stripped(values[ir])
+        labels = pick(values)
+        # not ``in (None, "")``: comparing a str with None is slow
+        if blank is not None and (labels[blank] is None or labels[blank] == ""):
+            report.warnings.append(
+                f"review ({values[ir]}, {values[ip]}): missing confidence, defaulted to 'Good'"
+            )
+            labels = (*labels[:blank], "Good", *labels[blank + 1 :])
+        k = labels if key is None else key(labels)
         value = checked.get(k)
         if value is None:
             value = checked[k] = check(labels)
-        paper, person = values[0], values[1]
-        p = paper if paper is None else str(paper).strip()
-        r = person if person is None else str(person).strip()
-        if p and r and overlong is None and type(value) is not str:
-            pair = (ids.setdefault(r, r), ids.setdefault(p, p))
+        if type(value) is not str and overlong is None and paper and person:
+            # a new id cannot be in a repeated pair, so it takes its code here
+            p = paper_codes.get(paper)
+            if p is None:
+                p = paper_codes[paper] = len(paper_codes)
+            r = person_codes.get(person)
+            if r is None:
+                r = person_codes[person] = len(person_codes)
+            pair = r << 32 | p  # codes stay below 2**32; an int is not tracked by the gc
             if pair not in seen:
                 seen.add(pair)
-                people.append(pair[0])
-                papers.append(pair[1])
+                papers.append(p)
+                people.append(r)
                 values_out.append(value)
                 continue
-        reason = overlong or _missing((p, r, *labels), schema.required)
-        if reason is None:
-            reason = value if type(value) is str else DUPLICATE_PAIR
-        rejected.append((raw(row), reason))
+            reason = DUPLICATE_PAIR
+        else:
+            reason = overlong or _missing((paper, person, *labels), schema.required) or value
+        shown = raw(row)
+        if blank is not None and pick(values)[blank] in (None, ""):
+            shown["confidence"] = "Good"
+        report.rejected.append((shown, reason))
 
 
-def _read(reviews, metas, key, min_reviews: int = 2) -> Exports:
+def _read(reviews, metas, min_reviews: int = 2) -> Exports:
     """Take review rows and, unless ``metas`` is None, meta-review rows
-    into columns, each distinct label tuple checked once under ``key``,
-    and audit the accepted rows."""
+    into columns, and audit the accepted rows.  ``reviews`` and ``metas``
+    are contexts that give the rows and their :class:`_Layout`."""
     out = Exports()
-    ids: dict[str, str] = {}
-    score = functools.partial(_check_labels, scores=out.scores)
-    columns = (out.reviewer, out.paper, out.label)
-    rows = _review_rows(reviews, out.report.warnings)
-    _take(rows, REVIEW_SCHEMA, key, score, ids, columns, out.report.rejected)
+    paper_codes: dict[str, int] = {}
+    reviewer_codes: dict[str, int] = {}
+    metareviewer_codes: dict[str, int] = {}
+    score = functools.partial(_check_labels, out.scores)
+    with reviews as (rows, layout):
+        codes, columns = (paper_codes, reviewer_codes), (out.paper, out.reviewer, out.label)
+        _take(rows, layout, REVIEW_SCHEMA, score, codes, columns, out.report)
     if metas is not None:
-        columns = (out.metareviewer, out.meta_paper, out.xi)
-        _take(metas, META_SCHEMA, key, _check_meta, ids, columns, out.report.rejected)
+        with metas as (rows, layout):
+            codes = (paper_codes, metareviewer_codes)
+            columns = (out.meta_paper, out.metareviewer, out.xi)
+            _take(rows, layout, META_SCHEMA, _check_meta, codes, columns, out.report)
+    out.paper_ids = list(paper_codes)
+    out.reviewer_ids = list(reviewer_codes)
+    out.metareviewer_ids = list(metareviewer_codes)
     _audit(out, metas is not None, min_reviews)
     return out
 
@@ -460,11 +561,10 @@ def _read_payload(payload, path, min_reviews: int = 2) -> Exports:
     has a ``meta_reviews`` key."""
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: top level is not an object")
-    reviews = _json_rows(payload, "reviews", REVIEW_SCHEMA.columns, path)
+    reviews = _json_rows(payload, "reviews", REVIEW_SCHEMA, path)
     has_metas = "meta_reviews" in payload
-    metas = _json_rows(payload, "meta_reviews", META_SCHEMA.columns, path) if has_metas else None
-    # repr keys: JSON values may be lists, and True == 1 as a dict key
-    return _read(reviews, metas, repr, min_reviews)
+    metas = _json_rows(payload, "meta_reviews", META_SCHEMA, path) if has_metas else None
+    return _read(reviews, metas, min_reviews)
 
 
 def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
@@ -479,48 +579,51 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     the header are rejected record by record (collected in the report), as
     is every repeat of a (reviewer, paper) or (metareviewer, paper) pair
     after its first row; structural problems such as unknown or repeated
-    columns, or text that does not decode, abort with ``ValueError`` naming
-    the file.  Each distinct label tuple is checked once, and the columns
-    share one string per distinct id.  The report also holds the counts and
+    columns, a JSON object that repeats a key, or text that does not
+    decode, abort with ``ValueError`` naming the file.  Each distinct label
+    tuple is checked once, and each distinct id is stored once, as its
+    code's entry in an id list.  The report also holds the counts and
     findings of :func:`validate` for the accepted rows, papers without a
     meta-review only if meta-reviews were read (a ``meta_path``, or a
     ``meta_reviews`` key).
     """
     if format == "csv":
         metas = None if meta_path is None else _csv_rows(meta_path, META_SCHEMA)
-        return _read(_csv_rows(path, REVIEW_SCHEMA), metas, tuple)
+        return _read(_csv_rows(path, REVIEW_SCHEMA), metas)
     if format != "json":
         raise ValueError(f"unknown format {format!r}")
     if meta_path is not None:
         raise ValueError(f"{meta_path}: JSON exports carry their own meta_reviews")
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # a JSON or Unicode decode error
+            payload = json.load(fh, object_pairs_hook=_json_object)
+    except ValueError as exc:  # a JSON or Unicode decode error, or a repeated key
         raise ValueError(f"{path}: {exc}") from None
     return _read_payload(payload, path)
 
 
 def _audit(ex: Exports, metas_read: bool, min_reviews: int = 2):
-    """Fill the report's counts and findings from the id columns; papers
+    """Fill the report's counts and findings from the code columns; papers
     without a meta-review are findings only if ``metas_read``."""
     report = ex.report
-    per_paper = Counter(ex.paper)
-    meta_papers = set(ex.meta_paper)
-    unreviewed = len(meta_papers.difference(per_paper))
-    report.n_papers = len(per_paper) + unreviewed
-    report.n_reviewers = len(set(ex.reviewer))
+    ids = ex.paper_ids
+    per_paper = np.bincount(np.asarray(ex.paper, dtype=int), minlength=len(ids))
+    report.n_papers = len(ids)
+    report.n_reviewers = len(ex.reviewer_ids)
     report.n_reviews = len(ex.paper)
-    report.n_metareviewers = len(set(ex.metareviewer))
+    report.n_metareviewers = len(ex.metareviewer_ids)
     report.n_metareviews = len(ex.meta_paper)
-    report.reviews_per_paper = dict(Counter(per_paper.values()) + Counter({0: unreviewed}))
+    histogram = np.bincount(per_paper)
+    report.reviews_per_paper = {k: int(histogram[k]) for k in np.flatnonzero(histogram).tolist()}
+    low = np.flatnonzero((per_paper > 0) & (per_paper < min_reviews)).tolist()
     report.findings = [
         ("below minimum reviews", f"paper {p} has {n} review(s)")
-        for p, n in sorted(per_paper.items())
-        if n < min_reviews
+        for p, n in sorted((ids[i], int(per_paper[i])) for i in low)
     ]
-    unmet = sorted(per_paper.keys() - meta_papers) if metas_read else []
-    report.findings += [("missing meta-review", f"paper {p}") for p in unmet]
+    if metas_read:
+        met = np.bincount(np.asarray(ex.meta_paper, dtype=int), minlength=len(ids)) > 0
+        unmet = sorted(ids[i] for i in np.flatnonzero((per_paper > 0) & ~met).tolist())
+        report.findings += [("missing meta-review", f"paper {p}") for p in unmet]
 
 
 def validate(
@@ -534,7 +637,9 @@ def validate(
     return _read_payload(_export_object(reviews, metas), "typed records", min_reviews).report
 
 
+@functools.cache
 def _canon(label: str) -> str:
+    """A known label's canonical spelling, worked out once per raw spelling."""
     return _CANONICAL[_norm_label(label)]
 
 

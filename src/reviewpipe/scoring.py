@@ -157,50 +157,60 @@ class ReviewTable:
         return self.s_half / 2.0
 
 
-def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct ids and the code of each entry of ``ids``."""
-    uniq = sorted(set(ids))
-    index = dict(zip(uniq, range(len(uniq))))
-    return uniq, np.fromiter(map(index.__getitem__, ids), dtype=int, count=len(ids))
+def _sorted(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """Distinct ``ids`` in sorted order, and each one's position there."""
+    rank = id_rank(ids)
+    return [ids[i] for i in np.argsort(rank).tolist()], rank
+
+
+def _array(codes: list[int]) -> np.ndarray:
+    return np.fromiter(codes, dtype=int, count=len(codes))
 
 
 def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
-    """Code reviews and meta-reviews by id, with the scores ingestion
-    computed.
+    """Recode reviews and meta-reviews by sorted id, with the scores
+    ingestion computed.
 
     With ``metas`` set, every reviewed paper needs a meta-review and every
     meta-reviewed paper a review: fusion needs both sides.  Without it the
     meta columns are ignored and the meta arrays are empty.
     """
-    label = np.asarray(exports.label, dtype=int)
+    ids = exports.paper_ids
+    paper = _array(exports.paper)
+    reviewed = np.bincount(paper, minlength=len(ids)) > 0
     if metas:
-        meta_papers = exports.meta_paper
-        metareviewers = exports.metareviewer
+        meta_paper = _array(exports.meta_paper)
+        met = np.bincount(meta_paper, minlength=len(ids)) > 0
+        for papers, problem in (
+            (reviewed & ~met, "papers without meta-review"),
+            (met & ~reviewed, "meta-reviews for unreviewed papers"),
+        ):
+            if papers.any():
+                raise ValueError(f"{problem}: {sorted(ids[i] for i in np.flatnonzero(papers))}")
+        metareviewer_ids, metareviewer = _sorted(exports.metareviewer_ids)
+        metareviewer = metareviewer[_array(exports.metareviewer)]
         xi = exports.xi
-        meta_set = set(meta_papers)
-        missing_meta = sorted(set(exports.paper).difference(meta_set))
-        if missing_meta:
-            raise ValueError(f"papers without meta-review: {missing_meta}")
-        extra_meta = sorted(meta_set.difference(exports.paper))
-        if extra_meta:
-            raise ValueError(f"meta-reviews for unreviewed papers: {extra_meta}")
     else:
-        meta_papers, metareviewers, xi = [], [], []
-    # one coding for both sides: the meta papers are among the reviewed ones
-    paper_ids, codes = _codes([*exports.paper, *meta_papers])
-    paper, meta_paper = np.split(codes, [len(exports.paper)])
-    reviewer_ids, reviewer = _codes(exports.reviewer)
-    metareviewer_ids, metareviewer = _codes(metareviewers)
+        meta_paper, metareviewer = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        metareviewer_ids, xi = [], []
+        if not reviewed.all():  # papers only meta-reviewed leave the coding
+            ids = [ids[i] for i in np.flatnonzero(reviewed)]
+            paper = (np.cumsum(reviewed) - 1)[paper]
+    paper_ids, rank = _sorted(ids)
+    paper, meta_paper = rank[paper], rank[meta_paper]
+    reviewer_ids, rank = _sorted(exports.reviewer_ids)
+    reviewer = rank[_array(exports.reviewer)]
     rows = np.argsort(paper * len(reviewer_ids) + reviewer, kind="stable")  # by paper, reviewer
     meta_rows = np.argsort(meta_paper * len(metareviewer_ids) + metareviewer, kind="stable")
+    label = _array(exports.label)[rows]
     return ReviewTable(
         paper_ids=paper_ids,
         reviewer_ids=reviewer_ids,
         metareviewer_ids=metareviewer_ids,
         paper=paper[rows],
         reviewer=reviewer[rows],
-        s_half=np.array([s for s, _ in exports.scores], dtype=int)[label][rows],
-        confidence=np.array([w for _, w in exports.scores], dtype=float)[label][rows],
+        s_half=np.array([s for s, _ in exports.scores], dtype=int)[label],
+        confidence=np.array([w for _, w in exports.scores], dtype=float)[label],
         meta_paper=meta_paper[meta_rows],
         metareviewer=metareviewer[meta_rows],
         xi=np.array(xi, dtype=float)[meta_rows],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from reviewpipe.calibration import CalibrationInputs
 from reviewpipe.records import (
@@ -11,6 +12,10 @@ from reviewpipe.records import (
     ReviewForm,
     likert_labels,
 )
+
+# CI runs ``pytest --hypothesis-profile=ci``: the same examples on every run,
+# and a failure prints the blob that replays it (``@reproduce_failure``)
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 RECS = likert_labels("recommendation")
 CRITS = likert_labels("criterion")

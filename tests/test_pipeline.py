@@ -1322,6 +1322,10 @@ class TestCli:
             ("grid-min = 0.1", "run.cfg:1: pipeline has no option 'grid-min'"),
             ("lam = 0.5", "run.cfg:1: pipeline has no option 'lam'"),
             ("seed 3", "run.cfg:1: expected 'key = value', got 'seed 3'"),
+            # the last line used to win silently: 6 of 10 papers accepted, exit 0
+            ("acceptance_rate = 30\n# later\nacceptance_rate = 60",
+             "run.cfg:3: acceptance_rate set twice, first on line 1"),
+            ("calibrate = on\ncalibrate = off", "run.cfg:2: calibrate set twice, first on line 1"),
         ],
     )
     def test_bad_config_line_names_file_and_line(self, tmp_path, rng, capsys, line, message):

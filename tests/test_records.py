@@ -1,8 +1,10 @@
 import gc
+import itertools
 import json
 import re
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,11 @@ def write_reviews(tmp_path, rows, name="reviews.csv"):
 
 def review_row(paper="P1", reviewer="R1", rec="Accept", crit="Good", conf="Good", award="0"):
     return f"{paper},{reviewer},{rec},{crit},{crit},{crit},{crit},{conf},{award},fine"
+
+
+def named(codes, ids) -> list[str]:
+    """The ids a code column of :class:`Exports` names."""
+    return [ids[c] for c in codes]
 
 
 def assert_reads_as(exports, reviews, metas=None):
@@ -181,7 +188,7 @@ class TestLoad:
             tmp_path, [review_row(), "P1,R2,Accept,Good,Good,Good,Good,Good,0,great, really"]
         )
         exports = read_exports(path)
-        assert exports.reviewer == ["R1"]
+        assert exports.reviewer == [0] and exports.reviewer_ids == ["R1"]
         [(row, reason)] = exports.report.rejected
         assert reason == "row has 11 fields, header has 10"
         assert row["comments"] == "great" and row["extra_fields"] == [" really"]
@@ -283,6 +290,27 @@ class TestLoad:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
             read_exports(path, format="json")
 
+    @pytest.mark.parametrize(
+        "text, repeated",
+        [
+            # json.load alone keeps the last value: R1's Strong Reject read as Strong Accept
+            (
+                '{"reviews": [{"paper_id": "P1", "reviewer_id": "R1", "recommendation": '
+                '"Strong Reject", "c1": "Good", "c2": "Good", "c3": "Good", "c4": "Good", '
+                '"recommendation": "Strong Accept"}]}',
+                "['recommendation']",
+            ),
+            ('{"reviews": [], "meta_reviews": [], "reviews": []}', "['reviews']"),
+            ('{"reviews": [{"c1": {"a": 1, "b": 2, "a": 3, "b": 4}}]}', "['a', 'b']"),
+        ],
+    )
+    def test_json_object_repeating_a_key_aborts(self, tmp_path, text, repeated):
+        path = tmp_path / "export.json"
+        path.write_text(text)
+        message = f"{path}: repeated key(s) {repeated} in one object"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_exports(path, format="json")
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format 'xml'"):
             read_exports(tmp_path / "export.xml", format="xml")
@@ -303,7 +331,7 @@ class TestLoad:
             ],
         )
         exports = read_exports(path)
-        assert exports.reviewer == ["R1", "R2"]
+        assert exports.reviewer == [0, 1] and exports.reviewer_ids == ["R1", "R2"]
         assert_reads_as(
             exports,
             [make_review("P1", "R1", rec="Accept"), make_review("P1", "R2", rec="Borderline")],
@@ -321,7 +349,9 @@ class TestLoad:
             "paper_id,metareviewer_id,recommendation\nP1,M1,Accept\nP1,M2,Reject\nP1,M1,Reject\n"
         )
         exports = read_exports(path, meta_path=meta)
-        assert list(zip(exports.meta_paper, exports.metareviewer, exports.xi)) == [
+        meta_paper = named(exports.meta_paper, exports.paper_ids)
+        metareviewer = named(exports.metareviewer, exports.metareviewer_ids)
+        assert list(zip(meta_paper, metareviewer, exports.xi)) == [
             ("P1", "M1", 2),
             ("P1", "M2", -2),
         ]
@@ -336,7 +366,7 @@ class TestLoad:
         meta = tmp_path / "meta.csv"
         meta.write_text("paper_id,metareviewer_id,recommendation\nP1,M1,Accept\n ,M2,Accept\nP1,\t,Reject\n")
         exports = read_exports(path, meta_path=meta)
-        assert exports.paper == ["P1"] and exports.meta_paper == ["P1"]
+        assert exports.paper == exports.meta_paper == [0] and exports.paper_ids == ["P1"]
         assert [reason for _, reason in exports.report.rejected] == [
             "missing required field 'paper_id'",
             "missing required field 'reviewer_id'",
@@ -479,7 +509,8 @@ class TestRoundTrip:
         rpath.write_text(export_reviews_csv(reviews), encoding="utf-8")
         mpath.write_text(export_metas_csv(metas), encoding="utf-8")
         exports = read_exports(rpath, meta_path=mpath)
-        assert exports.paper == ["P1", "P2"] and exports.reviewer == ["R1", "R2"]
+        assert named(exports.paper, exports.paper_ids) == ["P1", "P2"]
+        assert named(exports.reviewer, exports.reviewer_ids) == ["R1", "R2"]
         assert not exports.report.rejected
         assert_reads_as(exports, reviews, metas)
 
@@ -511,6 +542,20 @@ def test_label_score():
     assert label_score("Accept", "Good", "Very good", "Fair", "Excellent", "Poor", 1) == (8, 0.8)
     assert label_score(" strong  ACCEPT", *["excellent"] * 4, "Excellent", 1) == (16, 1.2)
     assert label_score("Strong Reject", *["Poor"] * 4, "Good", 0) == (-14, 1.0)
+
+
+def test_label_score_on_every_canonical_label_tuple():
+    """All 43,750 tuples: the score is twice the exact sum of the
+    recommendation, criterion and award weights, as an int, and the
+    confidence weight is the scale's."""
+    for rec, *criteria, conf, award in itertools.product(
+        RECS, *[CRITS] * 4, CONFS, (0, 1)
+    ):
+        total = encode_likert(rec, "recommendation") + award
+        total += sum(Fraction(encode_likert(c, "criterion")) for c in criteria)
+        s_half, confidence = label_score(rec, *criteria, conf, award)
+        assert type(s_half) is int and s_half == 2 * total
+        assert confidence == encode_likert(conf, "confidence")
 
 
 @pytest.mark.parametrize(
@@ -556,8 +601,8 @@ def test_encode_errors_raise_on_every_call():
 def test_read_exports_holds_each_row_only_while_checking_it(tmp_path, rng):
     """Rows are checked as they are read and each distinct id is kept once:
     whitespace around the ids of a 20,000-row export, which the reader
-    strips, does not raise its peak, and the columns share one string per
-    id."""
+    strips, does not raise its peak, and the columns are codes into one
+    list of stripped ids per role."""
     n_papers, n_rows = 5000, 20000
     paper = np.arange(n_rows) % n_papers
     reviewer = (paper * 7 + np.arange(n_rows) // n_papers) % 3500
@@ -596,6 +641,7 @@ def test_read_exports_holds_each_row_only_while_checking_it(tmp_path, rng):
     # the padded export is 8 MB longer; holding every row before checking
     # any would raise the peak by ~10 MiB
     assert padded_peak - plain_peak < 64 * 1024
-    assert len(set(map(id, padded.paper + padded.meta_paper))) == n_papers
-    assert len(set(map(id, padded.reviewer))) == len(set(padded.reviewer))
-    assert len(set(map(id, padded.metareviewer))) == 300
+    assert padded.paper_ids == plain.paper_ids == [f"P{p:05d}" for p in range(n_papers)]
+    assert padded.reviewer_ids == plain.reviewer_ids
+    assert sorted(padded.reviewer_ids) == [f"R{r:05d}" for r in np.unique(reviewer)]
+    assert padded.metareviewer_ids == [f"M{m:03d}" for m in range(300)]

@@ -5,9 +5,10 @@ The oracle below is that loader: ``csv.DictReader`` rows, one
 separate ``validate`` pass merged with the loader's rejections and
 warnings.  On messy CSV and JSON exports both paths must give the same
 accepted rows in input order (ids, scores and meta-review weights), the
-same ``ReviewTable`` and the same ``validation.json`` text.
-Rows longer than their header are left out: the oracle drops their surplus
-fields or fails on them, which the reader now rejects by design.
+same ``ReviewTable`` and the same ``validation.json`` text.  The oracle
+also holds the rule for rows longer than their header, which the old loader
+did not have: non-empty surplus fields reject the row, empty ones are
+ignored, and the report shows them either way as ``extra_fields``.
 """
 
 import csv
@@ -103,12 +104,12 @@ def oracle_validate(reviews, metas, metas_read, min_reviews=2) -> ValidationRepo
 def oracle_load(path, format="csv", meta_path=None):
     """(reviews, metas, the report pipeline and CLI wrote as validation.json)."""
     if format == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             review_rows = list(csv.DictReader(fh))
         meta_rows = []
         metas_read = meta_path is not None
         if metas_read:
-            with open(meta_path, newline="", encoding="utf-8") as fh:
+            with open(meta_path, newline="", encoding="utf-8-sig") as fh:
                 meta_rows = list(csv.DictReader(fh))
     else:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -120,12 +121,20 @@ def oracle_load(path, format="csv", meta_path=None):
     for rows, parse, out in ((review_rows, oracle_review, reviews), (meta_rows, oracle_meta, metas)):
         seen = set()
         for row in rows:
+            # DictReader keeps the fields beyond the header under None
+            extra = row.pop(None, None) if format == "csv" else None
+            n = len(row)
             if parse is oracle_review and row.get("confidence") in (None, ""):
                 row = dict(row, confidence="Good")
                 warnings.append(
                     f"review ({row.get('reviewer_id')}, {row.get('paper_id')}): "
                     "missing confidence, defaulted to 'Good'"
                 )
+            if extra is not None:
+                row = dict(row, extra_fields=extra)
+                if any(extra):
+                    rejected.append((row, f"row has {n + len(extra)} fields, header has {n}"))
+                    continue
             try:
                 form = parse(row)
             except (UnknownLabelError, ValueError) as exc:
@@ -195,16 +204,25 @@ def assert_tables_equal(a: ReviewTable, b: ReviewTable):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
+def named(codes, ids) -> list[str]:
+    return [ids[c] for c in codes]
+
+
 def assert_matches_oracle(path, format="csv", meta_path=None):
     reviews, metas, report = oracle_load(path, format, meta_path)
     exports = read_exports(path, format, meta_path)
-    assert exports.paper == [f.paper for f in reviews]
-    assert exports.reviewer == [f.reviewer for f in reviews]
+    assert named(exports.paper, exports.paper_ids) == [f.paper for f in reviews]
+    assert named(exports.reviewer, exports.reviewer_ids) == [f.reviewer for f in reviews]
     assert [exports.scores[k] for k in exports.label] == [
         (sc.s_half, sc.confidence) for sc in map(review_score, reviews)
     ]
-    assert exports.meta_paper == [m.paper for m in metas]
-    assert exports.metareviewer == [m.metareviewer for m in metas]
+    assert named(exports.meta_paper, exports.paper_ids) == [m.paper for m in metas]
+    assert named(exports.metareviewer, exports.metareviewer_ids) == [m.metareviewer for m in metas]
+    # each id list holds its role's distinct ids in the order they first appear
+    papers = [f.paper for f in reviews] + [m.paper for m in metas]
+    assert exports.paper_ids == list(dict.fromkeys(papers))
+    assert exports.reviewer_ids == list(dict.fromkeys(f.reviewer for f in reviews))
+    assert exports.metareviewer_ids == list(dict.fromkeys(m.metareviewer for m in metas))
     assert exports.xi == [encode_likert(m.recommendation, "recommendation") for m in metas]
     assert json.dumps(exports.report.to_dict(), indent=2, sort_keys=True) == json.dumps(
         report.to_dict(), indent=2, sort_keys=True
@@ -249,19 +267,25 @@ def field_value(rnd, pools, column, extra=()):
 
 @st.composite
 def csv_export(draw, pools, optional):
-    """CSV text: a shuffled header without some optional columns, rows
-    drawn from ``pools``, some cut short, and blank lines."""
-    rnd = draw(st.randoms(use_true_random=True))
+    """CSV text: a shuffled header without some optional columns, perhaps
+    after a byte-order mark; rows drawn from ``pools``, some cut short,
+    some with empty or non-empty fields beyond the header; and blank
+    lines."""
+    rnd = draw(st.randoms())
     header = [c for c in pools if c not in optional or rnd.random() < 0.7]
     rnd.shuffle(header)
     buf = io.StringIO()
+    if rnd.random() < 0.2:
+        buf.write("\ufeff")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for _ in range(rnd.randrange(15)):
         row = [field_value(rnd, pools, c) for c in header]
-        kind = rnd.choice(["row"] * 8 + ["short", "blank"])
+        kind = rnd.choice(["row"] * 8 + ["short", "blank", "long"])
         if kind == "short":
             row = row[: rnd.randrange(1, len(row) + 1)]
+        elif kind == "long":
+            row += [rnd.choice(["", "", "x", " "]) for _ in range(rnd.randrange(1, 3))]
         writer.writerow([] if kind == "blank" else row)
     return buf.getvalue()
 
@@ -269,7 +293,7 @@ def csv_export(draw, pools, optional):
 @st.composite
 def json_objects(draw, pools):
     """Export objects that may lack any field and hold any JSON value."""
-    rnd = draw(st.randoms(use_true_random=True))
+    rnd = draw(st.randoms())
     return [
         {c: field_value(rnd, pools, c, JSON_VALUES) for c in pools if rnd.random() < 0.95}
         for _ in range(rnd.randrange(13))
@@ -311,12 +335,16 @@ def test_every_messy_case_at_once(tmp_path):
         "\n"
         "Good,Good,Accept,P2,R3,Good,\n"  # missing c2 and award
         "Good,Good\n"  # short row
-        "Good,Good,Reject,P2,R1,Excellent,Poor,1\n",
+        "Good,Good,Reject,P2,R1,Excellent,Poor,1\n"
+        "Good,Good,Accept,P3,R1,Good,Good,0,,\n"  # empty fields beyond the header
+        "Good,Good,Accept,P3,R2,Good,Good,0,, x\n"  # a non-empty one
+        "Good,Good,Maybe,P3,R3,Good,Good,0,\n",  # rejected, and shown with its empty extra
         encoding="utf-8",
     )
     mpath = tmp_path / "m.csv"
     mpath.write_text(
-        "recommendation,paper_id,metareviewer_id\nAccept,P1,M1\nReject,P1,M1\nBad,P2,M2\n,P2,M2\n",
+        "\ufeffrecommendation,paper_id,metareviewer_id\n"  # a byte-order mark
+        "Accept,P1,M1\nReject,P1,M1\nBad,P2,M2\n,P2,M2\nAccept,P3,M1,\nAccept,P3,M2,x\n",
         encoding="utf-8",
     )
     assert_matches_oracle(rpath, "csv", mpath)
