@@ -1,15 +1,15 @@
 """Ingesting raw review exports and auditing them.
 
-Every CSV row becomes exactly one accepted row or one rejection entry with a
-reason — nothing is dropped silently.  The validation report also audits the
-accepted rows: review-count floor, papers without a meta-review, and the mean
-review load.
+Every CSV row becomes exactly one row of the review table or one rejection
+entry with a reason — nothing is dropped silently.  The table carries the
+validation report, which also audits the accepted rows: review-count
+floor, papers without a meta-review, and the mean review load.
 """
 
 import tempfile
 from pathlib import Path
 
-from reviewpipe import exports_table, read_exports
+from reviewpipe import read_exports
 
 raw = """\
 paper_id,reviewer_id,recommendation,c1,c2,c3,c4,confidence,award,comments
@@ -31,9 +31,9 @@ with tempfile.TemporaryDirectory() as tmp:
     mpath = Path(tmp) / "metas.csv"
     rpath.write_text(raw)
     mpath.write_text(meta_raw)
-    exports = read_exports(rpath, format="csv", meta_path=mpath)
+    rows = read_exports(rpath, format="csv", meta_path=mpath)
 
-report = exports.report
+report = rows.report
 print(f"Loaded {report.n_reviews} reviews on {report.n_papers} papers "
       f"from {report.n_reviewers} reviewers.")
 print(f"Mean review load: {report.mean_reviews_per_paper:.2f} reviews/paper")
@@ -50,8 +50,7 @@ print("\nValidation findings:")
 for kind, message in report.findings:
     print(f"  [{kind}] {message}")
 
-print("\nAccepted reviews, scored once per distinct label tuple:")
-rows = exports_table(exports, metas=False)
+print("\nThe review table: accepted reviews by paper and reviewer, each label tuple scored once:")
 for p, r, s, w in zip(rows.paper, rows.reviewer, rows.s, rows.confidence):
     print(f"  {rows.paper_ids[p]}/{rows.reviewer_ids[r]}: score {s:+.1f}, confidence weight {w}")
 print("\nLabels are matched case-insensitively ('borderline' parsed fine); a "

@@ -34,9 +34,9 @@ from .pipeline import (
     run_pipeline,
 )
 from .records import (
-    Exports,
     MetaReviewForm,
     ReviewForm,
+    ReviewTable,
     ValidationReport,
     encode_likert,
     export_json,
@@ -45,20 +45,18 @@ from .records import (
     label_score,
     likert_labels,
     read_exports,
+    review_table,
     validate,
 )
 from .scoring import (
     DecisionConfig,
     DecisionList,
     ReviewScore,
-    ReviewTable,
     ScoreTable,
     build_score_table,
-    exports_table,
     normalize,
     rank_and_cut,
     review_score,
-    review_table,
     score_index,
     score_table,
 )

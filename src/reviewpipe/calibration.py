@@ -67,7 +67,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import DecisionConfig, id_rank, normalize, paper_pairs, weighted_paper_mean
+from .records import id_rank
+from .scoring import DecisionConfig, normalize, paper_pairs, weighted_paper_mean
 
 __all__ = [
     "CalibrationInputs",

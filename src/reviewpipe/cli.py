@@ -28,13 +28,15 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .assignment import TAGS, AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
 from .records import CONFLICT_SCHEMA, SIMILARITY_SCHEMA, TAG_SCHEMA, read_exports, read_keyed_csv
 from .records import _csv_text, _json_text, _show_key
-from .scoring import DecisionConfig, exports_table
+from .scoring import DecisionConfig
 
 
 def _config_argv(args) -> list[str]:
@@ -187,10 +189,10 @@ def cmd_assign(args) -> int:
 
 def cmd_dequantize(args) -> int:
     cfg = DequantConfig(lam=getattr(args, "lambda"))
-    exports = read_exports(args.input, args.format)
-    write_atomic(Path(args.out) / "validation.json", _json_text(exports.report.to_dict()))
-    rows = exports_table(exports, metas=False)
-    s_dq = dequantize_rows(rows.paper, rows.s, cfg)
+    rows = read_exports(args.input, args.format)
+    write_atomic(Path(args.out) / "validation.json", _json_text(rows.report.to_dict()))
+    paper = np.unique(rows.paper, return_inverse=True)[1]  # meta-only papers dropped
+    s_dq = dequantize_rows(paper, rows.s, cfg)
     entries = [
         (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))
         for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist())
@@ -200,7 +202,7 @@ def cmd_dequantize(args) -> int:
         _csv_text(["paper_id", "reviewer_id", "s", "s_dq"], entries),
     )
     sys.stdout.write(
-        f"dequantized {len(entries)} reviews, {len(exports.report.rejected)} rows rejected"
+        f"dequantized {len(entries)} reviews, {len(rows.report.rejected)} rows rejected"
         f" (lambda={cfg.lam}) -> {args.out}\n"
     )
     return 0

@@ -27,8 +27,8 @@ from .scoring import (
     DecisionConfig,
     DecisionList,
     ScoreTable,
+    _check_paired,
     decision_list_csv,
-    exports_table,
     rank_and_cut,
     score_index,
     score_table,
@@ -210,12 +210,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         artifacts.append(write_atomic(out_dir / name, text))
 
     with _stage("load"):
-        exports = read_exports(cfg.reviews_path, cfg.format, cfg.meta_path)
-        write("validation.json", _json_text(exports.report.to_dict()))
+        rows = read_exports(cfg.reviews_path, cfg.format, cfg.meta_path)
+        write("validation.json", _json_text(rows.report.to_dict()))
 
     with _stage("score"):
-        rows = exports_table(exports)
-        del exports  # every later stage reads the review table
+        _check_paired(rows)  # before the dequantizer meets a paper without reviews
         values = dequantize_rows(rows.paper, rows.s, cfg.dequant) if cfg.dequantize else rows.s
         table = score_table(rows, values)
 

@@ -1,13 +1,12 @@
 """Typed review records and ingestion of raw review exports.
 
-Raw exports (CSV or JSON) are read into the columns of :class:`Exports`:
-integer codes for the ids, the index of each row's label score, and one
-list per role (paper, reviewer, meta-reviewer) of the distinct stripped
-ids in the order accepted rows first carry them.  An id gets its code the
-first time an accepted row carries it.  Every input row either becomes
-exactly one accepted row or one rejection entry in the
-:class:`ValidationReport`; nothing is dropped silently.  Each distinct
-label tuple of an export is checked and scored once, by
+Raw exports (CSV or JSON) are read into one :class:`ReviewTable`: integer
+codes into the sorted id lists of each role (paper, reviewer,
+meta-reviewer), each review's composite score and confidence weight, each
+meta-review's recommendation weight, and the :class:`ValidationReport` of
+the read.  Every input row either becomes exactly one row of the table or
+one rejection entry in the report; nothing is dropped silently.  Each
+distinct label tuple of an export is checked and scored once, by
 :func:`label_score`, the rule :class:`ReviewForm` also checks with; each
 distinct meta-review recommendation is encoded once.  CSV rows are read
 from the open file one at a time and held only while they are checked.
@@ -20,7 +19,9 @@ one accept-or-reject loop, :func:`_take`, which reads each input through
 its :class:`_Layout`.  A CSV row as long as its header reaches the loop as
 ``csv.reader`` gives it; a short or overlong row, and a JSON object, is
 first put in that form.  The report's dict is built only for a rejected
-row.
+row.  The loop codes ids in the order accepted rows first carry them;
+:func:`_read` then recodes them by sorted id once, sorts the rows, and
+audits the table.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -29,6 +30,7 @@ arithmetic works in integer half-steps (see :mod:`reviewpipe.scoring`).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import functools
@@ -36,6 +38,7 @@ import io
 import itertools
 import json
 import operator
+import unicodedata
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -48,14 +51,16 @@ __all__ = [
     "ReviewForm",
     "MetaReviewForm",
     "ValidationReport",
-    "Exports",
+    "ReviewTable",
     "encode_likert",
     "label_score",
     "likert_labels",
     "CsvSchema",
     "read_keyed_csv",
     "read_exports",
+    "review_table",
     "validate",
+    "id_rank",
     "export_reviews_csv",
     "export_metas_csv",
     "export_json",
@@ -249,40 +254,43 @@ class ValidationReport:
         }
 
 
-@dataclass
-class Exports:
-    """The accepted rows of review exports as integer-coded columns, and
-    their report.
+@dataclass(frozen=True)
+class ReviewTable:
+    """Every accepted review and meta-review of an export as integer-coded
+    arrays, and the report of the read.
 
-    Review row ``i`` is paper ``paper_ids[paper[i]]`` and reviewer
-    ``reviewer_ids[reviewer[i]]``, scored ``scores[label[i]]``; ``scores``
-    holds the :func:`label_score`, ``(s_half, confidence)``, of each
-    distinct label tuple (recommendation, criteria, confidence, award).
-    Meta row ``j`` is paper ``paper_ids[meta_paper[j]]`` and meta-reviewer
-    ``metareviewer_ids[metareviewer[j]]`` with the recommendation weight
-    ``xi[j]``.  Each id list holds the stripped ids in the order accepted
-    rows first carry them; reviews and meta-reviews share the paper list.
+    ``paper``, ``reviewer`` and ``metareviewer`` are codes into the sorted
+    id lists; the paper list holds every paper an accepted row names.
+    Review rows are ordered by (paper, reviewer) and meta rows by (paper,
+    metareviewer), so the table does not depend on the input row order.
+    ``s_half`` is the composite score in half-steps and ``xi`` the
+    meta-reviewer's recommendation weight.
     """
 
-    paper: list[int] = field(default_factory=list)
-    reviewer: list[int] = field(default_factory=list)
-    label: list[int] = field(default_factory=list)
-    scores: list[tuple[int, float]] = field(default_factory=list)
-    meta_paper: list[int] = field(default_factory=list)
-    metareviewer: list[int] = field(default_factory=list)
-    xi: list[float] = field(default_factory=list)
-    paper_ids: list[str] = field(default_factory=list)
-    reviewer_ids: list[str] = field(default_factory=list)
-    metareviewer_ids: list[str] = field(default_factory=list)
+    paper_ids: list[str]
+    reviewer_ids: list[str]
+    metareviewer_ids: list[str]
+    paper: np.ndarray
+    reviewer: np.ndarray
+    s_half: np.ndarray
+    confidence: np.ndarray
+    meta_paper: np.ndarray
+    metareviewer: np.ndarray
+    xi: np.ndarray
     report: ValidationReport = field(default_factory=ValidationReport)
 
-    @classmethod
-    def from_forms(cls, reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None):
-        """Typed records read as :func:`read_exports` reads their JSON
-        export: ids become stripped strings, and a repeated pair, a blank id
-        or an award other than 0 or 1 is a rejected record.  Papers without
-        a meta-review are findings only if ``metas`` is given."""
-        return _read_payload(_export_object(reviews, metas), "typed records")
+    @property
+    def s(self) -> np.ndarray:
+        """Composite review scores."""
+        return self.s_half / 2.0
+
+
+def id_rank(ids: list[str]) -> np.ndarray:
+    """Each id's position in Python string order.  A NumPy string array
+    would drop trailing NULs and tie "a\x00" with "a"."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 class _Layout(NamedTuple):
@@ -426,7 +434,7 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
 
 def _missing(values, names) -> str | None:
     for name, value in zip(names, values):
-        if value in (None, ""):
+        if value is None or value == "":  # not ``in (None, "")``: see _take
             return f"missing required field {name!r}"
     return None
 
@@ -527,36 +535,55 @@ def _take(rows, layout: _Layout, schema: CsvSchema, check, codes, columns, repor
         else:
             reason = overlong or _missing((paper, person, *labels), schema.required) or value
         shown = raw(row)
-        if blank is not None and pick(values)[blank] in (None, ""):
+        if blank is not None and ((given := pick(values)[blank]) is None or given == ""):
             shown["confidence"] = "Good"
         report.rejected.append((shown, reason))
 
 
-def _read(reviews, metas, min_reviews: int = 2) -> Exports:
-    """Take review rows and, unless ``metas`` is None, meta-review rows
-    into columns, and audit the accepted rows.  ``reviews`` and ``metas``
-    are contexts that give the rows and their :class:`_Layout`."""
-    out = Exports()
-    paper_codes: dict[str, int] = {}
-    reviewer_codes: dict[str, int] = {}
-    metareviewer_codes: dict[str, int] = {}
-    score = functools.partial(_check_labels, out.scores)
+def _read(reviews, metas, min_reviews: int = 2) -> ReviewTable:
+    """Take review rows and, unless ``metas`` is None, meta-review rows,
+    recode their ids by sorted id, sort the rows and audit them.
+    ``reviews`` and ``metas`` are contexts that give the rows and their
+    :class:`_Layout`."""
+    report = ValidationReport()
+    scores: list[tuple[int, float]] = []
+    codes: list[dict[str, int]] = [{}, {}, {}]  # paper, reviewer, metareviewer
+    (paper, reviewer, label), (meta_paper, metareviewer, xi) = ([], [], []), ([], [], [])
     with reviews as (rows, layout):
-        codes, columns = (paper_codes, reviewer_codes), (out.paper, out.reviewer, out.label)
-        _take(rows, layout, REVIEW_SCHEMA, score, codes, columns, out.report)
+        score = functools.partial(_check_labels, scores)
+        _take(rows, layout, REVIEW_SCHEMA, score, codes[:2], (paper, reviewer, label), report)
     if metas is not None:
         with metas as (rows, layout):
-            codes = (paper_codes, metareviewer_codes)
-            columns = (out.meta_paper, out.metareviewer, out.xi)
-            _take(rows, layout, META_SCHEMA, _check_meta, codes, columns, out.report)
-    out.paper_ids = list(paper_codes)
-    out.reviewer_ids = list(reviewer_codes)
-    out.metareviewer_ids = list(metareviewer_codes)
-    _audit(out, metas is not None, min_reviews)
-    return out
+            columns = (meta_paper, metareviewer, xi)
+            _take(rows, layout, META_SCHEMA, _check_meta, codes[::2], columns, report)
+    first_seen = [list(c) for c in codes]  # each role's ids
+    ranks = [id_rank(ids) for ids in first_seen]
+    paper_ids, reviewer_ids, metareviewer_ids = (
+        [ids[i] for i in np.argsort(rank).tolist()] for ids, rank in zip(first_seen, ranks)
+    )
+    paper, meta_paper = ranks[0][paper], ranks[0][meta_paper]
+    reviewer, metareviewer = ranks[1][reviewer], ranks[2][metareviewer]
+    rows = np.argsort(paper * len(reviewer_ids) + reviewer, kind="stable")  # by paper, reviewer
+    meta_rows = np.argsort(meta_paper * len(metareviewer_ids) + metareviewer, kind="stable")
+    label = np.array(label, dtype=int)[rows]
+    table = ReviewTable(
+        paper_ids=paper_ids,
+        reviewer_ids=reviewer_ids,
+        metareviewer_ids=metareviewer_ids,
+        paper=paper[rows],
+        reviewer=reviewer[rows],
+        s_half=np.array([s for s, _ in scores], dtype=int)[label],
+        confidence=np.array([w for _, w in scores], dtype=float)[label],
+        meta_paper=meta_paper[meta_rows],
+        metareviewer=metareviewer[meta_rows],
+        xi=np.array(xi, dtype=float)[meta_rows],
+        report=report,
+    )
+    _audit(table, metas is not None, min_reviews)
+    return table
 
 
-def _read_payload(payload, path, min_reviews: int = 2) -> Exports:
+def _read_payload(payload, path, min_reviews: int = 2) -> ReviewTable:
     """:func:`_read` of a JSON export's object; meta-reviews are read if it
     has a ``meta_reviews`` key."""
     if not isinstance(payload, dict):
@@ -567,8 +594,8 @@ def _read_payload(payload, path, min_reviews: int = 2) -> Exports:
     return _read(reviews, metas, min_reviews)
 
 
-def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
-    """Read review (and optionally meta-review) exports into columns.
+def read_exports(path, format: str = "csv", meta_path=None) -> ReviewTable:
+    """Read review (and optionally meta-review) exports into a review table.
 
     CSV mode reads reviews from ``path`` and, if given, meta-reviews from
     ``meta_path``.  JSON mode reads a single object with ``reviews`` and
@@ -581,11 +608,13 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     after its first row; structural problems such as unknown or repeated
     columns, a JSON object that repeats a key, or text that does not
     decode, abort with ``ValueError`` naming the file.  Each distinct label
-    tuple is checked once, and each distinct id is stored once, as its
-    code's entry in an id list.  The report also holds the counts and
+    tuple is checked once, and each distinct id is stored once, in its
+    role's sorted id list.  The table's report also holds the counts and
     findings of :func:`validate` for the accepted rows, papers without a
     meta-review only if meta-reviews were read (a ``meta_path``, or a
-    ``meta_reviews`` key).
+    ``meta_reviews`` key).  A paper named only by meta-reviews is in the
+    table with no review rows; :func:`reviewpipe.scoring.score_table`
+    rejects it.
     """
     if format == "csv":
         metas = None if meta_path is None else _csv_rows(meta_path, META_SCHEMA)
@@ -602,28 +631,47 @@ def read_exports(path, format: str = "csv", meta_path=None) -> Exports:
     return _read_payload(payload, path)
 
 
-def _audit(ex: Exports, metas_read: bool, min_reviews: int = 2):
-    """Fill the report's counts and findings from the code columns; papers
-    without a meta-review are findings only if ``metas_read``."""
-    report = ex.report
-    ids = ex.paper_ids
-    per_paper = np.bincount(np.asarray(ex.paper, dtype=int), minlength=len(ids))
+def _audit(table: ReviewTable, metas_read: bool, min_reviews: int = 2):
+    """Fill the report's counts and findings from the table's arrays;
+    papers without a meta-review are findings only if ``metas_read``."""
+    report = table.report
+    ids = table.paper_ids
+    per_paper = np.bincount(table.paper, minlength=len(ids))
     report.n_papers = len(ids)
-    report.n_reviewers = len(ex.reviewer_ids)
-    report.n_reviews = len(ex.paper)
-    report.n_metareviewers = len(ex.metareviewer_ids)
-    report.n_metareviews = len(ex.meta_paper)
+    report.n_reviewers = len(table.reviewer_ids)
+    report.n_reviews = len(table.paper)
+    report.n_metareviewers = len(table.metareviewer_ids)
+    report.n_metareviews = len(table.meta_paper)
     histogram = np.bincount(per_paper)
     report.reviews_per_paper = {k: int(histogram[k]) for k in np.flatnonzero(histogram).tolist()}
     low = np.flatnonzero((per_paper > 0) & (per_paper < min_reviews)).tolist()
     report.findings = [
-        ("below minimum reviews", f"paper {p} has {n} review(s)")
-        for p, n in sorted((ids[i], int(per_paper[i])) for i in low)
+        ("below minimum reviews", f"paper {ids[i]} has {per_paper[i]} review(s)") for i in low
     ]
     if metas_read:
-        met = np.bincount(np.asarray(ex.meta_paper, dtype=int), minlength=len(ids)) > 0
-        unmet = sorted(ids[i] for i in np.flatnonzero((per_paper > 0) & ~met).tolist())
-        report.findings += [("missing meta-review", f"paper {p}") for p in unmet]
+        met = np.bincount(table.meta_paper, minlength=len(ids)) > 0
+        unmet = np.flatnonzero((per_paper > 0) & ~met).tolist()
+        report.findings += [("missing meta-review", f"paper {ids[i]}") for i in unmet]
+    roles = {"paper": ids, "reviewer": table.reviewer_ids, "metareviewer": table.metareviewer_ids}
+    for role, role_ids in roles.items():
+        report.findings += _spellings(role, role_ids)
+
+
+def _spellings(role: str, ids: list[str]) -> list[tuple[str, str]]:
+    """A finding for each set of the sorted ``ids`` that are equal under
+    NFC but differ in code points: one person or paper counted as two.
+    ASCII ids are NFC already, so only the NFC forms of the others are
+    looked up among them."""
+    forms: dict[str, set[str]] = {}
+    for x in ids:
+        if not x.isascii():
+            forms.setdefault(unicodedata.normalize("NFC", x), set()).add(x)
+    for form, spellings in forms.items():
+        i = bisect.bisect_left(ids, form)
+        if i < len(ids) and ids[i] == form:
+            spellings.add(form)
+    named = (", ".join(map(ascii, sorted(s))) for s in forms.values() if len(s) > 1)
+    return [("ids equal under NFC", f"{role} ids {spellings}") for spellings in named]
 
 
 def validate(
@@ -631,10 +679,23 @@ def validate(
     metas: list[MetaReviewForm] | None = None,
     min_reviews: int = 2,
 ) -> ValidationReport:
-    """The report of :meth:`Exports.from_forms`, which :func:`read_exports`
-    gives for the records' export, with its review-count floor at
-    ``min_reviews``.  Purely reporting, never raises."""
+    """The report :func:`read_exports` gives for the records' export, with
+    its review-count floor at ``min_reviews``: ids become stripped strings,
+    and a repeated pair, a blank id or an award other than 0 or 1 is a
+    rejected record.  Papers without a meta-review are findings only if
+    ``metas`` is given.  Purely reporting, never raises."""
     return _read_payload(_export_object(reviews, metas), "typed records", min_reviews).report
+
+
+def review_table(reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None) -> ReviewTable:
+    """The :class:`ReviewTable` of the records, read as by :func:`validate`;
+    a rejected record, a repeated (reviewer, paper) pair included, is a
+    ``ValueError`` naming it.  Without ``metas`` the meta arrays are
+    empty."""
+    table = _read_payload(_export_object(reviews, metas), "typed records")
+    if table.report.rejected:
+        raise ValueError(f"rejected records: {table.report.rejected}")
+    return table
 
 
 @functools.cache

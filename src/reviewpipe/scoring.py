@@ -5,7 +5,9 @@ The per-review score is the recommendation weight plus the four criterion
 weights plus the award flag; it lives on a 0.5 lattice in [-7, 8] and is
 kept as an integer number of half-steps until aggregation.  Ingestion
 computes it, by :func:`reviewpipe.records.label_score`, once per distinct
-label tuple; :func:`exports_table` only looks the scores up.  Reviewer
+label tuple, into the :class:`reviewpipe.records.ReviewTable` that
+:func:`score_table` aggregates.  Fusion needs both sides: :func:`score_table`
+rejects a table with a paper that lacks a review or a meta-review.  Reviewer
 confidence weights the aggregation, not the score itself.  Normalized
 reviewer and meta-reviewer scores are fused per paper with a harmonic mean,
 and the top floor(a% of P) papers are accepted.
@@ -23,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import Exports, MetaReviewForm, ReviewForm, _csv_text, label_score
+from .records import MetaReviewForm, ReviewForm, ReviewTable, _csv_text, id_rank
+from .records import label_score, review_table
 
 __all__ = [
     "ReviewScore",
@@ -36,11 +39,7 @@ __all__ = [
     "normalize",
     "score_index",
     "build_score_table",
-    "ReviewTable",
-    "exports_table",
-    "review_table",
     "score_table",
-    "id_rank",
     "rank_and_cut",
     "score_table_texts",
     "decision_list_csv",
@@ -129,107 +128,6 @@ class ScoreTable:
         return self.SI_cal is not None
 
 
-@dataclass(frozen=True)
-class ReviewTable:
-    """Every review and meta-review of a run as integer-coded arrays.
-
-    ``paper``, ``reviewer`` and ``metareviewer`` are codes into the sorted
-    id lists.  Review rows are ordered by (paper, reviewer) and meta rows
-    by (paper, metareviewer), so the table does not depend on the order of
-    the input rows.  ``s_half`` is the composite score in half-steps and
-    ``xi`` the meta-reviewer's recommendation weight.
-    """
-
-    paper_ids: list[str]
-    reviewer_ids: list[str]
-    metareviewer_ids: list[str]
-    paper: np.ndarray
-    reviewer: np.ndarray
-    s_half: np.ndarray
-    confidence: np.ndarray
-    meta_paper: np.ndarray
-    metareviewer: np.ndarray
-    xi: np.ndarray
-
-    @property
-    def s(self) -> np.ndarray:
-        """Composite review scores."""
-        return self.s_half / 2.0
-
-
-def _sorted(ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """Distinct ``ids`` in sorted order, and each one's position there."""
-    rank = id_rank(ids)
-    return [ids[i] for i in np.argsort(rank).tolist()], rank
-
-
-def _array(codes: list[int]) -> np.ndarray:
-    return np.fromiter(codes, dtype=int, count=len(codes))
-
-
-def exports_table(exports: Exports, metas: bool = True) -> ReviewTable:
-    """Recode reviews and meta-reviews by sorted id, with the scores
-    ingestion computed.
-
-    With ``metas`` set, every reviewed paper needs a meta-review and every
-    meta-reviewed paper a review: fusion needs both sides.  Without it the
-    meta columns are ignored and the meta arrays are empty.
-    """
-    ids = exports.paper_ids
-    paper = _array(exports.paper)
-    reviewed = np.bincount(paper, minlength=len(ids)) > 0
-    if metas:
-        meta_paper = _array(exports.meta_paper)
-        met = np.bincount(meta_paper, minlength=len(ids)) > 0
-        for papers, problem in (
-            (reviewed & ~met, "papers without meta-review"),
-            (met & ~reviewed, "meta-reviews for unreviewed papers"),
-        ):
-            if papers.any():
-                raise ValueError(f"{problem}: {sorted(ids[i] for i in np.flatnonzero(papers))}")
-        metareviewer_ids, metareviewer = _sorted(exports.metareviewer_ids)
-        metareviewer = metareviewer[_array(exports.metareviewer)]
-        xi = exports.xi
-    else:
-        meta_paper, metareviewer = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        metareviewer_ids, xi = [], []
-        if not reviewed.all():  # papers only meta-reviewed leave the coding
-            ids = [ids[i] for i in np.flatnonzero(reviewed)]
-            paper = (np.cumsum(reviewed) - 1)[paper]
-    paper_ids, rank = _sorted(ids)
-    paper, meta_paper = rank[paper], rank[meta_paper]
-    reviewer_ids, rank = _sorted(exports.reviewer_ids)
-    reviewer = rank[_array(exports.reviewer)]
-    rows = np.argsort(paper * len(reviewer_ids) + reviewer, kind="stable")  # by paper, reviewer
-    meta_rows = np.argsort(meta_paper * len(metareviewer_ids) + metareviewer, kind="stable")
-    label = _array(exports.label)[rows]
-    return ReviewTable(
-        paper_ids=paper_ids,
-        reviewer_ids=reviewer_ids,
-        metareviewer_ids=metareviewer_ids,
-        paper=paper[rows],
-        reviewer=reviewer[rows],
-        s_half=np.array([s for s, _ in exports.scores], dtype=int)[label],
-        confidence=np.array([w for _, w in exports.scores], dtype=float)[label],
-        meta_paper=meta_paper[meta_rows],
-        metareviewer=metareviewer[meta_rows],
-        xi=np.array(xi, dtype=float)[meta_rows],
-    )
-
-
-def review_table(
-    reviews: list[ReviewForm], metas: list[MetaReviewForm] | None = None
-) -> ReviewTable:
-    """:func:`exports_table` of typed records, read by
-    :meth:`Exports.from_forms` under the export rules; a rejected record, a
-    repeated (reviewer, paper) pair included, is a ``ValueError`` naming
-    it.  Without ``metas`` the meta arrays are empty."""
-    exports = Exports.from_forms(reviews, metas)
-    if exports.report.rejected:
-        raise ValueError(f"rejected records: {exports.report.rejected}")
-    return exports_table(exports, metas=metas is not None)
-
-
 def weighted_paper_mean(values, paper, weights, n_papers: int) -> np.ndarray:
     """Per-paper weighted mean of row values; every paper needs a row."""
     num = np.bincount(paper, weights=weights * values, minlength=n_papers)
@@ -249,20 +147,29 @@ def paper_pairs(paper: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return i, j
 
 
+def _check_paired(rows: ReviewTable):
+    """Fusion needs both sides: a ``ValueError`` names the papers of the
+    table without a meta-review, else those without a review."""
+    for paper, problem in (
+        (rows.meta_paper, "papers without meta-review"),
+        (rows.paper, "meta-reviews for unreviewed papers"),
+    ):
+        missing = np.flatnonzero(np.bincount(paper, minlength=len(rows.paper_ids)) == 0).tolist()
+        if missing:
+            raise ValueError(f"{problem}: {[rows.paper_ids[p] for p in missing]}")
+
+
 def score_table(rows: ReviewTable, values=None) -> ScoreTable:
     """Aggregate a review table into the per-paper score table.
 
     ``values`` optionally replaces the raw review scores, aligned with the
     table's rows -- used for the dequantized variant of the pipeline.
-    Papers are ordered lexicographically; papers without a meta-review are
-    rejected.
+    Papers are ordered as the table's ids, which the reader sorts; a
+    paper without a review or a meta-review is rejected.
     """
+    _check_paired(rows)
     values = rows.s if values is None else np.asarray(values, dtype=float)
     n_papers = len(rows.paper_ids)
-    unmet = np.bincount(rows.meta_paper, minlength=n_papers) == 0
-    if unmet.any():
-        missing_meta = [rows.paper_ids[p] for p in np.flatnonzero(unmet)]
-        raise ValueError(f"papers without meta-review: {missing_meta}")
     s_p = weighted_paper_mean(values, rows.paper, rows.confidence, n_papers)
     xi_p = weighted_paper_mean(rows.xi, rows.meta_paper, np.ones(len(rows.xi)), n_papers)
     sR = normalize(s_p)
@@ -321,14 +228,6 @@ class DecisionList:
     @property
     def accepted(self) -> set[str]:
         return {d.paper for d in self.decisions if d.accept}
-
-
-def id_rank(ids: list[str]) -> np.ndarray:
-    """Each id's position in Python string order.  A NumPy string array
-    would drop trailing NULs and tie "a\x00" with "a"."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
 
 
 def rank_and_cut(

@@ -248,7 +248,7 @@ class TestRunPipeline:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(reviewpipe.pipeline, "exports_table", interrupt)
+        monkeypatch.setattr(reviewpipe.pipeline, "score_table", interrupt)
         cfg = PipelineConfig(
             reviews_path=str(rpath), meta_path=str(mpath), out_dir=str(tmp_path / "o")
         )
@@ -865,6 +865,42 @@ class TestCli:
             "unknown label 'Maybe' for scale 'recommendation'",
             DUPLICATE_PAIR,
         ]
+
+    def test_dequantize_skips_papers_only_meta_reviewed(self, tmp_path):
+        """A JSON export's meta-reviews may name papers no review names
+        (here A, C and E, around and between the reviewed B and D): the
+        command dequantizes the reviewed papers alone and counts all five."""
+        def review(paper, reviewer, rec, crit="Good", conf="Good"):
+            return dict(paper_id=paper, reviewer_id=reviewer, recommendation=rec, c1=crit,
+                        c2=crit, c3="Fair", c4=crit, confidence=conf)
+
+        payload = {
+            "reviews": [
+                review("D", "R2", "Weak Reject"),
+                review("B", "R1", "Accept", "Very good"),
+                review("B", "R3", "Weak Accept", conf="Excellent"),
+                review("D", "R1", "Borderline", "Fair"),
+                review("B", "R2", "Borderline"),
+            ],
+            "meta_reviews": [
+                {"paper_id": p, "metareviewer_id": "M1", "recommendation": "Accept"} for p in "ABCDE"
+            ],
+        }
+        path, out = tmp_path / "export.json", tmp_path / "o"
+        path.write_text(json.dumps(payload))
+        assert self.run(["dequantize", "--input", str(path), "--format", "json", "--out", str(out)]) == 0
+        assert (out / "dequantized.csv").read_text() == (
+            "paper_id,reviewer_id,s,s_dq\n"
+            "B,R1,3.0,2.75\n"
+            "B,R2,-0.5,-0.25\n"
+            "B,R3,0.5,0.6875\n"
+            "D,R1,-2.0,-1.9166666666666667\n"
+            "D,R2,-1.5,-1.5833333333333333\n"
+        )
+        report = json.loads((out / "validation.json").read_text())
+        assert (report["papers"], report["reviews"], report["metareviews"]) == (5, 5, 5)
+        assert report["reviews_per_paper_histogram"] == {"0": 3, "2": 1, "3": 1}
+        assert report["findings"] == report["rejected"] == []
 
     def test_inputs_with_a_byte_order_mark_read_as_without(self, tmp_path, rng):
         """Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark:
