@@ -29,17 +29,14 @@ other-group block and factored in place by a blocked Cholesky, numpy only.
 
 :func:`calibrate` starts at the method-of-moments estimate of Gao & Owen
 (2017), clipped into the grid's box, and minimizes the exact profile NLL
-in log space by a deterministic, bounded quadratic-model trust-region
-search in the manner of BOBYQA (Powell 2009), as lme4 fits the same
-crossed model (Bates et al. 2015): six points fix an interpolating
-quadratic, each step goes to its least point in the box within the trust
-radius, and the ratio of the actual to the predicted decrease resizes the
-radius.  Once, after its first gain, a search heading for the box's
-no-bias corner (least a, most c) tries that corner.  It stops at a
-radius of XATOL where the model, its points near the best or its best at
-a corner of the box, predicts at most FATOL nats, or after SEARCH_BUDGET
-evaluations; on the benchmark's corpora that takes 11 to 19 evaluations
-on the review side and 12 to 29, a median of 14, on the meta-review
+over x = (log a, log c) by a deterministic, bounded quadratic-model
+trust-region search in the manner of BOBYQA (Powell 2009), as lme4 fits
+the same crossed model (Bates et al. 2015).  Where no paper has two
+entries, K = (1 + c)(I + a' Zr Zr^T): only a' = a / (1 + c) is
+identified, and the same search runs over x = log a'.  It stops at a
+trust radius of XATOL where its quadratic model predicts at most FATOL
+nats, or after SEARCH_BUDGET evaluations: on the benchmark's corpora 11
+to 18 on the review side and 5 to 27, a median of 7, on the meta-review
 side.
 :func:`fit_hyperparams` is the exact grid search on the same evaluator.
 The bias term is removed by Gaussian conditioning, E[b | s] =
@@ -496,18 +493,13 @@ def _moment_estimate(inputs: CalibrationInputs) -> np.ndarray:
 
 # at most this many likelihood evaluations per calibrate call
 SEARCH_BUDGET = 60
-# The quadratic-model search in (log a, log c): the radius of its first
-# design; its stop, at a trust radius of at most XATOL where the model
-# predicts a decrease of at most FATOL nats and no point is more than
-# SPREAD x XATOL from the best; the size a point's Lagrange value at a new
-# point must exceed for the new point to take its place; and the lattice
-# all points lie on, so that rounding in the likelihood, which depends on
-# the BLAS thread count, cannot move them.  On the benchmark's corpora
-# (200 and 1,000 papers), FATOL = 1e-6 stopped a meta-review fit 1.6e-6
-# nats short on the likelihood's flat tail toward a = 0, and 1e-7 none by
-# more than 2e-7.  Of SPREAD = 8, 10, 12, 14 and 16, 12 and 14 left the
-# fewest fits above 20 evaluations (5 of 198) and 16 stopped a meta-review
-# fit 2.7e-6 nats short; 12 keeps a margin from 16.
+# The quadratic-model search in log space: the radius of its first design;
+# its stop, at a trust radius of at most XATOL where the model predicts a
+# decrease of at most FATOL nats and no point is more than SPREAD x XATOL
+# from the best; the size a point's Lagrange value at a new point must
+# exceed for the new point to take its place; and the lattice all points
+# lie on, so that rounding in the likelihood, which depends on the BLAS
+# thread count, cannot move them.
 SEARCH_STEP = 0.3
 XATOL = 1e-2
 FATOL = 1e-7
@@ -520,16 +512,22 @@ class _BudgetSpent(Exception):
     pass
 
 
-def _terms(u1: float, u2: float) -> list[float]:
-    """The terms of a quadratic in two variables at (u1, u2)."""
-    return [1.0, u1, u2, u1 * u1 / 2.0, u2 * u2 / 2.0, u1 * u2]
+def _terms(u) -> list[float]:
+    """The terms of a quadratic in one or two variables at u."""
+    return [1.0, *u, *(v * v / 2.0 for v in u)] + ([u[0] * u[1]] if len(u) == 2 else [])
 
 
-def _box_min(coef: np.ndarray, lower, upper) -> tuple[float, float]:
+def _box_min(coef: np.ndarray, lower, upper) -> tuple[float, ...]:
     """The least point over the box [lower, upper], which holds 0, of the
     quadratic with coefficients ``coef`` on :func:`_terms`.  Exact: the
     least of 0, the corners, each edge's stationary point and the interior
-    one, the earliest among equals."""
+    one (in one variable: of 0, the two bounds and the stationary point),
+    the earliest among equals."""
+    if len(coef) == 3:
+        (_, g, h), (l1,), (r1,) = coef.tolist(), lower, upper
+        points = [0.0, l1, r1] + ([min(max(-g / h, l1), r1)] if h > 0 else [])
+        values = [g * v + h * v * v / 2.0 for v in points]
+        return (points[values.index(min(values))],)
     _, g1, g2, h11, h22, h12 = coef.tolist()
     (l1, l2), (r1, r2) = lower, upper
     points = [(0.0, 0.0), (l1, l2), (l1, r2), (r1, l2), (r1, r2)]
@@ -546,54 +544,47 @@ def _box_min(coef: np.ndarray, lower, upper) -> tuple[float, float]:
     return points[values.index(min(values))]
 
 
-def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
-    """Minimize the profile NLL over x = (log a, log c) in the grid's box
-    by a quadratic-model trust-region search in the manner of Powell's
-    BOBYQA, from ``start`` clipped into the box.  Deterministic; returns
-    whether the search stopped on its budget.
+def _search(fit, start: tuple[float, ...], bounds: tuple[float, float]) -> bool:
+    """Minimize ``fit(*point)``, where ``fit`` caches its values, over the
+    points with one or two coordinates in ``bounds`` (ascending), in x =
+    log point, by a quadratic-model trust-region search in the manner of
+    Powell's BOBYQA, from ``start`` clipped into the box.  Deterministic;
+    returns whether the search stopped on its budget.
 
-    Six points fix an interpolating quadratic: the start, two more on each
-    axis SEARCH_STEP away (one each side, or both ahead at an edge), and
-    the corner between the better of each pair.  A step goes to the
-    model's least point in the box within the trust radius, a square of
-    half-width first SEARCH_STEP, and takes the place of the point
-    farthest from the best that keeps the six well posed.  The ratio of
-    the actual to the predicted decrease resizes the radius: halved below
-    0.1, else at least the step, and twice the step above 0.7.  After a
-    step that failed, ratio below 0.1, the farthest point, if further than
-    SPREAD radii, moves to where its Lagrange function is largest in size
-    within the radius (at least XATOL).
-
-    The first step that gains, if it lowers a and raises c, is followed by
-    one try of the box's corner (lo, hi), where the bias variance is least
-    and the noise most; it joins the points only if it is better than the
-    best, and the radius grows to reach it.  Where no reviewer bias shows,
-    the likelihood falls toward that corner as a / (1 + c) shrinks, ever
-    more slowly in log space, and a quadratic model follows it there only
-    in many short steps.
+    The points that fix an interpolating quadratic (three in one variable,
+    six in two) are the start, two more on each axis SEARCH_STEP away (one
+    each side, or both ahead at an edge), and in two variables the corner
+    between the better of each pair.  A step goes to the model's least
+    point in the box within the trust radius, first SEARCH_STEP, and takes
+    the place of the point farthest from the best that keeps the points
+    well posed.  The ratio of the actual to the predicted decrease resizes
+    the radius: halved below 0.1, else at least the step, and twice the
+    step above 0.7.  After a step that failed, the farthest point, if
+    further than SPREAD radii, moves to where its Lagrange function is
+    largest in size within the radius (at least XATOL).
 
     A model that predicts at most FATOL sets the radius to XATOL; at that
     radius the search stops if every point is within SPREAD x XATOL of the
-    best or the best is a corner of the box that the model's slope points
-    out of on both sides, else the farthest point moves.  It also stops
-    where no point within reach would keep the six well posed, and at a
-    point where the likelihood is degenerate.
+    best, else the farthest point moves.  It also stops where no point
+    within reach would keep the points well posed, and where the
+    likelihood is degenerate.
     """
-    bounds = sorted((grid.lo, grid.hi))
     lo, hi = np.log(bounds).tolist()
+    seen: set[tuple[float, ...]] = set()
 
-    def f(x: tuple[float, float]) -> float:
+    def f(x: tuple[float, ...]) -> float:
         point = tuple(
             bounds[0] if v <= lo else bounds[1] if v >= hi else float(np.exp(v)) for v in x
         )
-        if point not in fit.values and len(fit.values) >= SEARCH_BUDGET:
+        if point not in seen and len(seen) >= SEARCH_BUDGET:
             raise _BudgetSpent
+        seen.add(point)
         return fit(*point)
 
     def gap(x, y) -> float:
-        return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+        return max(abs(v - w) for v, w in zip(x, y))
 
-    def snap(x) -> tuple[float, float]:
+    def snap(x) -> tuple[float, ...]:
         """The nearest lattice point, or bound within half a spacing."""
         half = LATTICE / 2.0
         return tuple(
@@ -608,7 +599,7 @@ def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
         if radius == 0.0:  # the box is one point
             return False
         corner = list(x0)
-        for i in range(2):
+        for i in range(len(x0)):
             ahead = radius if x0[i] + radius <= hi else -radius
             for step in (ahead, -ahead if lo <= x0[i] - ahead <= hi else 2.0 * ahead):
                 x = list(x0)
@@ -616,10 +607,10 @@ def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
                 ys.append(snap(x))
                 fs.append(f(ys[-1]))
             corner[i] = ys[-2][i] if fs[-2] <= fs[-1] else ys[-1][i]
-        ys.append(tuple(corner))
-        fs.append(f(ys[-1]))
-        improve = due = False
-        probe = True
+        if len(x0) == 2:
+            ys.append(tuple(corner))
+            fs.append(f(ys[-1]))
+        improve = False
         while np.isfinite(fs).all():
             fb = min(fs)
             b = fs.index(fb)
@@ -628,15 +619,15 @@ def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
             scale = max(dist)
 
             def terms(x) -> list[float]:
-                return _terms((x[0] - xb[0]) / scale, (x[1] - xb[1]) / scale)
+                return _terms([(v - w) / scale for v, w in zip(x, xb)])
 
-            def least(coef: np.ndarray, reach: float) -> tuple[float, float]:
+            def least(coef: np.ndarray, reach: float) -> tuple[float, ...]:
                 u = _box_min(
                     coef,
                     [max(lo - v, -reach) / scale for v in xb],
                     [min(hi - v, reach) / scale for v in xb],
                 )
-                return snap((xb[0] + scale * u[0], xb[1] + scale * u[1]))
+                return snap([v + scale * w for v, w in zip(xb, u)])
 
             inverse = np.linalg.inv(np.array([terms(y) for y in ys]))
             reach = max(radius, XATOL)
@@ -651,42 +642,26 @@ def _search(fit: _Model, start: tuple[float, float], grid: GridSpec) -> bool:
                 ys[far] = options[sizes.index(max(sizes))]
                 fs[far] = f(ys[far])
                 continue
-            probing, due = due and (lo, hi) not in ys, False
-            if probing:
-                x = (lo, hi)
-                t = np.array(terms(x))
-                fx = f(x)
-                if fx >= fb:
-                    continue
-                radius = max(radius, gap(x, xb))
-            else:
-                coef = inverse @ (np.array(fs) - fb)
-                x = least(coef, radius)
-                t = np.array(terms(x))
-                pred = float(coef[0] - t @ coef)
-                if pred <= FATOL:
-                    # at a corner of the box whose every side the model's
-                    # slope points out of, the points need not gather
-                    cornered = all(v in (lo, hi) for v in xb) and all(
-                        g >= 0.0 if v == lo else g <= 0.0 for v, g in zip(xb, coef[1:3].tolist())
-                    )
-                    if radius > XATOL:
-                        radius = XATOL
-                    elif scale <= SPREAD * XATOL or cornered:
-                        return False
-                    else:
-                        improve = True
-                    continue
-                fx = f(x)
-                ratio = (fb - fx) / pred
-                step = gap(x, xb)
-                if ratio < 0.1:
-                    radius /= 2.0
+            coef = inverse @ (np.array(fs) - fb)
+            x = least(coef, radius)
+            t = np.array(terms(x))
+            pred = float(coef[0] - t @ coef)
+            if pred <= FATOL:
+                if radius > XATOL:
+                    radius = XATOL
+                elif scale <= SPREAD * XATOL:
+                    return False
                 else:
-                    radius = max(radius / 2.0, step if ratio < 0.7 else 2.0 * step)
-                improve = ratio < 0.1
-                if probe and fx < fb:
-                    probe, due = False, x[0] < xb[0] and x[1] > xb[1]
+                    improve = True
+                continue
+            fx = f(x)
+            ratio = (fb - fx) / pred
+            step = gap(x, xb)
+            if ratio < 0.1:
+                radius /= 2.0
+            else:
+                radius = max(radius / 2.0, step if ratio < 0.7 else 2.0 * step)
+            improve = ratio < 0.1
             # x takes the place of the point farthest from the best whose
             # Lagrange value at x, the factor by which the interpolation
             # system's determinant changes, is large enough; of the best
@@ -794,6 +769,13 @@ def calibrate(
     evaluation order (``grid``), their number, whether the search stopped
     on its budget, and whether the optimum lies on the box's edge.
 
+    When no paper has two entries, only a' = a / (1 + c) = sigma_b^2 /
+    (sigma_q^2 + sigma_e^2) is identified: the search runs over log a' in
+    the box's image [lo / (1 + hi), hi / (1 + lo)], the rows give
+    ``a_prime`` for the two ratios, ``argmin_on_grid_edge`` refers to it,
+    and ``hyperparams`` give ``sigma_q2_plus_e2``, None for ``sigma_q2``
+    and ``sigma_e2``, and the reason as ``unidentified``.
+
     When no reviewer covers two papers, or every score is equal, nothing
     is fitted: the scores pass through (mu_y = s, a zero-width posterior)
     with one :class:`UnidentifiableModelWarning` naming the cause, and the
@@ -827,17 +809,34 @@ def calibrate(
         # evaluations on planted instances)
         q2, b2, e2 = np.maximum(moments, 0.05 * float(np.var(inputs.s)))
         fit = _Model(inputs)
-        on_budget = _search(fit, (b2 / q2, e2 / q2), grid)
+        lo, hi = sorted((grid.lo, grid.hi))
+        # sigma_q^2 and sigma_e^2 are told apart only by a paper with two entries
+        split = bool(np.any(np.bincount(inputs.paper_idx) > 1))
+        if split:
+            edges = (lo, hi)
+            on_budget = _search(fit, (b2 / q2, e2 / q2), edges)
+        else:
+            # a = 2 a' at c = 1, the start's e2 / q2 (the moments split them evenly)
+            edges = (lo / (1.0 + hi), hi / (1.0 + lo))
+            on_budget = _search(lambda ratio: fit(2.0 * ratio, 1.0), (b2 / (q2 + e2),), edges)
         hp = fit.best()
         mu_y, sigma_y = fit.posterior(hp)
-        edges = (grid.lo, grid.hi)
+        rows, point = list(hp.grid), (hp.sb2_hat, hp.se2_hat)
+        hyperparams = {k: getattr(hp, k) for k in ("mu_q", "sigma_q2", "sigma_b2", "sigma_e2")}
+        if not split:
+            rows = [{"a_prime": row["sb2_hat"] / 2.0, "sigma_q2_plus_e2": 2.0 * row["sigma_q2"],
+                     "nll": row["nll"]} for row in rows]
+            point = (hp.sb2_hat / 2.0,)
+            reason = "no paper has two entries, so only sigma_q2 + sigma_e2 is identified"
+            hyperparams.update(sigma_q2=None, sigma_e2=None, sigma_q2_plus_e2=2.0 * hp.sigma_q2,
+                               unidentified=reason)
         summary.update(
-            argmin_on_grid_edge=hp.sb2_hat in edges or hp.se2_hat in edges,
-            hyperparams={k: getattr(hp, k) for k in ("mu_q", "sigma_q2", "sigma_b2", "sigma_e2")},
+            argmin_on_grid_edge=any(v in edges for v in point),
+            hyperparams=hyperparams,
             moment_estimate=dict(zip(("sigma_q2", "sigma_b2", "sigma_e2"), map(float, moments))),
             evaluations=len(fit.values),
             stopped_on_budget=on_budget,
-            grid=list(hp.grid),
+            grid=rows,
         )
     scores = weighted_paper_mean(mu_y, inputs.paper_idx, inputs.confidences, inputs.n_papers)
     return Calibration(normalize(scores), mu_y, sigma_y, summary)

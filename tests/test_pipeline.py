@@ -343,22 +343,32 @@ class TestRunPipeline:
             summaries[name] = run_pipeline(cfg).fit_summary
             written = json.loads((tmp_path / name / "calibration_fit.json").read_text())
             assert written == json.loads(json.dumps(summaries[name]))
-        # a one-point box is all edge, and its one point is evaluated once
-        for summary in (summaries["point"], summaries["point"]["meta"]):
+        # a one-point box is all edge, and its one point is evaluated once;
+        # with one meta-review per paper that point is a' = 0.5 / (1 + 0.5)
+        point = summaries["point"]
+        for summary in (point, point["meta"]):
             assert summary["argmin_on_grid_edge"] is True
             assert summary["evaluations"] == 1
-            assert [(row["sb2_hat"], row["se2_hat"]) for row in summary["grid"]] == [(0.5, 0.5)]
-        for summary in (summaries["box"], summaries["box"]["meta"]):
+        assert [(row["sb2_hat"], row["se2_hat"]) for row in point["grid"]] == [(0.5, 0.5)]
+        assert [row["a_prime"] for row in point["meta"]["grid"]] == [0.5 / 1.5]
+        box = summaries["box"]
+        for summary in (box, box["meta"]):
             assert summary["identifiable"] is True
             assert summary["stopped_on_budget"] is False
             assert len(summary["grid"]) <= summary["evaluations"] <= 60
             assert set(summary["moment_estimate"]) == {"sigma_q2", "sigma_b2", "sigma_e2"}
-            best = min(summary["grid"], key=lambda row: row["nll"])
-            hp = summary["hyperparams"]
-            assert hp["sigma_b2"] == best["sb2_hat"] * best["sigma_q2"]
-            edges = {GridSpec().lo, GridSpec().hi}
-            on_edge = best["sb2_hat"] in edges or best["se2_hat"] in edges
-            assert summary["argmin_on_grid_edge"] is on_edge
+        lo, hi = GridSpec().lo, GridSpec().hi
+        best = min(box["grid"], key=lambda row: row["nll"])
+        assert box["hyperparams"]["sigma_b2"] == best["sb2_hat"] * best["sigma_q2"]
+        on_edge = best["sb2_hat"] in (lo, hi) or best["se2_hat"] in (lo, hi)
+        assert box["argmin_on_grid_edge"] is on_edge
+        # the meta side identifies sigma_b^2 and sigma_q^2 + sigma_e^2 only
+        best = min(box["meta"]["grid"], key=lambda row: row["nll"])
+        hp = box["meta"]["hyperparams"]
+        assert hp["sigma_q2"] is None and hp["sigma_e2"] is None
+        assert hp["sigma_q2_plus_e2"] == best["sigma_q2_plus_e2"]
+        assert hp["sigma_b2"] == best["a_prime"] * best["sigma_q2_plus_e2"]
+        assert box["meta"]["argmin_on_grid_edge"] is (best["a_prime"] in (lo / (1 + hi), hi / (1 + lo)))
 
 
     def test_label_score_runs_once_per_review(self, tmp_path, rng, monkeypatch):
