@@ -28,8 +28,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .assignment import TAGS, AssignmentConstraints, SimilaritySources, assign
 from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
@@ -191,8 +189,7 @@ def cmd_dequantize(args) -> int:
     cfg = DequantConfig(lam=getattr(args, "lambda"))
     rows = read_exports(args.input, args.format)
     write_atomic(Path(args.out) / "validation.json", _json_text(rows.report.to_dict()))
-    paper = np.unique(rows.paper, return_inverse=True)[1]  # meta-only papers dropped
-    s_dq = dequantize_rows(paper, rows.s, cfg)
+    s_dq = dequantize_rows(rows.paper, rows.s, cfg)
     entries = [
         (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))
         for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist())

@@ -60,9 +60,9 @@ class DequantResult:
 
 
 def dequantize_rows(paper, s, cfg: DequantConfig) -> np.ndarray:
-    """Dequantize flat score rows.  ``paper`` holds paper codes 0, 1, 2, ...
-    in nondecreasing order, so each paper's rows are contiguous.  Returns
-    the optimum, aligned with ``s``, within the +/-0.25 band of it."""
+    """Dequantize flat score rows.  ``paper`` holds nonnegative codes in
+    nondecreasing order, each paper's rows together; a code with no rows is
+    skipped.  Returns the optimum, aligned with ``s``, within +/-0.25 of it."""
     paper = np.asarray(paper, dtype=int)
     s = np.asarray(s, dtype=float)
     if len(paper) != len(s):
@@ -70,8 +70,8 @@ def dequantize_rows(paper, s, cfg: DequantConfig) -> np.ndarray:
     if len(s) == 0:
         return s.copy()
     n = np.bincount(paper)
-    if (paper[1:] < paper[:-1]).any() or not n.all():
-        raise ValueError("paper codes must run 0, 1, 2, ... with each paper's rows together")
+    if (paper[1:] < paper[:-1]).any():
+        raise ValueError("paper codes must be nondecreasing, each paper's rows together")
     lam, band = cfg.lam, BAND
     first = n.cumsum() - n
     # offsets from each paper's lowest score: exact on the lattice, and all
@@ -104,7 +104,7 @@ def dequantize_rows(paper, s, cfg: DequantConfig) -> np.ndarray:
     if lam == 0:
         # every m in [max t - band, band] is a root: take the one nearest mean(t)
         span = np.maximum.reduceat(t, first)
-        mean_t = np.bincount(paper, weights=t) / n
+        mean_t = np.bincount(paper, weights=t) / np.maximum(n, 1)  # 0 for a code with no rows
         m = np.where(span <= 2 * band, np.clip(mean_t, span - band, band), m)
     return s + np.minimum(np.maximum((m[paper] - t) / (1 + lam), -band), band)
 

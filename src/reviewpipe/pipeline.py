@@ -27,7 +27,6 @@ from .scoring import (
     DecisionConfig,
     DecisionList,
     ScoreTable,
-    _check_paired,
     decision_list_csv,
     rank_and_cut,
     score_index,
@@ -68,6 +67,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -214,7 +215,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         write("validation.json", _json_text(rows.report.to_dict()))
 
     with _stage("score"):
-        _check_paired(rows)  # before the dequantizer meets a paper without reviews
         values = dequantize_rows(rows.paper, rows.s, cfg.dequant) if cfg.dequantize else rows.s
         table = score_table(rows, values)
 

@@ -260,7 +260,8 @@ class ReviewTable:
     arrays, and the report of the read.
 
     ``paper``, ``reviewer`` and ``metareviewer`` are codes into the sorted
-    id lists; the paper list holds every paper an accepted row names.
+    id lists; the paper list holds every paper an accepted row names, one
+    that only meta-reviews name included (see :func:`read_exports`).
     Review rows are ordered by (paper, reviewer) and meta rows by (paper,
     metareviewer), so the table does not depend on the input row order.
     ``s_half`` is the composite score in half-steps and ``xi`` the
@@ -613,8 +614,8 @@ def read_exports(path, format: str = "csv", meta_path=None) -> ReviewTable:
     findings of :func:`validate` for the accepted rows, papers without a
     meta-review only if meta-reviews were read (a ``meta_path``, or a
     ``meta_reviews`` key).  A paper named only by meta-reviews is in the
-    table with no review rows; :func:`reviewpipe.scoring.score_table`
-    rejects it.
+    table with no review rows and in the report with 0 reviews;
+    :func:`reviewpipe.scoring.score_table` alone refuses it.
     """
     if format == "csv":
         metas = None if meta_path is None else _csv_rows(meta_path, META_SCHEMA)
@@ -644,13 +645,12 @@ def _audit(table: ReviewTable, metas_read: bool, min_reviews: int = 2):
     report.n_metareviews = len(table.meta_paper)
     histogram = np.bincount(per_paper)
     report.reviews_per_paper = {k: int(histogram[k]) for k in np.flatnonzero(histogram).tolist()}
-    low = np.flatnonzero((per_paper > 0) & (per_paper < min_reviews)).tolist()
+    low = np.flatnonzero(per_paper < min_reviews).tolist()
     report.findings = [
         ("below minimum reviews", f"paper {ids[i]} has {per_paper[i]} review(s)") for i in low
     ]
     if metas_read:
-        met = np.bincount(table.meta_paper, minlength=len(ids)) > 0
-        unmet = np.flatnonzero((per_paper > 0) & ~met).tolist()
+        unmet = np.flatnonzero(np.bincount(table.meta_paper, minlength=len(ids)) == 0).tolist()
         report.findings += [("missing meta-review", f"paper {ids[i]}") for i in unmet]
     roles = {"paper": ids, "reviewer": table.reviewer_ids, "metareviewer": table.metareviewer_ids}
     for role, role_ids in roles.items():

@@ -6,8 +6,8 @@ weights plus the award flag; it lives on a 0.5 lattice in [-7, 8] and is
 kept as an integer number of half-steps until aggregation.  Ingestion
 computes it, by :func:`reviewpipe.records.label_score`, once per distinct
 label tuple, into the :class:`reviewpipe.records.ReviewTable` that
-:func:`score_table` aggregates.  Fusion needs both sides: :func:`score_table`
-rejects a table with a paper that lacks a review or a meta-review.  Reviewer
+:func:`score_table` aggregates.  Fusion needs both sides: only :func:`score_table`
+rejects a paper that lacks a review or a meta-review.  Reviewer
 confidence weights the aggregation, not the score itself.  Normalized
 reviewer and meta-reviewer scores are fused per paper with a harmonic mean,
 and the top floor(a% of P) papers are accepted.
@@ -147,29 +147,27 @@ def paper_pairs(paper: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return i, j
 
 
-def _check_paired(rows: ReviewTable):
-    """Fusion needs both sides: a ``ValueError`` names the papers of the
-    table without a meta-review, else those without a review."""
-    for paper, problem in (
-        (rows.meta_paper, "papers without meta-review"),
-        (rows.paper, "meta-reviews for unreviewed papers"),
-    ):
-        missing = np.flatnonzero(np.bincount(paper, minlength=len(rows.paper_ids)) == 0).tolist()
-        if missing:
-            raise ValueError(f"{problem}: {[rows.paper_ids[p] for p in missing]}")
-
-
 def score_table(rows: ReviewTable, values=None) -> ScoreTable:
     """Aggregate a review table into the per-paper score table.
 
     ``values`` optionally replaces the raw review scores, aligned with the
     table's rows -- used for the dequantized variant of the pipeline.
-    Papers are ordered as the table's ids, which the reader sorts; a
-    paper without a review or a meta-review is rejected.
+    Papers are ordered as the table's ids, which the reader sorts.  Fusion
+    needs both sides, and only here is a paper refused for lacking one: a
+    ``ValueError`` names the papers without a meta-review, else those
+    without a review, or says that no review was accepted.
     """
-    _check_paired(rows)
-    values = rows.s if values is None else np.asarray(values, dtype=float)
     n_papers = len(rows.paper_ids)
+    if not n_papers:
+        raise ValueError("no review was accepted: the table has no papers")
+    for paper, problem in (
+        (rows.meta_paper, "papers without meta-review"),
+        (rows.paper, "meta-reviews for unreviewed papers"),
+    ):
+        missing = np.flatnonzero(np.bincount(paper, minlength=n_papers) == 0).tolist()
+        if missing:
+            raise ValueError(f"{problem}: {[rows.paper_ids[p] for p in missing]}")
+    values = rows.s if values is None else np.asarray(values, dtype=float)
     s_p = weighted_paper_mean(values, rows.paper, rows.confidence, n_papers)
     xi_p = weighted_paper_mean(rows.xi, rows.meta_paper, np.ones(len(rows.xi)), n_papers)
     sR = normalize(s_p)

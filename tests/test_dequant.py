@@ -84,6 +84,33 @@ class TestClosedForm:
 
 
 class TestExactSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.lists(
+                    st.integers(-14, 16).map(lambda k: k / 2) | st.floats(-7.0, 8.0),
+                    min_size=1,
+                    max_size=6,
+                ),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.just(0.0) | st.floats(0.0, 10.0),
+    )
+    def test_codes_with_no_rows_are_skipped(self, papers, lam):
+        """Codes with gaps, up to three unused codes before each paper,
+        give bit for bit what the same codes renumbered 0, 1, 2, ... give;
+        lambda = 0 takes the guarded division."""
+        codes = np.cumsum([gap + 1 for gap, _ in papers]) - 1
+        paper = np.repeat(codes, [len(s) for _, s in papers])
+        s = np.array([v for _, scores in papers for v in scores])
+        dense = np.unique(paper, return_inverse=True)[1]
+        cfg = DequantConfig(lam=lam)
+        assert dequantize_rows(paper, s, cfg).tobytes() == dequantize_rows(dense, s, cfg).tobytes()
+
     def test_kkt_conditions_on_random_instances(self, rng):
         # with m the paper mean, r = (x - m) + lambda (x - s) is zero inside
         # the band, >= 0 on its lower edge and <= 0 on its upper edge

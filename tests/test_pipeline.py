@@ -785,6 +785,27 @@ class TestCli:
         assert err.startswith("reviewpipe pipeline: error: grid bounds must be positive")
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_rejected_before_any_write(self, tmp_path, rng, capsys):
+        rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
+        argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        assert self.run([*argv, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "reviewpipe pipeline: error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_header_only_exports_refused_at_score(self, tmp_path, capsys):
+        """No review and no meta-review accepted: 'score' says so."""
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rpath.write_text("paper_id,reviewer_id,recommendation,c1,c2,c3,c4\n")
+        mpath.write_text("paper_id,metareviewer_id,recommendation\n")
+        argv = ["--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        for dequantize in ("--dequantize", "--no-dequantize"):
+            assert self.run(["pipeline", *argv, dequantize]) == 2
+            assert capsys.readouterr().err == (
+                "reviewpipe pipeline: error: stage 'score' failed:"
+                " no review was accepted: the table has no papers\n"
+            )
+
     def test_sample_count_below_one_rejected_before_any_write(self, tmp_path, rng, capsys):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
         argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
@@ -879,7 +900,8 @@ class TestCli:
     def test_dequantize_skips_papers_only_meta_reviewed(self, tmp_path):
         """A JSON export's meta-reviews may name papers no review names
         (here A, C and E, around and between the reviewed B and D): the
-        command dequantizes the reviewed papers alone and counts all five."""
+        command dequantizes the reviewed papers alone, counts all five and
+        names the other three as below the review floor, with 0 reviews."""
         def review(paper, reviewer, rec, crit="Good", conf="Good"):
             return dict(paper_id=paper, reviewer_id=reviewer, recommendation=rec, c1=crit,
                         c2=crit, c3="Fair", c4=crit, confidence=conf)
@@ -910,7 +932,32 @@ class TestCli:
         report = json.loads((out / "validation.json").read_text())
         assert (report["papers"], report["reviews"], report["metareviews"]) == (5, 5, 5)
         assert report["reviews_per_paper_histogram"] == {"0": 3, "2": 1, "3": 1}
-        assert report["findings"] == report["rejected"] == []
+        assert report["findings"] == [
+            ["below minimum reviews", f"paper {p} has 0 review(s)"] for p in "ACE"
+        ]
+        assert report["rejected"] == []
+
+    def test_validate_names_papers_only_meta_reviewed(self, tmp_path, capsys):
+        """A meta-review of a paper no review names is reported by
+        ``validate``, as ``pipeline`` refuses the same export at 'score'."""
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rpath.write_text(
+            "paper_id,reviewer_id,recommendation,c1,c2,c3,c4\n"
+            + "".join(f"{p},{r},Accept,Good,Good,Good,Good\n" for p in "AB" for r in ("R1", "R2"))
+        )
+        mpath.write_text(
+            "paper_id,metareviewer_id,recommendation\n" + "".join(f"{p},M1,Accept\n" for p in "ABC")
+        )
+        argv = ["--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        assert self.run(["validate", *argv]) == 0
+        report = json.loads((tmp_path / "o" / "validation.json").read_text())
+        assert report["findings"] == [["below minimum reviews", "paper C has 0 review(s)"]]
+        capsys.readouterr()
+        assert self.run(["pipeline", *argv, "--no-calibrate"]) == 2
+        assert capsys.readouterr().err == (
+            "reviewpipe pipeline: error: stage 'score' failed:"
+            " meta-reviews for unreviewed papers: ['C']\n"
+        )
 
     def test_inputs_with_a_byte_order_mark_read_as_without(self, tmp_path, rng):
         """Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark:

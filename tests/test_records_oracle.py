@@ -91,14 +91,15 @@ def oracle_validate(reviews, metas, metas_read, min_reviews=2) -> ValidationRepo
         if p not in per_paper:
             hist[0] += 1
     report.reviews_per_paper = dict(hist)
-    for paper, n in sorted(per_paper.items()):
-        if n < min_reviews:
-            report.findings.append(("below minimum reviews", f"paper {paper} has {n} review(s)"))
+    for paper in sorted(papers):  # a paper only meta-reviews name has 0 reviews
+        if per_paper[paper] < min_reviews:
+            finding = f"paper {paper} has {per_paper[paper]} review(s)"
+            report.findings.append(("below minimum reviews", finding))
     dup = Counter((f.reviewer, f.paper) for f in reviews)
     for (r, p), n in sorted(item for item in dup.items() if item[1] > 1):
         report.findings.append(("duplicate assignment", f"reviewer {r} reviewed paper {p} {n} times"))
     meta_papers = {f.paper for f in metas}
-    for paper in sorted(per_paper):
+    for paper in sorted(papers):
         if metas_read and paper not in meta_papers:
             report.findings.append(("missing meta-review", f"paper {paper}"))
     return report

@@ -1,0 +1,42 @@
+"""Smoke tests of the scripts under ``tools/``: each runs on one small
+input, so a change to what it reads from the library fails here, not on
+the script's next use."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def run_tool(tool, monkeypatch, capsys, *argv) -> list[dict]:
+    monkeypatch.setattr(sys, "argv", [tool.__name__, *argv])
+    tool.main()
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_search_audit_fits_one_corpus_and_compares_it_with_itself(tmp_path, monkeypatch, capsys):
+    """The audit of one 200-paper corpus, then ``--compare`` of that output
+    against itself: every count is the fit's own, and nothing moved."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds benchmarks/ to it
+    spec = importlib.util.spec_from_file_location("search_audit", TOOLS / "search_audit.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    seed = tool.SEEDS[200][0]
+    monkeypatch.setattr(tool, "SEEDS", {200: [seed]})
+    fits = run_tool(tool, monkeypatch, capsys)
+    assert [(f["papers"], f["seed"], f["side"]) for f in fits] == [
+        (200, seed, "review"), (200, seed, "meta")
+    ]
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(json.dumps(f) + "\n" for f in fits))
+    rows = run_tool(tool, monkeypatch, capsys, "--compare", str(path), str(path))
+    assert [(r["side"], r["papers"], r["fits"]) for r in rows] == [
+        ("review", 200, 1), ("meta", 200, 1)
+    ]
+    for row, fit in zip(rows, fits):
+        assert row["evaluations"] == row["max"] == [fit["evaluations"]] * 2
+        assert row["stopped_on_budget"] == [int(fit["stopped_on_budget"])] * 2
+        assert row["largest_nll_rise"] == [seed, 0.0]
+        assert row["points_moved"] == 0
