@@ -46,7 +46,9 @@ costs O(sum of block sizes squared) to build the m x m matrix and O(m^3)
 to factor it, m = min(R, P) + 1; memory is O(m^2 + n).  The sampler works
 SAMPLE_BLOCK samples at a time from padded entry tables in paper-id order;
 its memory is O(SAMPLE_BLOCK x (P + R + m) + P x most entries per paper)
-whatever the number of samples.
+whatever the number of samples: a block's draws and their normals and
+solve rows, and two S x P buffers that every block reuses, S =
+SAMPLE_BLOCK.  No S x n array is built.
 
 :func:`calibrate` serves reviews and meta-reviews alike (meta-reviewers
 take the reviewer role).  Where the data cannot pin the bias term down,
@@ -705,25 +707,38 @@ class PosteriorCovariance:
         return (len(self.reviewer_idx), len(self.reviewer_idx))
 
     def _spread(self, x: np.ndarray) -> np.ndarray:
-        """coef * T x for rows x over the factored group: (rows, R)."""
+        """coef * T x for rows x over the factored group: (rows, R).  Scales
+        ``x`` in place when reviewers were factored.  When papers were, each
+        row's reviewer sums are added in entry order, one row at a time."""
         if self.paper_idx is None:
-            return x * self.coef
-        rows, n_rev = len(x), len(self.coef)
-        keys = (np.arange(rows)[:, None] * n_rev + self.reviewer_idx).ravel()
-        sums = np.bincount(keys, weights=x[:, self.paper_idx].ravel(), minlength=rows * n_rev)
-        return sums.reshape(rows, n_rev) * self.coef
+            x *= self.coef
+            return x
+        out = np.empty((len(x), len(self.coef)))
+        for row, sums in zip(x, out):
+            sums[:] = np.bincount(
+                self.reviewer_idx, weights=row[self.paper_idx], minlength=len(sums)
+            )
+        out *= self.coef
+        return out
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws of b - E[b | s], one row each.  A row's standard
         normals are drawn together, so rows do not depend on how the draws
-        are batched."""
+        are batched.  The normals are scaled in place and no size x n array
+        is built: besides the (size, R) result, a call holds the size x
+        (R' + m) normals, R' = R with an independent part and 0 without,
+        and the solve's size x (m + 1) rows."""
         n_rev = len(self.coef)
         width = 0 if self.sd is None else n_rev
         m = 0 if self.factor is None else self.factor.m
         z = rng.standard_normal((size, width + m))
-        bias = np.zeros((size, n_rev)) if self.sd is None else z[:, :width] * self.sd
-        if self.factor is not None:
-            bias += self._spread(self.factor.solve_t(z[:, width:]))
+        if self.sd is not None:
+            z[:, :width] *= self.sd
+        if self.factor is None:
+            return z if self.sd is not None else np.zeros((size, n_rev))
+        bias = self._spread(self.factor.solve_t(z[:, width:]))
+        if self.sd is not None:
+            bias += z[:, :width]
         return bias
 
     @property
@@ -875,9 +890,12 @@ def acceptance_probability(
 
     Samples are taken SAMPLE_BLOCK at a time, each one row of
     ``sigma_y.draw``, so the draws do not depend on the block size.  The
-    aggregates come from two fixed tables, (most entries per paper) x P;
-    a block holds S x (P + R') values, S = SAMPLE_BLOCK and R' <= R + m
-    the width of one draw, and no array grows with n_samples.  Each
+    aggregates come from two fixed tables, (most entries per paper) x P.
+    A block holds its S x R draws, S = SAMPLE_BLOCK, while it gathers their
+    terms into two S x P buffers that every block reuses: the sums, and
+    the terms, which then hold the copy that is partitioned.  Only the
+    draw itself holds more, briefly (see :meth:`PosteriorCovariance.draw`),
+    and no array grows with n_samples.  Each
     sample accepts exactly k = floor(a% of P) papers: every paper above
     its k-th best aggregate, then the papers tied with that value in
     lexicographic id order.  So the probability column sums to k exactly.
@@ -916,17 +934,33 @@ def acceptance_probability(
     k = cfg.n_accept(p)
     counts = np.zeros(p, dtype=np.int64)
     rng = np.random.default_rng(seed)
+    # the sums and the gathered terms, one S x P buffer each for every block.
+    # Not one (2, S, P) array: freeing a larger block raises glibc's mmap
+    # threshold further, and decide-calibrated-200's peak RSS read 0.3 MiB more
+    block = min(SAMPLE_BLOCK, n_samples)
+    sums, work = np.empty((block, p)), np.empty((block, p))
     # with k = 0 nothing is accepted and no sample needs drawing
     for first in range(0, n_samples if k else 0, SAMPLE_BLOCK):
         bias = sigma_y.draw(rng, min(SAMPLE_BLOCK, n_samples - first))
-        agg = np.zeros((len(bias), p))
-        for reviewer, weight in zip(entry_reviewer[1:], entry_weight[1:]):
-            agg += bias[:, reviewer] * weight
-        agg += bias[:, entry_reviewer[0]] * entry_weight[0]
+        agg, term = sums[:len(bias)], work[:len(bias)]
+        agg.fill(0.0)
+        for j in [*range(1, len(entry_reviewer)), 0]:
+            # mode="clip" writes straight into ``out``; the codes are in range
+            np.take(bias, entry_reviewer[j], axis=1, out=term, mode="clip")
+            term *= entry_weight[j]
+            agg += term
         agg += mean
-        kth = np.partition(agg, p - k, axis=1)[:, p - k, None]
+        term[...] = agg
+        term.partition(p - k, axis=1)
+        kth = term[:, p - k, None]
         above = agg > kth
         tied = agg == kth
-        room = k - above.sum(axis=1, keepdims=True)
-        counts += (above | (tied & (np.cumsum(tied, axis=1) <= room))).sum(axis=0)
+        # past the papers above it, a sample has room for `room` tied ones,
+        # the first in id order; most samples have room for all of them
+        room = k - above.sum(axis=1)
+        crowded = np.flatnonzero(tied.sum(axis=1) > room)
+        tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]
+        above |= tied
+        counts += above.sum(axis=0)
+        del bias  # the next block draws without this one held
     return AcceptanceEstimate(counts=counts[col_of], n_samples=n_samples, n_accept=k)

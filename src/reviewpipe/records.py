@@ -633,8 +633,9 @@ def read_exports(path, format: str = "csv", meta_path=None) -> ReviewTable:
 
 
 def _audit(table: ReviewTable, metas_read: bool, min_reviews: int = 2):
-    """Fill the report's counts and findings from the table's arrays;
-    papers without a meta-review are findings only if ``metas_read``."""
+    """Fill the report's counts and findings from the table's arrays: no
+    accepted review is a finding, and papers without a meta-review are
+    findings only if ``metas_read``."""
     report = table.report
     ids = table.paper_ids
     per_paper = np.bincount(table.paper, minlength=len(ids))
@@ -646,7 +647,10 @@ def _audit(table: ReviewTable, metas_read: bool, min_reviews: int = 2):
     histogram = np.bincount(per_paper)
     report.reviews_per_paper = {k: int(histogram[k]) for k in np.flatnonzero(histogram).tolist()}
     low = np.flatnonzero(per_paper < min_reviews).tolist()
-    report.findings = [
+    report.findings = []
+    if not report.n_reviews:
+        report.findings.append(("no review accepted", "no review row was accepted"))
+    report.findings += [
         ("below minimum reviews", f"paper {ids[i]} has {per_paper[i]} review(s)") for i in low
     ]
     if metas_read:

@@ -701,6 +701,30 @@ def test_sampler_memory_does_not_grow_with_samples():
     assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
+@pytest.mark.parametrize(
+    "n_papers, n_reviewers, per_paper",
+    [(300, 900, 8), (200, 145, 3)],
+    ids=["papers_factored", "reviewers_factored"],
+)
+def test_one_draw_holds_little_more_than_its_result(n_papers, n_reviewers, per_paper):
+    # one block of draws peaks within 4x the bytes it returns.  With papers
+    # factored, S x n arrays (n = 2,400 entries here, 3x the reviewers)
+    # once took it past 10x at the paper's scale
+    inputs, _, _ = planted_instance(np.random.default_rng(5), n_papers, n_reviewers, per_paper)
+    mu_y, sigma_y = posterior(inputs, Hyperparams(sigma_q2=1.0, sb2_hat=0.5, se2_hat=0.2, mu_q=0.0))
+    assert (sigma_y.paper_idx is not None) == (n_reviewers > n_papers)
+    sigma_y.draw(np.random.default_rng(0), 1)  # the factor's one-time last-block inverse
+    block = reviewpipe.calibration.SAMPLE_BLOCK
+    tracemalloc.start()
+    try:
+        bias = sigma_y.draw(np.random.default_rng(1), block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bias.shape == (block, n_reviewers)
+    assert peak <= 4 * bias.nbytes, peak / bias.nbytes
+
+
 # ---------------------------------------------------------------------------
 # The reduced evaluator: the blocked Cholesky, the papers-factored side, and
 # the search that calibrate runs on it.

@@ -806,6 +806,18 @@ class TestCli:
                 " no review was accepted: the table has no papers\n"
             )
 
+    def test_validate_reports_export_with_no_accepted_review(self, tmp_path, capsys):
+        """``validate`` names what ``pipeline`` refuses header-only exports
+        for (see above), and still exits 0: no row was rejected."""
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rpath.write_text("paper_id,reviewer_id,recommendation,c1,c2,c3,c4\n")
+        mpath.write_text("paper_id,metareviewer_id,recommendation\n")
+        argv = ["validate", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 0
+        report = json.loads((tmp_path / "o" / "validation.json").read_text())
+        assert report["papers"] == 0
+        assert report["findings"] == [["no review accepted", "no review row was accepted"]]
+
     def test_sample_count_below_one_rejected_before_any_write(self, tmp_path, rng, capsys):
         rpath, mpath = write_corpus(tmp_path, rng, n_papers=10, n_reviewers=8)
         argv = ["pipeline", "--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]

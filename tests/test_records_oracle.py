@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from reviewpipe.records import (
@@ -91,6 +91,8 @@ def oracle_validate(reviews, metas, metas_read, min_reviews=2) -> ValidationRepo
         if p not in per_paper:
             hist[0] += 1
     report.reviews_per_paper = dict(hist)
+    if not reviews:
+        report.findings.append(("no review accepted", "no review row was accepted"))
     for paper in sorted(papers):  # a paper only meta-reviews name has 0 reviews
         if per_paper[paper] < min_reviews:
             finding = f"paper {paper} has {per_paper[paper]} review(s)"
@@ -160,6 +162,8 @@ def oracle_pairing(reviews, metas) -> str | None:
     """Why fusion rejects the accepted rows, or None."""
     paper_ids = sorted({f.paper for f in reviews})
     meta_papers = {m.paper for m in metas}
+    if not paper_ids and not meta_papers:
+        return "no review was accepted: the table has no papers"
     missing_meta = [p for p in paper_ids if p not in meta_papers]
     if missing_meta:
         return f"papers without meta-review: {missing_meta}"
@@ -222,7 +226,7 @@ def assert_matches_oracle(path, format="csv", meta_path=None):
     if problem is not None:
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
             score_table(table)
-    elif table.paper_ids:
+    else:
         with warnings.catch_warnings():  # a constant column is not what this checks
             warnings.simplefilter("ignore", DegenerateScaleWarning)
             score_table(table)
@@ -291,27 +295,59 @@ def json_objects(draw, pools):
     ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    reviews=csv_export(POOLS, ("confidence", "award", "comments")),
-    metas=st.none() | csv_export(META_POOLS, ()),
-)
-def test_csv_reader_matches_oracle(reviews, metas):
-    with tempfile.TemporaryDirectory() as tmp:
-        rpath, mpath = Path(tmp) / "r.csv", Path(tmp) / "m.csv"
-        rpath.write_text(reviews, encoding="utf-8")
-        if metas is not None:
-            mpath.write_text(metas, encoding="utf-8")
-        assert_matches_oracle(rpath, "csv", mpath if metas is not None else None)
+EXPORTS = {
+    "csv": {
+        "reviews": csv_export(POOLS, ("confidence", "award", "comments")),
+        "metas": st.none() | csv_export(META_POOLS, ()),
+    },
+    "json": {"reviews": json_objects(POOLS), "metas": json_objects(META_POOLS)},
+}
 
 
-@settings(max_examples=150, deadline=None)
-@given(reviews=json_objects(POOLS), metas=json_objects(META_POOLS))
-def test_json_reader_matches_oracle(reviews, metas):
-    with tempfile.TemporaryDirectory() as tmp:
+def written(tmp, format, reviews, metas):
+    """Write a drawn export into the directory ``tmp``; returns the
+    arguments of ``read_exports``."""
+    if format == "json":
         path = Path(tmp) / "e.json"
         path.write_text(json.dumps({"reviews": reviews, "meta_reviews": metas}), encoding="utf-8")
-        assert_matches_oracle(path, "json")
+        return path, "json", None
+    rpath, mpath = Path(tmp) / "r.csv", Path(tmp) / "m.csv"
+    rpath.write_text(reviews, encoding="utf-8")
+    if metas is None:
+        return rpath, "csv", None
+    mpath.write_text(metas, encoding="utf-8")
+    return rpath, "csv", mpath
+
+
+@settings(max_examples=150, deadline=None)
+@given(**EXPORTS["csv"])
+def test_csv_reader_matches_oracle(reviews, metas):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_matches_oracle(*written(tmp, "csv", reviews, metas))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**EXPORTS["json"])
+def test_json_reader_matches_oracle(reviews, metas):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_matches_oracle(*written(tmp, "json", reviews, metas))
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_strategies_draw_exports_with_no_accepted_row(format):
+    """The two tests above reach the refusal of a table with no papers:
+    their strategies draw exports with review rows of which none, and no
+    meta-review row, is accepted."""
+
+    def none_accepted(export) -> bool:
+        reviews, metas = export
+        # a CSV text's last line after the header is a row once it is stripped
+        if not (reviews if format == "json" else reviews.strip().splitlines()[1:]):
+            return False
+        with tempfile.TemporaryDirectory() as tmp:
+            return not read_exports(*written(tmp, format, reviews, metas)).paper_ids
+
+    find(st.tuples(EXPORTS[format]["reviews"], EXPORTS[format]["metas"]), none_accepted)
 
 
 def test_every_messy_case_at_once(tmp_path):
