@@ -33,7 +33,7 @@ from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
 from .records import CONFLICT_SCHEMA, SIMILARITY_SCHEMA, TAG_SCHEMA, read_exports, read_keyed_csv
-from .records import _csv_text, _json_text, _show_key
+from .records import _csv_fields, _csv_lines, _csv_text, _float_texts, _json_text, _show_key
 from .scoring import DecisionConfig
 
 
@@ -190,16 +190,19 @@ def cmd_dequantize(args) -> int:
     rows = read_exports(args.input, args.format)
     write_atomic(Path(args.out) / "validation.json", _json_text(rows.report.to_dict()))
     s_dq = dequantize_rows(rows.paper, rows.s, cfg)
-    entries = [
-        (rows.paper_ids[p], rows.reviewer_ids[r], repr(s), repr(x))
-        for p, r, s, x in zip(rows.paper, rows.reviewer, rows.s.tolist(), s_dq.tolist())
+    papers, reviewers = _csv_fields(rows.paper_ids), _csv_fields(rows.reviewer_ids)
+    columns = [
+        map(papers.__getitem__, rows.paper.tolist()),
+        map(reviewers.__getitem__, rows.reviewer.tolist()),
+        _float_texts(rows.s),
+        _float_texts(s_dq),
     ]
     write_atomic(
         Path(args.out) / "dequantized.csv",
-        _csv_text(["paper_id", "reviewer_id", "s", "s_dq"], entries),
+        _csv_lines([["paper_id", "reviewer_id", "s", "s_dq"], *zip(*columns)]),
     )
     sys.stdout.write(
-        f"dequantized {len(entries)} reviews, {len(rows.report.rejected)} rows rejected"
+        f"dequantized {len(s_dq)} reviews, {len(rows.report.rejected)} rows rejected"
         f" (lambda={cfg.lam}) -> {args.out}\n"
     )
     return 0

@@ -27,11 +27,10 @@ from .scoring import (
     DecisionConfig,
     DecisionList,
     ScoreTable,
-    decision_list_csv,
     rank_and_cut,
+    report_texts,
     score_index,
     score_table,
-    score_table_texts,
 )
 
 __all__ = [
@@ -253,13 +252,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             gray = gray_area(decisions, decisions_cal)
         else:
             gray = GrayAreaReport(notice="calibration disabled: no gray-area comparison")
-        table_csv, table_json = score_table_texts(table)
-        write("score_table.csv", table_csv)
-        write("score_table.json", table_json)
-        write("decisions.csv", decision_list_csv(decisions))
+        for name, text in report_texts(table, decisions, decisions_cal):
+            write(name, text)
+            del text  # the next text is built without this one
         write("gray_area.json", _json_text(gray.to_dict()))
         if cfg.calibrate:
-            write("decisions_calibrated.csv", decision_list_csv(decisions_cal))
             artifacts += emit_plots(table, review.mu_y, estimate, out_dir)
 
     return PipelineResult(

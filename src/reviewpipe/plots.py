@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import _csv_text
+from .records import _csv_fields, _csv_lines, _float_texts
 
 __all__ = ["histogram_artifact", "scatter_artifact", "PlotArtifact"]
 
@@ -67,24 +67,24 @@ def histogram_artifact(
     """Histogram as CSV bin table plus SVG bars."""
     values = np.asarray(values, dtype=float)
     counts, edges = np.histogram(values, bins=bins)
-    bounds = edges.tolist()
+    bounds = _float_texts(edges)
     csv_text = (
         f"# {title}\n# x axis: {xlabel}; bins: {bins} equal-width over "
-        f"[{bounds[0]!r}, {bounds[-1]!r}]\n"
-    ) + _csv_text(["bin_left", "bin_right", "count"], zip(bounds, bounds[1:], counts.tolist()))
+        f"[{bounds[0]}, {bounds[-1]}]\n"
+    ) + _csv_lines(
+        [["bin_left", "bin_right", "count"], *zip(bounds, bounds[1:], map(str, counts.tolist()))]
+    )
 
     xlo, xhi = _axis(float(edges[0]), float(edges[-1]))
     ylo, yhi = 0.0, max(float(counts.max()), 1.0)
-    body = []
-    for i, c in enumerate(counts):
-        x0 = _x_px(edges[i], xlo, xhi)
-        x1 = _x_px(edges[i + 1], xlo, xhi)
-        y = _y_px(float(c), ylo, yhi)
-        h = (_H - _MB) - y
-        body.append(
-            f'<rect x="{x0:.2f}" y="{y:.2f}" width="{x1 - x0:.2f}" height="{h:.2f}" '
-            f'fill="steelblue" stroke="white" stroke-width="0.5"/>'
-        )
+    x = _x_px(edges, xlo, xhi)
+    y = _y_px(counts.astype(float), ylo, yhi)
+    bars = zip(x[:-1].tolist(), y.tolist(), (x[1:] - x[:-1]).tolist(), ((_H - _MB) - y).tolist())
+    body = [
+        f'<rect x="{x0:.2f}" y="{top:.2f}" width="{w:.2f}" height="{h:.2f}" '
+        f'fill="steelblue" stroke="white" stroke-width="0.5"/>'
+        for x0, top, w, h in bars
+    ]
     svg = _svg_frame(title, xlabel, "count", body)
     return PlotArtifact(csv_text=csv_text, svg_text=svg)
 
@@ -101,16 +101,16 @@ def scatter_artifact(
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("x and y must align")
-    csv_text = f"# {title}\n# x axis: {xlabel}; y axis: {ylabel}\n" + _csv_text(
-        [_slug(xlabel), _slug(ylabel)], zip(x.tolist(), y.tolist())
+    header = _csv_fields([_slug(xlabel), _slug(ylabel)])
+    csv_text = f"# {title}\n# x axis: {xlabel}; y axis: {ylabel}\n" + _csv_lines(
+        [header, *zip(_float_texts(x), _float_texts(y))]
     )
 
     xlo, xhi = _axis(float(x.min()), float(x.max()))
     ylo, yhi = _axis(float(y.min()), float(y.max()))
     body = [
-        f'<circle cx="{_x_px(xi, xlo, xhi):.2f}" cy="{_y_px(yi, ylo, yhi):.2f}" '
-        f'r="2.5" fill="steelblue" fill-opacity="0.6"/>'
-        for xi, yi in zip(x, y)
+        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" fill="steelblue" fill-opacity="0.6"/>'
+        for cx, cy in zip(_x_px(x, xlo, xhi).tolist(), _y_px(y, ylo, yhi).tolist())
     ]
     svg = _svg_frame(title, xlabel, ylabel, body)
     return PlotArtifact(csv_text=csv_text, svg_text=svg)

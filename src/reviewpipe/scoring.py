@@ -15,18 +15,17 @@ and the top floor(a% of P) papers are accepted.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .records import MetaReviewForm, ReviewForm, ReviewTable, _csv_text, id_rank
-from .records import label_score, review_table
+from .records import MetaReviewForm, ReviewForm, ReviewTable, _csv_fields, _csv_lines
+from .records import _float_texts, id_rank, label_score, review_table
 
 __all__ = [
     "ReviewScore",
@@ -43,6 +42,7 @@ __all__ = [
     "rank_and_cut",
     "score_table_texts",
     "decision_list_csv",
+    "report_texts",
 ]
 
 class DegenerateScaleWarning(UserWarning):
@@ -257,13 +257,20 @@ _BLOCK = 512
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def score_table_texts(table: ScoreTable) -> tuple[str, str]:
-    """The score table as CSV text and as the text of ``json.dumps({"papers":
-    rows}, indent=2, sort_keys=True)`` plus a newline, written block by
-    block.  Each float is formatted once, by ``repr`` as csv formats it;
-    csv.writer writes the CSV rows from those strings, and the JSON text
-    spells NaN and Infinity as json does and passes the ids through json's
-    ASCII string escaper."""
+def _join(pieces: list[str]) -> str:
+    """The pieces joined, the list emptied: a text yielded from it is the
+    only copy left, so the caller can let it go once it is written."""
+    text = "".join(pieces)
+    pieces.clear()
+    return text
+
+
+def _score_table_texts(
+    table: ScoreTable, fields: list[str], kept: dict[str, list[str]]
+) -> Iterator[str]:
+    """Yield the two texts of :func:`score_table_texts`, from the papers'
+    CSV ``fields``.  The texts of each column that ``kept`` names are
+    appended to its list."""
     names = ["s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
     if table.calibrated:
         names += ["sR_cal", "sM_cal", "SI_cal"]
@@ -272,32 +279,70 @@ def score_table_texts(table: ScoreTable) -> tuple[str, str]:
     # a JSON row is these parts with the values of ``keys`` between them
     row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    },\n"
     parts = row.split("%s")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["paper_id", *names])
-    pieces = []
-    for lo in range(0, len(table.papers), _BLOCK):
-        papers = table.papers[lo : lo + _BLOCK]
+    csv_pieces, json_pieces = [_csv_lines([["paper_id", *names]])], []
+    for lo in range(0, len(fields), _BLOCK):
         blocks = {name: col[lo : lo + _BLOCK] for name, col in columns.items()}
-        text = {name: list(map(float.__repr__, block.tolist())) for name, block in blocks.items()}
-        writer.writerows(zip(papers, *text.values()))
+        text = {name: _float_texts(block) for name, block in blocks.items()}
+        csv_pieces.append(_csv_lines(zip(fields[lo : lo + _BLOCK], *text.values())))
+        for name, texts in kept.items():
+            texts += text[name]
         for name, block in blocks.items():
             if not np.isfinite(block).all():
                 text[name] = [_JSON_FLOAT.get(x, x) for x in text[name]]
-        text["paper_id"] = map(json.encoder.encode_basestring_ascii, papers)
-        fields = [itertools.repeat(parts[0])]
+        text["paper_id"] = map(json.encoder.encode_basestring_ascii, table.papers[lo : lo + _BLOCK])
+        cells = [itertools.repeat(parts[0])]
         for key, part in zip(keys, parts[1:]):
-            fields += (text[key], itertools.repeat(part))
-        pieces.append("".join(itertools.chain.from_iterable(zip(*fields))))
-    if not pieces:
-        return buf.getvalue(), '{\n  "papers": []\n}\n'
-    pieces[-1] = pieces[-1][:-2]  # no comma after the last row
-    return buf.getvalue(), "".join(['{\n  "papers": [\n', *pieces, "\n  ]\n}\n"])
+            cells += (text[key], itertools.repeat(part))
+        json_pieces.append("".join(itertools.chain.from_iterable(zip(*cells))))
+    yield _join(csv_pieces)
+    if not json_pieces:
+        yield '{\n  "papers": []\n}\n'
+        return
+    json_pieces[-1] = json_pieces[-1][:-2]  # no comma after the last row
+    json_pieces.insert(0, '{\n  "papers": [\n')
+    json_pieces.append("\n  ]\n}\n")
+    yield _join(json_pieces)
 
 
-def decision_list_csv(decisions: DecisionList) -> str:
-    rows = (
-        [d.rank, d.paper, float(d.score_index), "accept" if d.accept else "reject"]
-        for d in decisions.decisions
-    )
-    return _csv_text(["rank", "paper_id", "SI", "decision"], rows)
+def score_table_texts(table: ScoreTable) -> tuple[str, str]:
+    """The score table as CSV text and as the text of ``json.dumps({"papers":
+    rows}, indent=2, sort_keys=True)`` plus a newline, written block by
+    block.  Each float is formatted once per distinct bit pattern in its
+    block, by ``repr`` as csv formats it, and the CSV rows are joined from
+    those strings; the JSON text spells NaN and Infinity as json does and
+    passes the ids through json's ASCII string escaper."""
+    table_csv, table_json = _score_table_texts(table, _csv_fields(table.papers), {})
+    return table_csv, table_json
+
+
+def decision_list_csv(decisions: DecisionList, ids: list[str], si: list[str]) -> str:
+    """The decision list as CSV text; ``ids`` and ``si`` are the CSV fields
+    of its papers and of their score indices, in rank order."""
+    ranks = (str(d.rank) for d in decisions.decisions)
+    verdicts = ("accept" if d.accept else "reject" for d in decisions.decisions)
+    header = [["rank", "paper_id", "SI", "decision"]]
+    return _csv_lines(itertools.chain(header, zip(ranks, ids, si, verdicts)))
+
+
+def report_texts(
+    table: ScoreTable, decisions: DecisionList, decisions_cal: DecisionList | None = None
+) -> Iterator[tuple[str, str]]:
+    """The name and text of ``score_table.csv``, ``score_table.json``,
+    ``decisions.csv`` and, with ``decisions_cal``, ``decisions_calibrated.csv``,
+    in that order.  Each paper's id field and ``SI`` and ``SI_cal`` texts
+    are made once, by the score-table pass, and the decision lists take
+    them in rank order.  A caller that drops each text once it is written
+    holds one text at a time: none is kept here past the next step."""
+    fields = _csv_fields(table.papers)
+    lists = {"decisions.csv": (decisions, "SI")}
+    if decisions_cal is not None:
+        lists["decisions_calibrated.csv"] = (decisions_cal, "SI_cal")
+    kept = {column: [] for _, column in lists.values()}
+    table_texts = _score_table_texts(table, fields, kept)
+    yield "score_table.csv", next(table_texts)
+    yield "score_table.json", next(table_texts)
+    index = dict(zip(table.papers, range(len(fields))))
+    for name, (listed, column) in lists.items():
+        order = [index[d.paper] for d in listed.decisions]
+        si = kept[column]
+        yield name, decision_list_csv(listed, [fields[i] for i in order], [si[i] for i in order])

@@ -17,9 +17,9 @@ from reviewpipe.scoring import (
     ReviewScore,
     ScoreTable,
     build_score_table,
-    decision_list_csv,
     normalize,
     rank_and_cut,
+    report_texts,
     review_score,
     review_table,
     score_index,
@@ -382,11 +382,11 @@ class TestExports:
         reviews = [make_review("A", "R1", rec="Accept"), make_review("B", "R2", rec="Reject")]
         metas = [MetaReviewForm("A", "M1", "Accept"), MetaReviewForm("B", "M2", "Reject")]
         table = build_score_table(reviews, metas)
-        lines = score_table_texts(table)[0].strip().splitlines()
+        texts = dict(report_texts(table, rank_and_cut(table, DecisionConfig(50.0))))
+        lines = texts["score_table.csv"].strip().splitlines()
         assert lines[0] == "paper_id,s_p,xi_p,sR_norm,sM_norm,SI"
         assert len(lines) == 3
-        decisions = rank_and_cut(table, DecisionConfig(50.0))
-        dlines = decision_list_csv(decisions).strip().splitlines()
+        dlines = texts["decisions.csv"].strip().splitlines()
         assert dlines[0] == "rank,paper_id,SI,decision"
         assert dlines[1].endswith("accept") and dlines[2].endswith("reject")
 
@@ -421,6 +421,63 @@ def assert_texts_match_oracles(table):
     table_csv, table_json = score_table_texts(table)
     assert table_csv == oracle_score_table_csv(table)
     assert table_json == oracle_score_table_json(table)
+
+
+def oracle_decision_list_csv(decisions):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["rank", "paper_id", "SI", "decision"])
+    for d in decisions.decisions:
+        writer.writerow([d.rank, d.paper, float(d.score_index), "accept" if d.accept else "reject"])
+    return buf.getvalue()
+
+
+def oracle_field(text):
+    """csv.writer's field for one text, in the artifacts' dialect."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def row_fields(text, leads):
+    """The comma-separated fields after each row's expected ``lead``, the
+    header skipped; every field after the lead is free of commas."""
+    pos, rows = text.index("\n") + 1, []
+    for lead in leads:
+        assert text.startswith(lead, pos)
+        end = text.index("\n", pos + len(lead))
+        rows.append(text[pos + len(lead) : end].split(","))
+        pos = end + 1
+    assert pos == len(text)
+    return rows
+
+
+def assert_report_matches_oracles(table):
+    """Every text of ``report_texts`` matches its row writer, and each
+    paper's SI (and SI_cal) text in the decision lists is its text in
+    score_table.csv."""
+    cfg = DecisionConfig(40.0)
+    decisions = rank_and_cut(table, cfg)
+    # each list and the place of its SI column among a score-table row's floats
+    lists = {"decisions.csv": (decisions, 4)}
+    decisions_cal = None
+    if table.calibrated:
+        decisions_cal = rank_and_cut(table, cfg, use_calibrated=True)
+        lists["decisions_calibrated.csv"] = (decisions_cal, 7)
+    texts = list(report_texts(table, decisions, decisions_cal))
+    assert texts == [
+        ("score_table.csv", oracle_score_table_csv(table)),
+        ("score_table.json", oracle_score_table_json(table)),
+        *((name, oracle_decision_list_csv(listed)) for name, (listed, _) in lists.items()),
+    ]
+    texts = dict(texts)
+    fields = dict(zip(table.papers, map(oracle_field, table.papers)))
+    leads = [fields[p] + "," for p in table.papers]
+    table_rows = dict(zip(table.papers, row_fields(texts["score_table.csv"], leads)))
+    for name, (listed, column) in lists.items():
+        leads = [f"{d.rank},{fields[d.paper]}," for d in listed.decisions]
+        rows = row_fields(texts[name], leads)
+        assert [row[0] for row in rows] == [table_rows[d.paper][column] for d in listed.decisions]
 
 
 def oracle_rank_order(table, use_calibrated=False):
@@ -510,6 +567,45 @@ class TestColumnWriters:
         _, _, reviews, metas = random_corpus(rng, 30, 12)
         table = build_score_table(reviews, metas)
         assert_texts_match_oracles(table)
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_report_matches_row_writers_on_awkward_ids(self, rng, calibrated):
+        for levels in (None, 1, 2):
+            papers = [AWKWARD_IDS[i] for i in rng.permutation(len(AWKWARD_IDS))]
+            assert_report_matches_oracles(random_score_table(rng, papers, calibrated, levels))
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_report_matches_row_writers_on_tied_tables(self, rng, calibrated):
+        for n in (1, 2, 7, 40):
+            papers = [f"P{i:03d}" for i in rng.permutation(n)]
+            table = random_score_table(rng, papers, calibrated, levels=int(rng.integers(1, 4)))
+            assert_report_matches_oracles(table)
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_report_matches_row_writers_across_blocks(self, rng, calibrated):
+        for n in (511, 512, 513, 1100):
+            papers = [f"P{i:04d}" for i in rng.permutation(n)]
+            assert_report_matches_oracles(random_score_table(rng, papers, calibrated))
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_report_of_zero_papers(self, calibrated):
+        empty = np.zeros(0)
+        cal = dict(sR_cal=empty, sM_cal=empty, SI_cal=empty) if calibrated else {}
+        table = ScoreTable(
+            papers=[], s_p=empty, xi_p=empty, sR_norm=empty, sM_norm=empty, SI=empty, **cal
+        )
+        assert_report_matches_oracles(table)
+
+    def test_report_nan_infinity_and_negative_zero(self, rng):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, np.nan, -0.0]
+        table = random_score_table(rng, [f"P{i}" for i in range(len(special))], calibrated=True)
+        table.SI[:] = special
+        table.SI_cal[:] = special[::-1]
+        table.sM_norm[:] = special[2:] + special[:2]
+        table.s_p[:] = -0.0
+        texts = dict(report_texts(table, rank_and_cut(table, DecisionConfig(40.0))))
+        assert "-0.0" in texts["decisions.csv"] and "-inf" in texts["decisions.csv"]
+        assert_report_matches_oracles(table)
 
 
 class TestRankOracle:
