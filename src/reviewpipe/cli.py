@@ -33,7 +33,7 @@ from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
 from .records import CONFLICT_SCHEMA, SIMILARITY_SCHEMA, TAG_SCHEMA, read_exports, read_keyed_csv
-from .records import _csv_fields, _csv_lines, _csv_text, _float_texts, _json_text, _show_key
+from .records import _csv_fields, _csv_lines, _float_texts, _json_text, _show_key
 from .scoring import DecisionConfig
 
 
@@ -173,7 +173,7 @@ def cmd_assign(args) -> int:
     result = assign(sorted(papers), sorted(reviewers), sources, constraints, tags)
     write_atomic(
         Path(args.out) / "assignment.csv",
-        _csv_text(["reviewer_id", "paper_id"], sorted(result.pairs)),
+        _csv_lines([["reviewer_id", "paper_id"], *map(_csv_fields, sorted(result.pairs))]),
     )
     audit = {
         "total_similarity": result.total_similarity,

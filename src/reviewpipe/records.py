@@ -1,4 +1,4 @@
-"""Typed review records and ingestion of raw review exports.
+"""Typed review records, ingestion of raw review exports, and the exports.
 
 Raw exports (CSV or JSON) are read into one :class:`ReviewTable`: integer
 codes into the sorted id lists of each role (paper, reviewer,
@@ -6,22 +6,28 @@ meta-reviewer), each review's composite score and confidence weight, each
 meta-review's recommendation weight, and the :class:`ValidationReport` of
 the read.  Every input row either becomes exactly one row of the table or
 one rejection entry in the report; nothing is dropped silently.  Each
-distinct label tuple of an export is checked and scored once, by
-:func:`label_score`, the rule :class:`ReviewForm` also checks with; each
-distinct meta-review recommendation is encoded once.  CSV rows are read
-from the open file one at a time and held only while they are checked.
-:func:`read_keyed_csv` reads the other CSV inputs (similarities, tags,
-conflicts) under the same header and row rules, but aborts on a bad row
-instead of rejecting it.
+Likert scale has one table of labels; one cached lookup per raw spelling
+gives a label's weight and canonical spelling.  Each distinct label tuple
+of an export is checked and scored once, by :func:`label_score`, the rule
+:class:`ReviewForm` also checks with; each distinct meta-review
+recommendation is encoded once.  CSV rows are read from the open file one
+at a time and held only while they are checked.  :func:`read_keyed_csv`
+reads the other CSV inputs (similarities, tags, conflicts) under the same
+header and row rules, but aborts on a bad row instead of rejecting it.
 
 CSV rows, JSON rows and typed records (as their JSON export) go through
 one accept-or-reject loop, :func:`_take`, which reads each input through
 its :class:`_Layout`.  A CSV row as long as its header reaches the loop as
 ``csv.reader`` gives it; a short or overlong row, and a JSON object, is
-first put in that form.  The report's dict is built only for a rejected
-row.  The loop codes ids in the order accepted rows first carry them;
-:func:`_read` then recodes them by sorted id once, sorts the rows, and
-audits the table.
+first put in that form, and a JSON id holding a lone surrogate, which no
+file can encode, is rejected.  The report's dict is built only for a
+rejected row.  The loop codes ids in the order accepted rows first carry
+them; :func:`_read` then recodes them by sorted id once, sorts the rows,
+and audits the table.
+
+Every CSV the package writes, the exports included, takes its fields from
+:func:`_csv_fields`, which quotes a field holding , " CR or LF, a lone CR
+included, on every Python version, so an export reads back as written.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -34,7 +40,6 @@ import bisect
 import contextlib
 import csv
 import functools
-import io
 import itertools
 import json
 import operator
@@ -99,9 +104,8 @@ def _norm_label(label: str) -> str:
     return " ".join(label.strip().split()).lower()
 
 
-# each scale keyed by normalized label, and each label's canonical spelling
-_SCALES = {scale: {_norm_label(k): w for k, w in t.items()} for scale, t in _WEIGHTS.items()}
-_CANONICAL = {_norm_label(label): label for table in _WEIGHTS.values() for label in table}
+# each scale keyed by normalized label: the label's weight and canonical spelling
+_SCALES = {scale: {_norm_label(k): (w, k) for k, w in t.items()} for scale, t in _WEIGHTS.items()}
 
 
 @dataclass(frozen=True)
@@ -134,10 +138,16 @@ CONFLICT_SCHEMA = CsvSchema(("reviewer_id", "paper_id"), key=2, unique=False)
 DUPLICATE_PAIR = "duplicate (reviewer, paper) pair"
 
 
-# each scale's raw spellings met so far and their weights, filled by
-# encode_likert; label_score reads them directly.  Only spellings of known
-# labels get in, as in _canon's cache.
-_SEEN: dict[str, dict[str, float]] = {scale: {} for scale in _WEIGHTS}
+@functools.cache
+def _likert(label: str, scale: str) -> tuple[float, str]:
+    """A label's weight on the named scale and its canonical spelling,
+    worked out once per raw spelling; an error is not kept."""
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    hit = _SCALES[scale].get(_norm_label(label))
+    if hit is None:
+        raise UnknownLabelError(f"unknown label {label!r} for scale {scale!r}")
+    return hit
 
 
 def encode_likert(label: str, scale: str) -> float:
@@ -145,21 +155,10 @@ def encode_likert(label: str, scale: str) -> float:
 
     ``scale`` is one of ``recommendation``, ``criterion``, ``confidence``.
     Matching is case-insensitive after trimming; anything else raises
-    :class:`UnknownLabelError`.  Each raw spelling is normalized once and
-    its weight kept in the scale's table; errors are not kept and raise on
-    every call.
+    :class:`UnknownLabelError`.  Each raw spelling is looked up once in
+    the scale's one table, by :func:`_likert`; errors raise on every call.
     """
-    try:
-        seen = _SEEN[scale]
-    except KeyError:
-        raise ValueError(f"unknown scale {scale!r}") from None
-    weight = seen.get(label)
-    if weight is None:
-        key = _norm_label(label)
-        if key not in _SCALES[scale]:
-            raise UnknownLabelError(f"unknown label {label!r} for scale {scale!r}")
-        weight = seen[label] = _SCALES[scale][key]
-    return weight
+    return _likert(label, scale)[0]
 
 
 def likert_labels(scale: str) -> list[str]:
@@ -174,16 +173,10 @@ def label_score(rec, c1, c2, c3, c4, conf, award) -> tuple[int, float]:
     c1-c4, confidence, raising :class:`UnknownLabelError` at the first
     unknown one, then raises ``ValueError`` for an award other than 0 or 1.
     """
-    recs, crits, confs = _SEEN["recommendation"], _SEEN["criterion"], _SEEN["confidence"]
-    try:
-        s_half = 2 * recs[rec] + int(2 * (crits[c1] + crits[c2] + crits[c3] + crits[c4]))
-        confidence = confs[conf]
-    except KeyError:  # a spelling not met yet: encode_likert adds it or names the first bad label
-        encode_likert(rec, "recommendation")
-        for c in (c1, c2, c3, c4):
-            encode_likert(c, "criterion")
-        encode_likert(conf, "confidence")
-        return label_score(rec, c1, c2, c3, c4, conf, award)
+    s_half = 2 * _likert(rec, "recommendation")[0]
+    s_half += int(2 * (_likert(c1, "criterion")[0] + _likert(c2, "criterion")[0]
+                       + _likert(c3, "criterion")[0] + _likert(c4, "criterion")[0]))
+    confidence = _likert(conf, "confidence")[0]
     if award not in (0, 1):
         raise ValueError(f"award flag must be 0 or 1, got {award!r}")
     return s_half + 2 * award, confidence
@@ -298,10 +291,10 @@ class _Layout(NamedTuple):
     """How the row loop reads the rows of one input.  A row of length
     ``n`` holds schema column ``k`` at position ``at[k]``; any other row
     goes through ``fix``, which gives the row in that form and why it is
-    too long (or ``None``), or ``(None, None)`` for a blank line.  ``raw``
-    turns a row as read into the dict the report shows, and ``key`` the
-    labels into their key in the check cache (``None``: the labels
-    themselves)."""
+    rejected as it stands (or ``None``), or ``(None, None)`` for a blank
+    line.  ``raw`` turns a row as read into the dict the report shows, and
+    ``key`` the labels into their key in the check cache (``None``: the
+    labels themselves)."""
 
     n: int | None
     at: Sequence[int]
@@ -420,7 +413,15 @@ def _json_rows(payload: dict, key: str, schema: CsvSchema, path):
 
 
 def _json_fix(columns: list[str], row: dict):
-    return list(map(row.get, columns)), None
+    """A JSON row's values, and why it is rejected if an id holds a lone
+    surrogate, which no output could encode (a CSV read cannot give one:
+    its UTF-8 decode refuses the file)."""
+    values = list(map(row.get, columns))
+    for name, value in zip(columns[:2], values):
+        if isinstance(value, str) and not value.isascii():
+            if value.encode(errors="replace").decode() != value:
+                return values, f"{name} {value!r} holds a lone surrogate"
+    return values, None
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
@@ -481,8 +482,9 @@ def _take(rows, layout: _Layout, schema: CsvSchema, check, codes, columns, repor
     schema's columns after the two ids, the comments aside; ``check`` turns
     them into an int value or a reason, once per distinct labels.  A
     review's blank confidence reads 'Good', with one warning per row, and a
-    rejected row shows it so.  A missing required field, an id empty once
-    stripped included, is named first.  The two dicts ``codes`` give each
+    rejected row shows it so.  The layout's flaw (too long, or an
+    unencodable id) is named first, then a missing required field, an id
+    empty once stripped included.  The two dicts ``codes`` give each
     stripped (paper, person) id its code, in the order accepted rows first
     carry them; a (person, paper) pair's rows after its first are
     rejected."""
@@ -499,10 +501,10 @@ def _take(rows, layout: _Layout, schema: CsvSchema, check, codes, columns, repor
     seen: set[int] = set()
     for row in rows:
         if len(row) == n:
-            values, overlong = row, None
+            values, flaw = row, None
             paper, person = row[ip].strip(), row[ir].strip()
         else:
-            values, overlong = fix(row)
+            values, flaw = fix(row)
             if values is None:
                 continue
             paper, person = _stripped(values[ip]), _stripped(values[ir])
@@ -517,7 +519,7 @@ def _take(rows, layout: _Layout, schema: CsvSchema, check, codes, columns, repor
         value = checked.get(k)
         if value is None:
             value = checked[k] = check(labels)
-        if type(value) is not str and overlong is None and paper and person:
+        if type(value) is not str and flaw is None and paper and person:
             # a new id cannot be in a repeated pair, so it takes its code here
             p = paper_codes.get(paper)
             if p is None:
@@ -534,7 +536,7 @@ def _take(rows, layout: _Layout, schema: CsvSchema, check, codes, columns, repor
                 continue
             reason = DUPLICATE_PAIR
         else:
-            reason = overlong or _missing((paper, person, *labels), schema.required) or value
+            reason = flaw or _missing((paper, person, *labels), schema.required) or value
         shown = raw(row)
         if blank is not None and ((given := pick(values)[blank]) is None or given == ""):
             shown["confidence"] = "Good"
@@ -702,37 +704,22 @@ def review_table(reviews: list[ReviewForm], metas: list[MetaReviewForm] | None =
     return table
 
 
-@functools.cache
-def _canon(label: str) -> str:
-    """A known label's canonical spelling, worked out once per raw spelling."""
-    return _CANONICAL[_norm_label(label)]
-
-
 def _review_row(f: ReviewForm) -> list:
     """A review's fields in ``REVIEW_SCHEMA`` column order, labels canonical."""
-    labels = [_canon(f.recommendation), *map(_canon, f.criteria), _canon(f.confidence)]
-    return [f.paper, f.reviewer, *labels, f.award, f.comments]
+    rec = _likert(f.recommendation, "recommendation")[1]
+    criteria = [_likert(c, "criterion")[1] for c in f.criteria]
+    conf = _likert(f.confidence, "confidence")[1]
+    return [f.paper, f.reviewer, rec, *criteria, conf, f.award, f.comments]
 
 
 def _meta_row(f: MetaReviewForm) -> list:
-    return [f.paper, f.metareviewer, _canon(f.recommendation)]
+    return [f.paper, f.metareviewer, _likert(f.recommendation, "recommendation")[1]]
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """CSV text with quoted fields where needed and ``\\n`` line ends."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-# Text columns: the artifact writers make each column's CSV fields once and
-# join each row with ",".join, which takes about a sixth of the time
-# csv.writer takes per row.
-
-# csv.writer may quote a field holding one of these; a field holding none
-# is written as it is
+# The artifact writers make each column's CSV fields once, the exports each
+# row's fields as its line is joined; ",".join joins a row in about a sixth
+# of the time csv.writer takes.  csv.writer may quote a field holding one
+# of these; a field holding none is written as it is.
 _CSV_QUOTABLE = ',"\r\n'
 
 
@@ -744,15 +731,15 @@ class _Echo:
         return text
 
 
-def _csv_fields(ids: list[str]) -> list[str]:
-    """Each id as the CSV field csv.writer writes for it.  An id with none
-    of , " CR LF is its own field; csv.writer writes any other, so csv's
-    quoting rule stays csv's."""
-    if not any(c in "".join(ids) for c in _CSV_QUOTABLE):
-        return list(ids)
-    # the artifacts' dialect: whether csv quotes a CR or LF depends on it
-    writerow = csv.writer(_Echo(), lineterminator="\n").writerow
-    return [writerow([i])[:-1] if any(c in i for c in _CSV_QUOTABLE) else i for i in ids]
+def _csv_fields(texts: Sequence[str]) -> list[str]:
+    """Each text as its CSV field.  A text with none of , " CR LF is its
+    own field; csv.writer writes any other, in the dialect whose rows end
+    in CR LF (where it quotes a lone CR on every Python version) with the
+    CR LF cut off, so csv's quoting rule stays csv's."""
+    if not any(c in "".join(texts) for c in _CSV_QUOTABLE):
+        return list(texts)
+    writerow = csv.writer(_Echo(), lineterminator="\r\n").writerow
+    return [writerow([t])[:-2] if any(c in t for c in _CSV_QUOTABLE) else t for t in texts]
 
 
 def _float_texts(values) -> list[str]:
@@ -773,13 +760,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _review_fields(f: ReviewForm) -> list[str]:
+    row = _review_row(f)
+    row[-2] = str(row[-2])  # the award
+    return _csv_fields(row)
+
+
 def export_reviews_csv(reviews: list[ReviewForm]) -> str:
-    """Canonical CSV text for review records (round-trips via read_exports)."""
-    return _csv_text(REVIEW_SCHEMA.columns, map(_review_row, reviews))
+    """Canonical CSV text for review records (round-trips via read_exports);
+    each row's fields are made as its line is joined, not held with it."""
+    rows = map(_review_fields, reviews)
+    return _csv_lines(itertools.chain([REVIEW_SCHEMA.columns], rows))
 
 
 def export_metas_csv(metas: list[MetaReviewForm]) -> str:
-    return _csv_text(META_SCHEMA.columns, map(_meta_row, metas))
+    rows = (_csv_fields(_meta_row(f)) for f in metas)
+    return _csv_lines(itertools.chain([META_SCHEMA.columns], rows))
 
 
 def _export_object(reviews: list[ReviewForm], metas: list[MetaReviewForm] | None) -> dict:

@@ -1273,6 +1273,40 @@ class TestCli:
             [f"R,{r}", f"P,{p}"] for r in range(2) for p in range(2)
         ]
 
+    def test_assign_quotes_ids_with_a_lone_cr(self, tmp_path):
+        """A reviewer id holding a lone CR is one quoted field of
+        assignment.csv, which csv.reader reads back to the same pairs."""
+        sim = tmp_path / "sim.csv"
+        rows = ["reviewer_id,paper_id,bid,subject_relevance,tpms"]
+        rows += [f'"R\r{r}",P{p},0.5,0.8,' for r in range(2) for p in range(2)]
+        sim.write_text("\n".join(rows) + "\n", newline="")
+        argv = ["assign", "--similarities", str(sim), "--min-reviewers", "2",
+                "--max-papers", "2", "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 0
+        with open(tmp_path / "o" / "assignment.csv", newline="", encoding="utf-8") as fh:
+            got = list(csv.reader(fh))
+        assert got == [["reviewer_id", "paper_id"]] + [
+            [f"R\r{r}", f"P{p}"] for r in range(2) for p in range(2)
+        ]
+
+    def test_pipeline_rejects_an_id_holding_a_lone_surrogate(self, tmp_path, rng):
+        """A JSON export's paper id written with a lone surrogate escape is
+        a rejected row, and every report is written without it."""
+        _, _, reviews, metas = random_corpus(rng, 8, 6)
+        reviews[0] = replace(reviews[0], paper="P\ud8002")
+        path = tmp_path / "reviews.json"
+        path.write_text(export_json(reviews, metas), encoding="utf-8")
+        assert "\\ud800" in path.read_text(encoding="utf-8")
+        argv = ["pipeline", "--input", str(path), "--format", "json", "--no-calibrate",
+                "--out", str(tmp_path / "o")]
+        assert self.run(argv) == 0
+        validation = json.loads((tmp_path / "o" / "validation.json").read_text(encoding="utf-8"))
+        assert [r["reason"] for r in validation["rejected"]] == [
+            "paper_id 'P\\ud8002' holds a lone surrogate"
+        ]
+        decisions = (tmp_path / "o" / "decisions.csv").read_text(encoding="utf-8")
+        assert decisions.count("\n") == 9
+
     def test_dequantize_quotes_ids_with_commas(self, tmp_path, rng):
         _, _, reviews, _ = random_corpus(rng, 6, 5)
         reviews = [replace(f, paper=f"P,{f.paper}", reviewer=f'R"{f.reviewer}') for f in reviews]

@@ -424,6 +424,24 @@ class TestValidate:
             ("ids equal under NFC", "metareviewer ids 'Rene\\u0301e', 'Ren\\xe9e'"),
         ]
 
+    def test_ids_holding_a_lone_surrogate_are_rejected(self, tmp_path):
+        """A paper, reviewer or meta-reviewer id holding a lone surrogate,
+        which no output could encode, is a rejected row naming the field,
+        from typed records and from a JSON export alike."""
+        ids = [("P\ud8002", "R1"), ("P1", "R1"), ("P1", "R\udfff")]
+        reviews = [make_review(paper, reviewer) for paper, reviewer in ids]
+        metas = [MetaReviewForm("P1", "M\ud800", "Accept"), MetaReviewForm("P1", "M1", "Accept")]
+        path = tmp_path / "export.json"
+        path.write_text(export_json(reviews, metas), encoding="utf-8")
+        reasons = [
+            "paper_id 'P\\ud8002' holds a lone surrogate",
+            "reviewer_id 'R\\udfff' holds a lone surrogate",
+            "metareviewer_id 'M\\ud800' holds a lone surrogate",
+        ]
+        for report in (validate(reviews, metas), read_exports(path, format="json").report):
+            assert [reason for _, reason in report.rejected] == reasons
+            assert (report.n_papers, report.n_reviews, report.n_metareviews) == (1, 1, 1)
+
     def test_mean_is_exact_ratio(self):
         reviews = [make_review(f"P{p}", f"R{r}") for p in range(4) for r in range(3)]
         report = validate(reviews)
@@ -532,6 +550,33 @@ class TestRoundTrip:
         assert named(exports.reviewer, exports.reviewer_ids) == ["R1", "R2"]
         assert not exports.report.rejected
         assert_reads_as(exports, reviews, metas)
+
+    @pytest.mark.parametrize("char", ["\r", "\n", '"', ",", "\x00", "\r\n", ""])
+    def test_csv_round_trip_of_awkward_text(self, tmp_path, char):
+        """Ids and comments holding a lone CR, LF, quote, comma, NUL or
+        none of them read back from the CSV exports as the records' own
+        table, with no row rejected."""
+        papers = [f"P{char}{p}" for p in range(3)]
+        reviewers = [f"R{char}{r}" for r in range(2)]
+        reviews = [
+            ReviewForm(p, r, RECS[i % 7], (CRITS[i % 5],) * 4, CONFS[i % 5], i % 2, f"a{char}b")
+            for i, (p, r) in enumerate(itertools.product(papers, reviewers))
+        ]
+        metas = [MetaReviewForm(p, f"M{char}{i}", RECS[i]) for i, p in enumerate(papers)]
+        rpath, mpath = tmp_path / "r.csv", tmp_path / "m.csv"
+        rpath.write_text(export_reviews_csv(reviews), encoding="utf-8", newline="")
+        mpath.write_text(export_metas_csv(metas), encoding="utf-8", newline="")
+        exports = read_exports(rpath, meta_path=mpath)
+        assert not exports.report.rejected
+        assert exports.paper_ids == sorted(papers)
+        assert_reads_as(exports, reviews, metas)
+
+    def test_csv_exports_quote_a_lone_cr(self):
+        """The bytes of a lone CR's field, the same on every Python
+        version: quoted, as RFC 4180 asks of a field holding a line
+        break."""
+        text = export_metas_csv([MetaReviewForm("P\r8", "M1", " weak  accept")])
+        assert text == 'paper_id,metareviewer_id,recommendation\n"P\r8",M1,Weak Accept\n'
 
     def test_json_round_trip(self, tmp_path):
         reviews = [make_review("P1", "R1", rec="Accept", crit="Excellent")]
@@ -665,3 +710,25 @@ def test_read_exports_holds_each_row_only_while_checking_it(tmp_path, rng):
     assert padded.reviewer_ids == plain.reviewer_ids
     assert sorted(padded.reviewer_ids) == [f"R{r:05d}" for r in np.unique(reviewer)]
     assert padded.metareviewer_ids == [f"M{m:03d}" for m in range(300)]
+
+
+def test_export_reviews_csv_builds_rows_as_it_joins_them():
+    """The review export's peak stays below 4.5 times its text's size.
+    On these 4,000 records it is 2.9 times with each row's fields made as
+    its line is joined, 3.5 for the csv.writer row loop this writer
+    replaced, and 6.1 for one that holds every row's fields before joining
+    any.  Writing the benchmark's corpus at that peak sets its process's
+    high-water mark, which the pipeline's worker inherits."""
+    reviews = [
+        ReviewForm(f"P{i // 3:05d}", f"R{i % 1000:05d}", RECS[i % 7], (CRITS[i % 5],) * 4, "Good")
+        for i in range(4000)
+    ]
+    export_reviews_csv(reviews[:1])  # labels looked up outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = export_reviews_csv(reviews)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * len(text)

@@ -393,9 +393,19 @@ class TestExports:
 
 # The row-by-row writers and the tuple-key sort that the column writers
 # and the lexsort replaced, kept as oracles.
+class LfRows(io.StringIO):
+    """A text buffer for a csv.writer in the artifacts' dialect, whose rows
+    end in CR LF, so that a field holding a CR or LF is quoted on every
+    Python version; each row's CR LF is stored as the artifacts' LF."""
+
+    def write(self, row):
+        assert row.endswith("\r\n")
+        return super().write(row[:-2] + "\n")
+
+
 def oracle_score_table_csv(table):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    buf = LfRows()
+    writer = csv.writer(buf, lineterminator="\r\n")
     header = ["paper_id", "s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
     if table.calibrated:
         header += ["sR_cal", "sM_cal", "SI_cal"]
@@ -424,8 +434,8 @@ def assert_texts_match_oracles(table):
 
 
 def oracle_decision_list_csv(decisions):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    buf = LfRows()
+    writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["rank", "paper_id", "SI", "decision"])
     for d in decisions.decisions:
         writer.writerow([d.rank, d.paper, float(d.score_index), "accept" if d.accept else "reject"])
@@ -434,8 +444,8 @@ def oracle_decision_list_csv(decisions):
 
 def oracle_field(text):
     """csv.writer's field for one text, in the artifacts' dialect."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    buf = LfRows()
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
     return buf.getvalue()[:-2]
 
 

@@ -45,27 +45,33 @@ def test_search_audit_fits_one_corpus_and_compares_it_with_itself(tmp_path, monk
 def test_artifact_digest_digests_one_corpus_and_compares_it_with_itself(
     tmp_path, monkeypatch, capsys
 ):
-    """The digests of one decide-calibrated-200 corpus, then ``--compare``
-    of that output against itself and against a copy with one digest
-    changed: only the changed artifact is listed."""
+    """The digests of one decide-calibrated-200 corpus and one assign-1000
+    instance, inputs included, then ``--compare`` of that output against
+    itself and against a copy with one digest changed: only the changed
+    artifact is listed."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds benchmarks/ to it
     spec = importlib.util.spec_from_file_location("artifact_digest", TOOLS / "artifact_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.setattr(tool, "WORKLOADS", ["decide-calibrated-200"])
-    monkeypatch.setattr(tool, "SEEDS", [tool.SEEDS[0]])
+    seed = tool.WORKLOADS["assign-1000"][0]
+    monkeypatch.setattr(tool, "WORKLOADS", {"decide-calibrated-200": [seed], "assign-1000": [seed]})
     rows = run_tool(tool, monkeypatch, capsys)
-    names = [r["artifact"] for r in rows]
-    assert {"pipeline/decisions_calibrated.csv", "dequantize/dequantized.csv"} <= set(names)
+    written = {(r["workload"], r["artifact"]) for r in rows}
+    decide = [
+        "inputs/reviews.json", "pipeline/decisions_calibrated.csv", "dequantize/dequantized.csv"
+    ]
+    assign = ["inputs/similarities.csv", "assign/assignment.csv", "assign/assignment_audit.json"]
+    assert {("decide-calibrated-200", name) for name in decide} <= written
+    assert {("assign-1000", name) for name in assign} <= written
     assert all(r["bytes"] > 0 and len(r["sha256"]) == 64 for r in rows)
     path = tmp_path / "digest.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     assert run_tool(tool, monkeypatch, capsys, "--compare", str(path), str(path)) == [
         {"artifacts": len(rows), "differ": 0}
     ]
-    changed = [dict(r, sha256="0" * 64) if r["artifact"] == names[0] else r for r in rows]
+    changed = [dict(rows[0], sha256="0" * 64), *rows[1:]]
     other = tmp_path / "changed.jsonl"
     other.write_text("".join(json.dumps(r) + "\n" for r in changed))
     listed = run_tool(tool, monkeypatch, capsys, "--compare", str(path), str(other))
-    assert [r.get("artifact") for r in listed] == [names[0], None]
+    assert [r.get("artifact") for r in listed] == [rows[0]["artifact"], None]
     assert listed[-1] == {"artifacts": len(rows), "differ": 1}

@@ -1,11 +1,15 @@
-"""Digests of every artifact the pipeline writes on the benchmark's corpora.
+"""Digests of every file the package writes on the benchmark's corpora.
 
-Builds the inputs of the decide-raw-5526 and decide-calibrated-200
-workloads with ``benchmarks/run.py``'s ``prepare`` (which draws them with
-``benchmarks/corpus.py``) at seeds 3, 7 and 11, runs ``run_pipeline`` on
-each with the benchmark's settings, and also ``reviewpipe dequantize`` on
-its review export.  Prints one JSON line per written file: the workload,
-the seed, the file's name, its sha256 and its size in bytes.
+Builds the inputs of each workload with ``benchmarks/run.py``'s
+``prepare`` (which draws them with ``benchmarks/corpus.py``; the review
+exports are written by the package's own export functions): the
+decide-raw-5526 and decide-calibrated-200 corpora at seeds 3, 7 and 11,
+on which it runs ``run_pipeline`` with the benchmark's settings and
+``reviewpipe dequantize`` on the review export, and the assign-1000
+instance at seeds 3 and 7, on which it runs ``reviewpipe assign`` with
+the benchmark's flags.  Prints one JSON line per written file, the inputs
+included: the workload, the seed, the file's name, its sha256 and its
+size in bytes.
 
     PYTHONPATH=src python tools/artifact_digest.py > after.jsonl
     PYTHONPATH=../parent/src python tools/artifact_digest.py > before.jsonl
@@ -29,32 +33,49 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-WORKLOADS = ["decide-raw-5526", "decide-calibrated-200"]
-SEEDS = [3, 7, 11]
+# each workload's seeds
+WORKLOADS = {
+    "decide-raw-5526": [3, 7, 11],
+    "decide-calibrated-200": [3, 7, 11],
+    "assign-1000": [3, 7],
+}
+
+
+def run_cli(argv: list[str], ok=(0,)):
+    from reviewpipe.cli import main as cli
+
+    with contextlib.redirect_stdout(io.StringIO()):  # a summary line is not a digest
+        code = cli(argv)
+    if code not in ok:
+        raise SystemExit(f"reviewpipe {argv[0]} exited with {code}")
 
 
 def written(workload: str, seed: int, work: Path):
-    """Run the pipeline and ``reviewpipe dequantize`` on one corpus; yield
-    each written file's name and path, in name order."""
+    """Build one workload's inputs and run the package on them; yield each
+    written file's name and path, in name order."""
     import run
     from reviewpipe import PipelineConfig, run_pipeline
-    from reviewpipe.cli import main as cli
 
-    spec, _ = run.prepare(workload, seed, work)
-    config = spec["config"]
-    run_pipeline(PipelineConfig(**config, out_dir=str(work / "pipeline")))
-    argv = ["dequantize", "--input", config["reviews_path"], "--format", config["format"]]
-    with contextlib.redirect_stdout(io.StringIO()):  # its summary line is not a digest
-        if cli([*argv, "--out", str(work / "dequantize")]):
-            raise SystemExit(f"reviewpipe dequantize failed on {workload} seed {seed}")
-    for out in ("pipeline", "dequantize"):
+    op, _ = run.prepare(workload, seed, work)
+    if op["operation"] == "assign":
+        argv = [f"--{flag}={path}" for flag, path in op["inputs"].items()]
+        # 1: a paper below the reviewer floor, which the files still record
+        run_cli(["assign", *argv, "--out", str(work / "assign")], ok=(0, 1))
+        outputs = ("inputs", "assign")
+    else:
+        config = op["config"]
+        run_pipeline(PipelineConfig(**config, out_dir=str(work / "pipeline")))
+        argv = ["--input", config["reviews_path"], "--format", config["format"]]
+        run_cli(["dequantize", *argv, "--out", str(work / "dequantize")])
+        outputs = ("inputs", "pipeline", "dequantize")
+    for out in outputs:
         for path in sorted((work / out).iterdir()):
             yield f"{out}/{path.name}", path
 
 
 def digest():
-    for workload in WORKLOADS:
-        for seed in SEEDS:
+    for workload, seeds in WORKLOADS.items():
+        for seed in seeds:
             with tempfile.TemporaryDirectory() as work:
                 for name, path in written(workload, seed, Path(work)):
                     data = path.read_bytes()
