@@ -26,8 +26,8 @@ them; :func:`_read` then recodes them by sorted id once, sorts the rows,
 and audits the table.
 
 Every CSV the package writes, the exports included, takes its fields from
-:func:`_csv_fields`, which quotes a field holding , " CR or LF, a lone CR
-included, on every Python version, so an export reads back as written.
+:func:`_csv_fields`, which quotes a field holding , " CR or LF by RFC 4180's
+rule, so an export reads back as written, and refuses a lone surrogate.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -418,9 +418,8 @@ def _json_fix(columns: list[str], row: dict):
     its UTF-8 decode refuses the file)."""
     values = list(map(row.get, columns))
     for name, value in zip(columns[:2], values):
-        if isinstance(value, str) and not value.isascii():
-            if value.encode(errors="replace").decode() != value:
-                return values, f"{name} {value!r} holds a lone surrogate"
+        if isinstance(value, str) and _lone_surrogate(value):
+            return values, f"{name} {value!r} holds a lone surrogate"
     return values, None
 
 
@@ -718,28 +717,33 @@ def _meta_row(f: MetaReviewForm) -> list:
 
 # The artifact writers make each column's CSV fields once, the exports each
 # row's fields as its line is joined; ",".join joins a row in about a sixth
-# of the time csv.writer takes.  csv.writer may quote a field holding one
-# of these; a field holding none is written as it is.
+# of the time csv.writer takes.  RFC 4180 (section 2, rules 6 and 7) quotes
+# a field holding one of these; a field holding none is written as it is.
 _CSV_QUOTABLE = ',"\r\n'
 
 
-class _Echo:
-    """A file whose ``write`` returns its text, so that a ``csv.writer``
-    over it returns each row's text from ``writerow``."""
-
-    def write(self, text: str) -> str:
-        return text
+def _lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate, which no UTF-8 file can
+    encode; an ASCII text is answered without encoding it."""
+    return not text.isascii() and text.encode(errors="replace").decode() != text
 
 
 def _csv_fields(texts: Sequence[str]) -> list[str]:
-    """Each text as its CSV field.  A text with none of , " CR LF is its
-    own field; csv.writer writes any other, in the dialect whose rows end
-    in CR LF (where it quotes a lone CR on every Python version) with the
-    CR LF cut off, so csv's quoting rule stays csv's."""
-    if not any(c in "".join(texts) for c in _CSV_QUOTABLE):
+    """Each text as its CSV field, by RFC 4180's rule: a text holding , "
+    CR or LF, a lone CR included, is quoted and its quotes doubled; any
+    other is its own field.  That is what csv.writer writes in the dialect
+    whose rows end in CR LF, on every Python version.  A text holding a
+    lone surrogate raises ``ValueError`` naming it."""
+    joined = "".join(texts)
+    if _lone_surrogate(joined):
+        text = next(filter(_lone_surrogate, texts))
+        raise ValueError(f"{text!r} holds a lone surrogate, which no UTF-8 file can hold")
+    if not any(c in joined for c in _CSV_QUOTABLE):
         return list(texts)
-    writerow = csv.writer(_Echo(), lineterminator="\r\n").writerow
-    return [writerow([t])[:-2] if any(c in t for c in _CSV_QUOTABLE) else t for t in texts]
+    return [
+        '"' + t.replace('"', '""') + '"' if any(c in t for c in _CSV_QUOTABLE) else t
+        for t in texts
+    ]
 
 
 def _float_texts(values) -> list[str]:
@@ -750,9 +754,19 @@ def _float_texts(values) -> list[str]:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
+# rows that the CSV writers join, and the score table formats, at a time, so
+# the text of one block is all that exists beside the finished part of the
+# output
+_BLOCK = 512
+
+
 def _csv_lines(rows) -> str:
-    """Rows of finished CSV fields as text, each row ended by ``\\n``."""
-    return "\n".join([*map(",".join, rows), ""])
+    """Rows of finished CSV fields as text, each row ended by ``\\n``,
+    joined ``_BLOCK`` rows at a time."""
+    lines, blocks = map(",".join, rows), []
+    while block := list(itertools.islice(lines, _BLOCK)):
+        blocks.append("\n".join([*block, ""]))
+    return "".join(blocks)
 
 
 def _json_text(obj) -> str:

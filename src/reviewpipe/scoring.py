@@ -10,7 +10,8 @@ label tuple, into the :class:`reviewpipe.records.ReviewTable` that
 rejects a paper that lacks a review or a meta-review.  Reviewer
 confidence weights the aggregation, not the score itself.  Normalized
 reviewer and meta-reviewer scores are fused per paper with a harmonic mean,
-and the top floor(a% of P) papers are accepted.
+and the top floor(a% of P) papers are accepted.  One writer,
+:func:`report_texts`, formats the score table and the decision lists.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .records import MetaReviewForm, ReviewForm, ReviewTable, _csv_fields, _csv_lines
-from .records import _float_texts, id_rank, label_score, review_table
+from .records import _BLOCK, _float_texts, id_rank, label_score, review_table
 
 __all__ = [
     "ReviewScore",
@@ -40,8 +41,6 @@ __all__ = [
     "build_score_table",
     "score_table",
     "rank_and_cut",
-    "score_table_texts",
-    "decision_list_csv",
     "report_texts",
 ]
 
@@ -249,10 +248,6 @@ def rank_and_cut(
     return DecisionList(decisions, n_accept=k, acceptance_rate=cfg.acceptance_rate)
 
 
-# rows the score-table writers format at a time, so the text of one block
-# is all that exists beside the finished part of the output
-_BLOCK = 512
-
 # how json spells the non-finite floats that repr() and csv spell nan, inf
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -265,12 +260,22 @@ def _join(pieces: list[str]) -> str:
     return text
 
 
-def _score_table_texts(
-    table: ScoreTable, fields: list[str], kept: dict[str, list[str]]
-) -> Iterator[str]:
-    """Yield the two texts of :func:`score_table_texts`, from the papers'
-    CSV ``fields``.  The texts of each column that ``kept`` names are
-    appended to its list."""
+def report_texts(
+    table: ScoreTable, decisions: DecisionList, decisions_cal: DecisionList | None = None
+) -> Iterator[tuple[str, str]]:
+    """The name and text of ``score_table.csv``, ``score_table.json``,
+    ``decisions.csv`` and, with ``decisions_cal``, ``decisions_calibrated.csv``,
+    in that order.
+
+    The score table is formatted block by block.  Each float is formatted
+    once per distinct bit pattern in its block, by ``repr`` as csv formats
+    it, and each paper's id field once; the JSON text is that of
+    ``json.dumps({"papers": rows}, indent=2, sort_keys=True)`` plus a
+    newline, NaN and Infinity spelled as json spells them and the ids
+    passed through json's ASCII string escaper.  The decision lists take
+    the id fields and the ``SI`` and ``SI_cal`` texts in rank order.  A
+    caller that drops each text once it is written holds one text at a
+    time: none is kept here past the next step."""
     names = ["s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
     if table.calibrated:
         names += ["sR_cal", "sM_cal", "SI_cal"]
@@ -279,6 +284,11 @@ def _score_table_texts(
     # a JSON row is these parts with the values of ``keys`` between them
     row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    },\n"
     parts = row.split("%s")
+    fields = _csv_fields(table.papers)
+    lists = {"decisions.csv": (decisions, "SI")}
+    if decisions_cal is not None:
+        lists["decisions_calibrated.csv"] = (decisions_cal, "SI_cal")
+    kept = {column: [] for _, column in lists.values()}
     csv_pieces, json_pieces = [_csv_lines([["paper_id", *names]])], []
     for lo in range(0, len(fields), _BLOCK):
         blocks = {name: col[lo : lo + _BLOCK] for name, col in columns.items()}
@@ -294,55 +304,20 @@ def _score_table_texts(
         for key, part in zip(keys, parts[1:]):
             cells += (text[key], itertools.repeat(part))
         json_pieces.append("".join(itertools.chain.from_iterable(zip(*cells))))
-    yield _join(csv_pieces)
-    if not json_pieces:
-        yield '{\n  "papers": []\n}\n'
-        return
-    json_pieces[-1] = json_pieces[-1][:-2]  # no comma after the last row
-    json_pieces.insert(0, '{\n  "papers": [\n')
-    json_pieces.append("\n  ]\n}\n")
-    yield _join(json_pieces)
-
-
-def score_table_texts(table: ScoreTable) -> tuple[str, str]:
-    """The score table as CSV text and as the text of ``json.dumps({"papers":
-    rows}, indent=2, sort_keys=True)`` plus a newline, written block by
-    block.  Each float is formatted once per distinct bit pattern in its
-    block, by ``repr`` as csv formats it, and the CSV rows are joined from
-    those strings; the JSON text spells NaN and Infinity as json does and
-    passes the ids through json's ASCII string escaper."""
-    table_csv, table_json = _score_table_texts(table, _csv_fields(table.papers), {})
-    return table_csv, table_json
-
-
-def decision_list_csv(decisions: DecisionList, ids: list[str], si: list[str]) -> str:
-    """The decision list as CSV text; ``ids`` and ``si`` are the CSV fields
-    of its papers and of their score indices, in rank order."""
-    ranks = (str(d.rank) for d in decisions.decisions)
-    verdicts = ("accept" if d.accept else "reject" for d in decisions.decisions)
-    header = [["rank", "paper_id", "SI", "decision"]]
-    return _csv_lines(itertools.chain(header, zip(ranks, ids, si, verdicts)))
-
-
-def report_texts(
-    table: ScoreTable, decisions: DecisionList, decisions_cal: DecisionList | None = None
-) -> Iterator[tuple[str, str]]:
-    """The name and text of ``score_table.csv``, ``score_table.json``,
-    ``decisions.csv`` and, with ``decisions_cal``, ``decisions_calibrated.csv``,
-    in that order.  Each paper's id field and ``SI`` and ``SI_cal`` texts
-    are made once, by the score-table pass, and the decision lists take
-    them in rank order.  A caller that drops each text once it is written
-    holds one text at a time: none is kept here past the next step."""
-    fields = _csv_fields(table.papers)
-    lists = {"decisions.csv": (decisions, "SI")}
-    if decisions_cal is not None:
-        lists["decisions_calibrated.csv"] = (decisions_cal, "SI_cal")
-    kept = {column: [] for _, column in lists.values()}
-    table_texts = _score_table_texts(table, fields, kept)
-    yield "score_table.csv", next(table_texts)
-    yield "score_table.json", next(table_texts)
+    yield "score_table.csv", _join(csv_pieces)
+    if json_pieces:
+        json_pieces[-1] = json_pieces[-1][:-2]  # no comma after the last row
+        json_pieces.insert(0, '{\n  "papers": [\n')
+        json_pieces.append("\n  ]\n}\n")
+        yield "score_table.json", _join(json_pieces)
+    else:
+        yield "score_table.json", '{\n  "papers": []\n}\n'
     index = dict(zip(table.papers, range(len(fields))))
+    header = [["rank", "paper_id", "SI", "decision"]]
     for name, (listed, column) in lists.items():
-        order = [index[d.paper] for d in listed.decisions]
-        si = kept[column]
-        yield name, decision_list_csv(listed, [fields[i] for i in order], [si[i] for i in order])
+        si, order = kept[column], [index[d.paper] for d in listed.decisions]
+        rows = (
+            (str(d.rank), fields[i], si[i], "accept" if d.accept else "reject")
+            for d, i in zip(listed.decisions, order)
+        )
+        yield name, _csv_lines(itertools.chain(header, rows))

@@ -1,4 +1,8 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+import scipy.optimize
 
 from reviewpipe.assignment import (
     AssignmentConstraints,
@@ -145,6 +149,26 @@ class TestAssign:
     def test_bad_caps_rejected(self, caps, message):
         with pytest.raises(ValueError, match=message):
             AssignmentConstraints(**caps)
+
+    @pytest.mark.parametrize(
+        "status, x, message",
+        [
+            (2, None, "^assignment LP failed: planted$"),
+            (0, 0.5, "^assignment LP returned a fractional vertex$"),
+        ],
+    )
+    def test_lp_failure_and_fractional_vertex_raise(self, monkeypatch, status, x, message):
+        """A failed LP, and a vertex that is not integral, raise: there is no
+        fallback to a rounded or a greedy assignment."""
+
+        def linprog(c, **kwargs):
+            return SimpleNamespace(status=status, message="planted", x=np.full(len(c), x))
+
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        papers, reviewers = ["P1", "P2"], [f"R{i}" for i in range(8)]
+        constraints = AssignmentConstraints(min_reviewers_per_paper=4, max_papers_per_reviewer=1)
+        with pytest.raises(RuntimeError, match=message):
+            assign(papers, reviewers, full_sources(papers, reviewers), constraints)
 
 
 def _greedy_baseline(papers, reviewers, sources, constraints):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -87,6 +88,10 @@ class TestNLL:
         with pytest.raises(DegenerateModelError):
             nll(np.zeros(2), k, 1.0, 0.0)
 
+    def test_zero_sigma_q2_rejected(self):
+        with pytest.raises(DegenerateModelError, match=r"sigma_q\^2 must be positive"):
+            nll(np.array([1.0, -1.0]), np.eye(2), 0.0, 0.0)
+
 
 class TestFitSigmaQ:
     def test_identity_reduction(self, rng):
@@ -156,6 +161,44 @@ class TestFitHyperparams:
             Hyperparams(sigma_q2=1.0, sb2_hat=-0.1, se2_hat=1.0, mu_q=0.0)
         with pytest.raises(ValueError):
             Hyperparams(sigma_q2=1.0, sb2_hat=1.0, se2_hat=0.0, mu_q=0.0)
+
+
+def degenerate_factors(monkeypatch, degenerate):
+    """Make the likelihood's bordered factor raise DegenerateModelError on
+    each call, counted from 1, for which ``degenerate(call)`` is true."""
+    calls = itertools.count(1)
+
+    class Bordered(reviewpipe.calibration._Bordered):
+        def __init__(self, mat):
+            if degenerate(next(calls)):
+                raise DegenerateModelError("planted")
+            super().__init__(mat)
+
+    monkeypatch.setattr(reviewpipe.calibration, "_Bordered", Bordered)
+
+
+class TestDegenerateEvaluations:
+    def test_search_stops_at_a_degenerate_point_and_keeps_the_best(self, rng, monkeypatch):
+        """The second evaluation, the search's first step from its start, is
+        degenerate: the search stops once its first model's points are
+        evaluated, not on its budget, at the least finite NLL among them."""
+        inputs, _, _ = planted_instance(rng, 40, 12)
+        whole = calibrate(inputs).summary
+        degenerate_factors(monkeypatch, lambda call: call == 2)
+        summary = calibrate(inputs).summary
+        assert summary["stopped_on_budget"] is False
+        # the start, two steps on each axis and the corner between them
+        assert summary["evaluations"] == 6 < whole["evaluations"]
+        assert len(summary["grid"]) == 5 and whole["grid"][0] == summary["grid"][0]
+        best = min(summary["grid"], key=lambda row: row["nll"])
+        assert summary["hyperparams"]["sigma_q2"] == best["sigma_q2"]
+        assert summary["hyperparams"]["sigma_b2"] == best["sb2_hat"] * best["sigma_q2"]
+
+    def test_every_point_degenerate_raises(self, rng, monkeypatch):
+        inputs, _, _ = planted_instance(rng, 20, 8)
+        degenerate_factors(monkeypatch, lambda call: True)
+        with pytest.raises(DegenerateModelError, match="^all grid points degenerate$"):
+            fit_hyperparams(inputs, GridSpec(points=3))
 
 
 class TestGridSpec:

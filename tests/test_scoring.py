@@ -24,7 +24,6 @@ from reviewpipe.scoring import (
     review_table,
     score_index,
     score_table,
-    score_table_texts,
     weighted_paper_mean,
 )
 
@@ -427,8 +426,15 @@ def oracle_score_table_json(table):
     return json.dumps({"papers": rows}, indent=2, sort_keys=True) + "\n"
 
 
+def table_texts(table, decisions=None):
+    """The first two texts of ``report_texts``: the score table's CSV and
+    JSON."""
+    texts = report_texts(table, decisions or rank_and_cut(table, DecisionConfig(40.0)))
+    return next(texts)[1], next(texts)[1]
+
+
 def assert_texts_match_oracles(table):
-    table_csv, table_json = score_table_texts(table)
+    table_csv, table_json = table_texts(table)
     assert table_csv == oracle_score_table_csv(table)
     assert table_json == oracle_score_table_json(table)
 
@@ -542,7 +548,7 @@ class TestColumnWriters:
         table.SI_cal[1] = np.nan
         table.xi_p[2] = 1e-300
         table.sM_norm[3] = 1.5e16
-        table_csv, table_json = score_table_texts(table)
+        table_csv, table_json = table_texts(table)
         assert "NaN" in table_json and "-Infinity" in table_json
         assert "nan" in table_csv and "-inf" in table_csv
         assert_texts_match_oracles(table)
@@ -554,20 +560,22 @@ class TestColumnWriters:
         table = ScoreTable(
             papers=[], s_p=empty, xi_p=empty, sR_norm=empty, sM_norm=empty, SI=empty, **cal
         )
-        assert score_table_texts(table)[1] == '{\n  "papers": []\n}\n'
+        assert table_texts(table)[1] == '{\n  "papers": []\n}\n'
         assert_texts_match_oracles(table)
 
     def test_paper_scale_tables_are_formatted_block_by_block(self, rng):
         # 5,526 papers, the paper's count.  Beside the two texts, writing
-        # holds at most one more copy of them (the CSV's buffer, the JSON's
-        # blocks) and one block's float texts, about 170 KiB: the bound
-        # leaves 256 KiB for that block.  Formatting whole columns at once
-        # holds all 27,630 float texts, about 2 MiB more, and fails it.
+        # holds less than one more copy of them (the CSV's buffer, the
+        # JSON's blocks), one block's float texts, about 170 KiB, and the SI
+        # texts kept for the decision list, about 380 KiB: 3.3 MiB of the
+        # bound's 3.5 MiB.  Formatting whole columns at once holds all
+        # 27,630 float texts, about 2 MiB more, and fails it.
         table = random_score_table(rng, [f"P{i:05d}" for i in range(5526)], calibrated=False)
+        decisions = rank_and_cut(table, DecisionConfig(40.0))
         gc.collect()
         tracemalloc.start()
         try:
-            texts = score_table_texts(table)
+            texts = table_texts(table, decisions)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -47,8 +49,9 @@ def test_artifact_digest_digests_one_corpus_and_compares_it_with_itself(
 ):
     """The digests of one decide-calibrated-200 corpus and one assign-1000
     instance, inputs included, then ``--compare`` of that output against
-    itself and against a copy with one digest changed: only the changed
-    artifact is listed."""
+    itself, which exits normally, and against a copy with one digest
+    changed and one without the last artifact: only those artifacts are
+    listed, and the exit status is 1."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds benchmarks/ to it
     spec = importlib.util.spec_from_file_location("artifact_digest", TOOLS / "artifact_digest.py")
     tool = importlib.util.module_from_spec(spec)
@@ -69,9 +72,13 @@ def test_artifact_digest_digests_one_corpus_and_compares_it_with_itself(
     assert run_tool(tool, monkeypatch, capsys, "--compare", str(path), str(path)) == [
         {"artifacts": len(rows), "differ": 0}
     ]
-    changed = [dict(rows[0], sha256="0" * 64), *rows[1:]]
+    changed = [dict(rows[0], sha256="0" * 64), *rows[1:-1]]
     other = tmp_path / "changed.jsonl"
     other.write_text("".join(json.dumps(r) + "\n" for r in changed))
-    listed = run_tool(tool, monkeypatch, capsys, "--compare", str(path), str(other))
-    assert [r.get("artifact") for r in listed] == [rows[0]["artifact"], None]
-    assert listed[-1] == {"artifacts": len(rows), "differ": 1}
+    with pytest.raises(SystemExit) as raised:
+        run_tool(tool, monkeypatch, capsys, "--compare", str(path), str(other))
+    assert raised.value.code == 1
+    listed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    differ = sorted([rows[0], rows[-1]], key=lambda r: (r["workload"], r["seed"], r["artifact"]))
+    assert [r.get("artifact") for r in listed] == [r["artifact"] for r in differ] + [None]
+    assert listed[-1] == {"artifacts": len(rows), "differ": 2}

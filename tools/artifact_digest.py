@@ -17,7 +17,13 @@ size in bytes.
 
 ``--compare`` prints one JSON line per artifact that differs between two
 such outputs, or is in only one of them, then a line with the number of
-artifacts compared and the number that differ.
+artifacts compared and the number that differ, and exits with status 1
+when any differs.  Digests made under two hash seeds check that reruns are
+byte-identical:
+
+    PYTHONHASHSEED=1 PYTHONPATH=src python tools/artifact_digest.py > seed1.jsonl
+    PYTHONHASHSEED=2 PYTHONPATH=src python tools/artifact_digest.py > seed2.jsonl
+    python tools/artifact_digest.py --compare seed1.jsonl seed2.jsonl
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ def digest():
                     }), flush=True)
 
 
-def compare(before_path: str, after_path: str):
+def compare(before_path: str, after_path: str) -> int:
     def load(path):
         with open(path, encoding="utf-8") as fh:
             return {(r["workload"], r["seed"], r["artifact"]): r for r in map(json.loads, fh)}
@@ -103,15 +109,18 @@ def compare(before_path: str, after_path: str):
                 "bytes": [r and r["bytes"] for r in (b, a)],
             }))
     print(json.dumps({"artifacts": len(keys), "differ": differ}))
+    return differ
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
-                        help="list the artifacts that differ between two outputs")
+                        help="list the artifacts that differ between two outputs; "
+                             "exit 1 if any does")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
+        if compare(*args.compare):
+            raise SystemExit(1)
     else:
         digest()
 
