@@ -46,8 +46,8 @@ costs O(sum of block sizes squared) to build the m x m matrix and O(m^3)
 to factor it, m = min(R, P) + 1; memory is O(m^2 + n).  The sampler works
 SAMPLE_BLOCK samples at a time from padded entry tables in paper-id order;
 its memory is O(SAMPLE_BLOCK x (P + R + m) + P x most entries per paper)
-whatever the number of samples: a block's draws and their normals and
-solve rows, and two S x P buffers that every block reuses, S =
+whatever the number of samples: a block's normals, in which its draws
+are made in place, and two S x P buffers that every block reuses, S =
 SAMPLE_BLOCK.  No S x n array is built.
 
 :func:`calibrate` serves reviews and meta-reviews alike (meta-reviewers
@@ -292,22 +292,21 @@ class _Bordered:
         self.border = mat[self.m, :self.m].copy()
         self.last_inverted = False
 
-    def solve_t(self, rows: np.ndarray) -> np.ndarray:
-        """rows L_A^-1, that is L_A^-T applied to each row, by block back
-        substitution (the border column enters as zero)."""
-        size = self.m + 1
-        last = self.starts[-1]
+    def solve_t(self, x: np.ndarray) -> np.ndarray:
+        """x L_A^-1, that is L_A^-T applied to each row of the (rows, m)
+        array ``x``, by block back substitution in place; returns ``x``.
+        The last block's leading (m - last) block of its inverse is the
+        inverse of L_A's last block, as the factor is lower triangular."""
+        m, last = self.m, self.starts[-1]
         if not self.last_inverted:
             self.low[last:, last:] = np.linalg.inv(self.low[last:, last:])
             self.last_inverted = True
-        x = np.zeros((len(rows), size))
-        x[:, :self.m] = rows
         for j in reversed(self.starts):
-            e = min(j + CHOLESKY_BLOCK, size)
-            if e < size:
-                x[:, j:e] -= x[:, e:] @ self.low[e:, j:e]
+            e = min(j + CHOLESKY_BLOCK, m)
+            if e < m:
+                x[:, j:e] -= x[:, e:] @ self.low[e:m, j:e]
             x[:, j:e] = x[:, j:e] @ self.low[j:e, j:e]
-        return x[:, :self.m]
+        return x
 
 
 class _Model:
@@ -413,7 +412,7 @@ class _Model:
         a, c, r = hp.sb2_hat, hp.se2_hat, inputs.s - hp.mu_q
         g, _, w = self.ratios(a, c)
         fac, _ = self.factor(a, c, r)
-        v = fac.solve_t(fac.border[None])[0]
+        v = fac.solve_t(fac.border[None].copy())[0]
         k_inv_r = self.o_inv(r - np.sqrt(g) * v[self.group], w, c)
         n_rev = len(inputs.reviewer_ids)
         bias = a * np.bincount(inputs.reviewer_idx, weights=k_inv_r, minlength=n_rev)
@@ -706,47 +705,44 @@ class PosteriorCovariance:
     def shape(self) -> tuple[int, int]:
         return (len(self.reviewer_idx), len(self.reviewer_idx))
 
-    def _spread(self, x: np.ndarray) -> np.ndarray:
-        """coef * T x for rows x over the factored group: (rows, R).  Scales
-        ``x`` in place when reviewers were factored.  When papers were, each
-        row's reviewer sums are added in entry order, one row at a time."""
+    def _spread(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """coef * T x for rows x over the factored group, (rows, R), added
+        into ``out``, or, when reviewers were factored and ``out`` has no
+        columns, ``x`` scaled in place.  When papers were, each row's
+        reviewer sums are added in entry order, one row at a time."""
         if self.paper_idx is None:
             x *= self.coef
-            return x
-        out = np.empty((len(x), len(self.coef)))
-        for row, sums in zip(x, out):
-            sums[:] = np.bincount(
-                self.reviewer_idx, weights=row[self.paper_idx], minlength=len(sums)
-            )
-        out *= self.coef
+            return x if out.shape[1] == 0 else np.add(out, x, out=out)
+        for row, acc in zip(x, out):
+            sums = np.bincount(self.reviewer_idx, weights=row[self.paper_idx], minlength=len(acc))
+            acc += self.coef * sums
         return out
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws of b - E[b | s], one row each.  A row's standard
         normals are drawn together, so rows do not depend on how the draws
-        are batched.  The normals are scaled in place and no size x n array
-        is built: besides the (size, R) result, a call holds the size x
-        (R' + m) normals, R' = R with an independent part and 0 without,
-        and the solve's size x (m + 1) rows."""
+        are batched.  The draws are made in the size x (R' + m) normals, R'
+        = R with an independent part and 0 without, and returned as a view
+        of them: the m columns are solved in place and spread onto the R'
+        scaled ones, or, without those, scaled where they are."""
         n_rev = len(self.coef)
         width = 0 if self.sd is None else n_rev
         m = 0 if self.factor is None else self.factor.m
         z = rng.standard_normal((size, width + m))
+        bias = z[:, :width]
         if self.sd is not None:
-            z[:, :width] *= self.sd
+            bias *= self.sd
         if self.factor is None:
-            return z if self.sd is not None else np.zeros((size, n_rev))
-        bias = self._spread(self.factor.solve_t(z[:, width:]))
-        if self.sd is not None:
-            bias += z[:, :width]
-        return bias
+            return bias if self.sd is not None else np.zeros((size, n_rev))
+        return self._spread(self.factor.solve_t(z[:, width:]), bias)
 
     @property
     def bias_cov(self) -> np.ndarray:
         """Cov(b | s), R x R."""
         cov = np.diag(np.zeros(len(self.coef)) if self.sd is None else self.sd**2)
         if self.factor is not None:
-            w = self._spread(self.factor.solve_t(np.eye(self.factor.m)))
+            m = self.factor.m
+            w = self._spread(self.factor.solve_t(np.eye(m)), np.zeros((m, len(self.coef))))
             cov += w.T @ w
         return cov
 
@@ -891,11 +887,11 @@ def acceptance_probability(
     Samples are taken SAMPLE_BLOCK at a time, each one row of
     ``sigma_y.draw``, so the draws do not depend on the block size.  The
     aggregates come from two fixed tables, (most entries per paper) x P.
-    A block holds its S x R draws, S = SAMPLE_BLOCK, while it gathers their
-    terms into two S x P buffers that every block reuses: the sums, and
-    the terms, which then hold the copy that is partitioned.  Only the
-    draw itself holds more, briefly (see :meth:`PosteriorCovariance.draw`),
-    and no array grows with n_samples.  Each
+    A block holds its S x R draws, S = SAMPLE_BLOCK, a view of the normals
+    they were made in (see :meth:`PosteriorCovariance.draw`), while it
+    gathers their terms into two S x P buffers that every block reuses: the
+    sums, and the terms, which then hold the copy that is partitioned.  No
+    array grows with n_samples.  Each
     sample accepts exactly k = floor(a% of P) papers: every paper above
     its k-th best aggregate, then the papers tied with that value in
     lexicographic id order.  So the probability column sums to k exactly.

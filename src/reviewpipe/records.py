@@ -171,13 +171,15 @@ def label_score(rec, c1, c2, c3, c4, conf, award) -> tuple[int, float]:
     the four criteria plus the award flag, each doubled -- and its
     confidence weight.  Checks the labels in that order, recommendation,
     c1-c4, confidence, raising :class:`UnknownLabelError` at the first
-    unknown one, then raises ``ValueError`` for an award other than 0 or 1.
+    unknown one, then raises ``ValueError`` for an award other than the
+    int 0 or 1: ``True``, ``1.0`` and ``np.int64(1)`` would not read back
+    from a CSV export, or not be written as JSON.
     """
     s_half = 2 * _likert(rec, "recommendation")[0]
     s_half += int(2 * (_likert(c1, "criterion")[0] + _likert(c2, "criterion")[0]
                        + _likert(c3, "criterion")[0] + _likert(c4, "criterion")[0]))
     confidence = _likert(conf, "confidence")[0]
-    if award not in (0, 1):
+    if type(award) is not int or award not in (0, 1):
         raise ValueError(f"award flag must be 0 or 1, got {award!r}")
     return s_half + 2 * award, confidence
 
@@ -195,6 +197,8 @@ class ReviewForm:
     comments: str = ""
 
     def __post_init__(self):
+        if len(self.criteria) != 4:
+            raise ValueError(f"criteria must be four labels, c1-c4, got {self.criteria!r}")
         label_score(self.recommendation, *self.criteria, self.confidence, self.award)
 
 
@@ -657,26 +661,29 @@ def _audit(table: ReviewTable, metas_read: bool, min_reviews: int = 2):
     if metas_read:
         unmet = np.flatnonzero(np.bincount(table.meta_paper, minlength=len(ids)) == 0).tolist()
         report.findings += [("missing meta-review", f"paper {ids[i]}") for i in unmet]
-    roles = {"paper": ids, "reviewer": table.reviewer_ids, "metareviewer": table.metareviewer_ids}
-    for role, role_ids in roles.items():
-        report.findings += _spellings(role, role_ids)
+    report.findings += _spellings(table)
 
 
-def _spellings(role: str, ids: list[str]) -> list[tuple[str, str]]:
-    """A finding for each set of the sorted ``ids`` that are equal under
-    NFC but differ in code points: one person or paper counted as two.
-    ASCII ids are NFC already, so only the NFC forms of the others are
-    looked up among them."""
-    forms: dict[str, set[str]] = {}
-    for x in ids:
-        if not x.isascii():
-            forms.setdefault(unicodedata.normalize("NFC", x), set()).add(x)
-    for form, spellings in forms.items():
-        i = bisect.bisect_left(ids, form)
-        if i < len(ids) and ids[i] == form:
-            spellings.add(form)
-    named = (", ".join(map(ascii, sorted(s))) for s in forms.values() if len(s) > 1)
-    return [("ids equal under NFC", f"{role} ids {spellings}") for spellings in named]
+def _spellings(table: ReviewTable) -> list[tuple[str, str]]:
+    """A finding for each set of one role's sorted ids that are equal
+    under NFC but differ in code points: one person or paper counted as
+    two.  ASCII ids are NFC already, so only the NFC forms of the others
+    are looked up among them."""
+    roles = {"paper": table.paper_ids, "reviewer": table.reviewer_ids,
+             "metareviewer": table.metareviewer_ids}
+    found = []
+    for role, ids in roles.items():
+        forms: dict[str, set[str]] = {}
+        for x in ids:
+            if not x.isascii():
+                forms.setdefault(unicodedata.normalize("NFC", x), set()).add(x)
+        for form, spellings in forms.items():
+            i = bisect.bisect_left(ids, form)
+            if i < len(ids) and ids[i] == form:
+                spellings.add(form)
+        named = (", ".join(map(ascii, sorted(s))) for s in forms.values() if len(s) > 1)
+        found += [("ids equal under NFC", f"{role} ids {spellings}") for spellings in named]
+    return found
 
 
 def validate(

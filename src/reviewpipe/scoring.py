@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .records import MetaReviewForm, ReviewForm, ReviewTable, _csv_fields, _csv_lines
-from .records import _BLOCK, _float_texts, id_rank, label_score, review_table
+from .records import _BLOCK, _float_texts, _spellings, id_rank, label_score, review_table
 
 __all__ = [
     "ReviewScore",
@@ -154,11 +154,16 @@ def score_table(rows: ReviewTable, values=None) -> ScoreTable:
     Papers are ordered as the table's ids, which the reader sorts.  Fusion
     needs both sides, and only here is a paper refused for lacking one: a
     ``ValueError`` names the papers without a meta-review, else those
-    without a review, or says that no review was accepted.
+    without a review, or says that no review was accepted.  Before those,
+    ids of one role that are equal under NFC, one paper or person under
+    two spellings, are refused with a ``ValueError`` naming them.
     """
     n_papers = len(rows.paper_ids)
     if not n_papers:
         raise ValueError("no review was accepted: the table has no papers")
+    spelt = [text for _, text in _spellings(rows)]
+    if spelt:
+        raise ValueError(f"one paper or person under two spellings: {'; '.join(spelt)}")
     for paper, problem in (
         (rows.meta_paper, "papers without meta-review"),
         (rows.paper, "meta-reviews for unreviewed papers"),

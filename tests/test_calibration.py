@@ -750,9 +750,10 @@ def test_sampler_memory_does_not_grow_with_samples():
     ids=["papers_factored", "reviewers_factored"],
 )
 def test_one_draw_holds_little_more_than_its_result(n_papers, n_reviewers, per_paper):
-    # one block of draws peaks within 4x the bytes it returns.  With papers
+    # one block of draws peaks within 2.5x the bytes it returns.  With papers
     # factored, S x n arrays (n = 2,400 entries here, 3x the reviewers)
-    # once took it past 10x at the paper's scale
+    # once took it past 10x at the paper's scale, and a padded copy of the
+    # normals for the solve and a separate result past 2.7x here
     inputs, _, _ = planted_instance(np.random.default_rng(5), n_papers, n_reviewers, per_paper)
     mu_y, sigma_y = posterior(inputs, Hyperparams(sigma_q2=1.0, sb2_hat=0.5, se2_hat=0.2, mu_q=0.0))
     assert (sigma_y.paper_idx is not None) == (n_reviewers > n_papers)
@@ -765,7 +766,7 @@ def test_one_draw_holds_little_more_than_its_result(n_papers, n_reviewers, per_p
     finally:
         tracemalloc.stop()
     assert bias.shape == (block, n_reviewers)
-    assert peak <= 4 * bias.nbytes, peak / bias.nbytes
+    assert peak <= 2.5 * bias.nbytes, peak / bias.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +792,7 @@ class TestBlockedCholesky:
         assert fac.quad == pytest.approx(mat[m, m] - v @ np.linalg.solve(mat[:m, :m], v), rel=1e-10)
         rows = rng.normal(size=(3, m))
         # rows L_A^-1 solves x L_A = rows
-        assert np.allclose(fac.solve_t(rows) @ ref[:m, :m], rows, atol=1e-10)
+        assert np.allclose(fac.solve_t(rows.copy()) @ ref[:m, :m], rows, atol=1e-10)
 
     def test_not_positive_definite(self):
         with pytest.raises(DegenerateModelError):
@@ -828,6 +829,17 @@ class TestPapersFactoredMatchesDenseOracle:
         draws = sigma_y.draw(np.random.default_rng(1), 20000)
         cov = sigma_y.bias_cov
         assert np.max(np.abs(np.cov(draws.T) - cov)) <= 0.05 * np.max(np.diag(cov))
+
+
+def test_reviewers_factor_with_an_independent_part_draws_both(rng):
+    # no posterior has both, but the recipe takes them: a draw adds the two
+    inputs = planted_instance(rng, 40, 20)[0]
+    _, sigma_y = posterior(inputs, Hyperparams(sigma_q2=1.0, sb2_hat=0.5, se2_hat=0.2, mu_q=0.0))
+    assert sigma_y.paper_idx is None and sigma_y.sd is None
+    both = replace(sigma_y, sd=np.full(len(sigma_y.coef), 0.7))
+    draws = both.draw(np.random.default_rng(1), 20000)
+    cov = both.bias_cov
+    assert np.max(np.abs(np.cov(draws.T) - cov)) <= 0.05 * np.max(np.diag(cov))
 
 
 def corpus_like(rng, n_papers, n_reviewers):

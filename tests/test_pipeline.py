@@ -806,6 +806,28 @@ class TestCli:
                 " no review was accepted: the table has no papers\n"
             )
 
+    def test_one_reviewer_under_two_spellings_refused_at_score(self, tmp_path, capsys):
+        """A reviewer named in NFC and in NFD would count as two people:
+        'score' refuses the run naming both spellings; ``validate`` only
+        reports them and exits 0."""
+        rpath, mpath = tmp_path / "reviews.csv", tmp_path / "metas.csv"
+        rows = [("P1", "Ren\u00e9e"), ("P1", "R2"), ("P2", "Rene\u0301e"), ("P2", "R2")]
+        rpath.write_text(
+            "paper_id,reviewer_id,recommendation,c1,c2,c3,c4\n"
+            + "".join(f"{p},{r},Accept,Good,Good,Good,Good\n" for p, r in rows),
+            encoding="utf-8",
+        )
+        mpath.write_text("paper_id,metareviewer_id,recommendation\nP1,M1,Accept\nP2,M1,Reject\n")
+        argv = ["--input", str(rpath), "--meta", str(mpath), "--out", str(tmp_path / "o")]
+        assert self.run(["pipeline", *argv, "--no-calibrate"]) == 2
+        assert capsys.readouterr().err == (
+            "reviewpipe pipeline: error: stage 'score' failed: one paper or person under"
+            " two spellings: reviewer ids 'Rene\\u0301e', 'Ren\\xe9e'\n"
+        )
+        assert self.run(["validate", *argv]) == 0
+        report = json.loads((tmp_path / "o" / "validation.json").read_text())
+        assert ["ids equal under NFC", "reviewer ids 'Rene\\u0301e', 'Ren\\xe9e'"] in report["findings"]
+
     def test_validate_reports_export_with_no_accepted_review(self, tmp_path, capsys):
         """``validate`` names what ``pipeline`` refuses header-only exports
         for (see above), and still exits 0: no row was rejected."""

@@ -413,9 +413,10 @@ class TestValidate:
         assert ("missing meta-review", "paper P1") in report.findings
 
     def test_ids_equal_under_nfc_are_a_finding(self):
-        """One person under two Unicode spellings is read as two people, as
-        ids are never rewritten, and each role names its spellings; an ASCII
-        id is matched by the NFC form of a non-ASCII one."""
+        """Validation reports one person under two Unicode spellings, as ids
+        are never rewritten, and each role names its spellings; an ASCII id
+        is matched by the NFC form of a non-ASCII one.  Scoring refuses
+        them (see ``test_ids_equal_under_nfc_are_refused``)."""
         nfc, nfd = "Ren\u00e9e", "Rene\u0301e"
         reviews = [make_review("P1", r) for r in (nfc, nfd, "K1", "\u212a1", "Zoe")]
         metas = [MetaReviewForm("P1", nfd, "Accept"), MetaReviewForm("P1", nfc, "Accept")]
@@ -636,6 +637,25 @@ def test_encode_rejects_arbitrary_text(scale, text):
 def test_award_flag_domain():
     with pytest.raises(ValueError):
         ReviewForm("P1", "R1", "Accept", ("Good",) * 4, "Good", award=2)
+
+
+@pytest.mark.parametrize(
+    "award", [True, False, 1.0, 0.0, np.int64(1)], ids=["True", "False", "1.0", "0.0", "int64"]
+)
+def test_award_flag_is_the_int_0_or_1(award):
+    """An award equal to 0 or 1 but not of type int is refused: a bool or
+    float would be exported as text that does not read back, and a numpy
+    int could not be written as JSON."""
+    with pytest.raises(ValueError, match="award flag must be 0 or 1"):
+        ReviewForm("P1", "R1", "Accept", ("Good",) * 4, "Good", award=award)
+    with pytest.raises(ValueError, match="award flag must be 0 or 1"):
+        label_score("Accept", *["Good"] * 4, "Good", award)
+
+
+def test_review_form_needs_four_criteria():
+    message = "criteria must be four labels, c1-c4, got ('Good', 'Fair', 'Poor')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReviewForm("P1", "R1", "Accept", ("Good", "Fair", "Poor"), "Good")
 
 
 def test_label_score():

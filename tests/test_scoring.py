@@ -367,6 +367,22 @@ class TestReviewTable:
         with pytest.raises(ValueError, match=re.escape("papers without meta-review: ['A', 'B']")):
             score_table(rows)
 
+    def test_ids_equal_under_nfc_are_refused(self):
+        """One paper or person under two Unicode spellings is refused, each
+        role's spellings named, before a paper is refused for a missing
+        side; the reader only reports them."""
+        nfc, nfd = "Ren\u00e9e", "Rene\u0301e"
+        reviews = [make_review("P1", r) for r in (nfc, nfd, "K1", "\u212a1")]
+        reviews.append(make_review("P\u00e9", "K1"))
+        metas = [MetaReviewForm("Pe\u0301", "M1", "Accept"), MetaReviewForm("P1", "M1", "Accept")]
+        rows = review_table(reviews, metas)
+        message = (
+            "one paper or person under two spellings: paper ids 'Pe\\u0301', 'P\\xe9';"
+            " reviewer ids 'Rene\\u0301e', 'Ren\\xe9e'; reviewer ids 'K1', '\\u212a1'"
+        )
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            score_table(rows)
+
     def test_score_table_values_replace_raw_scores(self):
         reviews = [make_review("A", "R1", conf="Excellent"), make_review("A", "R2", conf="Poor")]
         reviews.append(make_review("B", "R1"))
