@@ -690,7 +690,7 @@ class PosteriorCovariance:
     zero-width part) and T the identity when reviewers were factored, or
     the sum over each reviewer's papers when papers were (``paper_idx``
     then holds the entries' papers).  ``sd`` None means no independent
-    part.
+    part: papers factored have one, reviewers factored none.
 
     ``np.asarray`` gives the dense n x n matrix, for small n only.
     """
@@ -701,18 +701,21 @@ class PosteriorCovariance:
     sd: np.ndarray | None = None
     paper_idx: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.factor is not None and (self.sd is None) != (self.paper_idx is None):
+            raise ValueError("an independent part goes with papers factored, and only with them")
+
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.reviewer_idx), len(self.reviewer_idx))
 
-    def _spread(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """coef * T x for rows x over the factored group, (rows, R), added
-        into ``out``, or, when reviewers were factored and ``out`` has no
-        columns, ``x`` scaled in place.  When papers were, each row's
-        reviewer sums are added in entry order, one row at a time."""
+    def _spread(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """coef * T x for rows x over the factored group, (rows, R): ``x``
+        scaled in place when reviewers were factored, or added into ``out``,
+        one row's reviewer sums at a time, in entry order, when papers were."""
         if self.paper_idx is None:
             x *= self.coef
-            return x if out.shape[1] == 0 else np.add(out, x, out=out)
+            return x
         for row, acc in zip(x, out):
             sums = np.bincount(self.reviewer_idx, weights=row[self.paper_idx], minlength=len(acc))
             acc += self.coef * sums
@@ -721,10 +724,9 @@ class PosteriorCovariance:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws of b - E[b | s], one row each.  A row's standard
         normals are drawn together, so rows do not depend on how the draws
-        are batched.  The draws are made in the size x (R' + m) normals, R'
-        = R with an independent part and 0 without, and returned as a view
-        of them: the m columns are solved in place and spread onto the R'
-        scaled ones, or, without those, scaled where they are."""
+        are batched.  The draws are a view of the size x (R' + m) normals,
+        R' = R with an independent part and 0 without: the m columns are
+        solved in place and spread onto the R' scaled ones, or scaled."""
         n_rev = len(self.coef)
         width = 0 if self.sd is None else n_rev
         m = 0 if self.factor is None else self.factor.m
@@ -742,7 +744,8 @@ class PosteriorCovariance:
         cov = np.diag(np.zeros(len(self.coef)) if self.sd is None else self.sd**2)
         if self.factor is not None:
             m = self.factor.m
-            w = self._spread(self.factor.solve_t(np.eye(m)), np.zeros((m, len(self.coef))))
+            out = None if self.paper_idx is None else np.zeros((m, len(self.coef)))
+            w = self._spread(self.factor.solve_t(np.eye(m)), out)
             cov += w.T @ w
         return cov
 

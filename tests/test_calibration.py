@@ -831,15 +831,21 @@ class TestPapersFactoredMatchesDenseOracle:
         assert np.max(np.abs(np.cov(draws.T) - cov)) <= 0.05 * np.max(np.diag(cov))
 
 
-def test_reviewers_factor_with_an_independent_part_draws_both(rng):
-    # no posterior has both, but the recipe takes them: a draw adds the two
-    inputs = planted_instance(rng, 40, 20)[0]
-    _, sigma_y = posterior(inputs, Hyperparams(sigma_q2=1.0, sb2_hat=0.5, se2_hat=0.2, mu_q=0.0))
-    assert sigma_y.paper_idx is None and sigma_y.sd is None
-    both = replace(sigma_y, sd=np.full(len(sigma_y.coef), 0.7))
-    draws = both.draw(np.random.default_rng(1), 20000)
-    cov = both.bias_cov
-    assert np.max(np.abs(np.cov(draws.T) - cov)) <= 0.05 * np.max(np.diag(cov))
+def test_recipe_refuses_what_no_posterior_builds(rng):
+    # papers factored come with an independent part and reviewers factored
+    # without one: a draw adds into the one or scales in place without it
+    hp = Hyperparams(sigma_q2=1.0, sb2_hat=0.5, se2_hat=0.2, mu_q=0.0)
+    _, on_reviewers = posterior(planted_instance(rng, 40, 20)[0], hp)
+    _, on_papers = posterior(planted_instance(rng, 30, 60, 6)[0], hp)
+    assert on_reviewers.paper_idx is None and on_papers.paper_idx is not None
+    refused = [
+        (on_reviewers, {"sd": np.full(len(on_reviewers.coef), 0.7)}),
+        (on_reviewers, {"paper_idx": on_papers.paper_idx}),
+        (on_papers, {"sd": None}),
+    ]
+    for sigma_y, change in refused:
+        with pytest.raises(ValueError, match="independent part goes with papers factored"):
+            replace(sigma_y, **change)
 
 
 def corpus_like(rng, n_papers, n_reviewers):

@@ -87,17 +87,16 @@ def test_artifact_digest_digests_one_corpus_and_compares_it_with_itself(
 def test_paper_scale_runs_one_corpus_and_compares_it(tmp_path, monkeypatch, capsys):
     """One small calibrated run with papers factored, then ``--compare`` of
     its directory against itself, which exits normally, and against a copy
-    with one float changed: only that file is listed, its column with the
-    change, and the exit status is 1."""
+    with one float changed and another made NaN: only that file is listed,
+    its column with both changes, and the exit status is 1."""
     import shutil
 
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds benchmarks/ to it
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds tools/ and benchmarks/ to it
     spec = importlib.util.spec_from_file_location("paper_scale", TOOLS / "paper_scale.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     out = tmp_path / "run"
-    sizes = ["--papers", "120", "--reviews", "400", "--reviewers", "200", "--seed", "3"]
-    [line] = run_tool(tool, monkeypatch, capsys, "--out", str(out), *sizes)
+    line = tool.run_once(out, 3, 120, 400, 200)
     assert (line["papers"], line["reviews"], line["reviewers"], line["seed"]) == (120, 400, 200, 3)
     fit = json.loads((out / "pipeline" / "calibration_fit.json").read_text())
     assert line["evaluations"] == {"review": fit["evaluations"], "meta": fit["meta"]["evaluations"]}
@@ -110,16 +109,18 @@ def test_paper_scale_runs_one_corpus_and_compares_it(tmp_path, monkeypatch, caps
     other = tmp_path / "other"
     shutil.copytree(out, other)
     path = other / "pipeline" / "decisions_calibrated.csv"
-    header, first, *rest = path.read_text().splitlines(keepends=True)
+    header, first, second, *rest = path.read_text().splitlines(keepends=True)
     rank, paper, si, decision = first.split(",")
-    path.write_text("".join([header, ",".join([rank, paper, repr(float(si) + 0.5), decision]), *rest]))
+    first = ",".join([rank, paper, repr(float(si) + 0.5), decision])
+    rank, paper, si, decision = second.split(",")
+    path.write_text("".join([header, first, ",".join([rank, paper, "nan", decision]), *rest]))
     with pytest.raises(SystemExit) as raised:
         run_tool(tool, monkeypatch, capsys, "--compare", str(out), str(other))
     assert raised.value.code == 1
     listed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r.get("artifact") for r in listed] == ["pipeline/decisions_calibrated.csv", None]
     columns = listed[0]["columns"]
-    assert columns["SI"]["max_float_diff"] == pytest.approx(0.5)
+    assert columns.pop("SI") == {"other_equal": False, "max_float_diff": pytest.approx(0.5)}
     assert all(c["other_equal"] for c in columns.values())
-    assert [c["max_float_diff"] for name, c in columns.items() if name != "SI"] == [0.0] * 3
+    assert [c["max_float_diff"] for c in columns.values()] == [0.0] * 3
     assert listed[-1]["differ"] == 1

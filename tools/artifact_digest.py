@@ -79,37 +79,47 @@ def written(workload: str, seed: int, work: Path):
             yield f"{out}/{path.name}", path
 
 
+def file_digest(path: Path) -> dict:
+    data = path.read_bytes()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
 def digest():
     for workload, seeds in WORKLOADS.items():
         for seed in seeds:
             with tempfile.TemporaryDirectory() as work:
                 for name, path in written(workload, seed, Path(work)):
-                    data = path.read_bytes()
                     print(json.dumps({
-                        "workload": workload, "seed": seed, "artifact": name,
-                        "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data),
+                        "workload": workload, "seed": seed, "artifact": name, **file_digest(path),
                     }), flush=True)
 
 
-def compare(before_path: str, after_path: str) -> int:
-    def load(path):
-        with open(path, encoding="utf-8") as fh:
-            return {(r["workload"], r["seed"], r["artifact"]): r for r in map(json.loads, fh)}
-
-    before, after = load(before_path), load(after_path)
+def report(fields: tuple[str, ...], before: dict, after: dict, detail=lambda key: {}) -> int:
+    """Print one JSON line per key of two maps from key tuples, named by
+    ``fields``, to :func:`file_digest`s whose sha256 differs or that is in
+    only one map, with ``detail(key)`` added to it; then the number of keys
+    and of those that differ.  Returns the latter."""
     keys = sorted(before.keys() | after.keys())
     differ = 0
     for key in keys:
         b, a = before.get(key), after.get(key)
         if b is None or a is None or b["sha256"] != a["sha256"]:
             differ += 1
-            workload, seed, artifact = key
             print(json.dumps({
-                "workload": workload, "seed": seed, "artifact": artifact,
-                "bytes": [r and r["bytes"] for r in (b, a)],
+                **dict(zip(fields, key)), "bytes": [r and r["bytes"] for r in (b, a)], **detail(key),
             }))
     print(json.dumps({"artifacts": len(keys), "differ": differ}))
     return differ
+
+
+def compare(before_path: str, after_path: str) -> int:
+    fields = ("workload", "seed", "artifact")
+
+    def load(path):
+        with open(path, encoding="utf-8") as fh:
+            return {tuple(r[f] for f in fields): r for r in map(json.loads, fh)}
+
+    return report(fields, load(before_path), load(after_path))
 
 
 def main():

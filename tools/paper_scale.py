@@ -1,7 +1,7 @@
 """One calibrated pipeline run at the paper's scale, and a comparison of two.
 
-Draws a review corpus with ``benchmarks/corpus.py``, by default the
-paper's 5,526 papers with 18,996 reviews by 7,877 reviewers at seed 7, and
+Draws a review corpus with ``benchmarks/corpus.py``, the paper's 5,526
+papers with 18,996 reviews by 7,877 reviewers, by default at seed 7, and
 writes it under ``DIR/inputs`` as the package's CSV exports.  Then runs
 ``run_pipeline`` once on it, into ``DIR/pipeline``, with dequantization
 and calibration on, the benchmark's acceptance rate and 1,000 samples.
@@ -19,9 +19,11 @@ above the memory in use when it started), and each artifact's sha256.
 directories, inputs included, that differs or is in only one of them.  For
 a CSV file with the same header and row count it gives, per column,
 whether the fields that are not floats are equal and the largest
-difference between the floats; integers count as text.  A last line gives
-the number of files compared and the number that differ, and the exit
-status is 1 when any differs.
+difference between the floats; integers and floats that are not finite
+count as text.  The lines and the exit status are those of
+``tools/artifact_digest.py --compare``: a last line gives the number of
+files compared and the number that differ, and the exit status is 1 when
+any differs.
 """
 
 from __future__ import annotations
@@ -29,15 +31,16 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
+import math
 import re
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+TOOLS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TOOLS), str(TOOLS.parent / "benchmarks")]
 
 # the paper's submissions, reviews and reviewers, and the seed of its figures
 PAPERS, REVIEWS, REVIEWERS, SEED = 5526, 18996, 7877, 7
@@ -69,6 +72,7 @@ def run_once(out: Path, seed: int, papers: int, reviews: int, reviewers: int) ->
     of its own, both inside the timed run."""
     import numpy as np
 
+    import artifact_digest
     import corpus
     import run as bench
     from reviewpipe import PipelineConfig, run_pipeline
@@ -111,7 +115,7 @@ def run_once(out: Path, seed: int, papers: int, reviews: int, reviewers: int) ->
         "evaluations": {"review": fit["evaluations"], "meta": fit["meta"]["evaluations"]},
         "peak_mib": {k: round(v, 2) for k, v in peaks.items()},
         "sha256": {
-            Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            Path(path).name: artifact_digest.file_digest(Path(path))["sha256"]
             for path in result.artifacts
         },
     }
@@ -132,15 +136,15 @@ def _cell(text: str):
 
 
 def _fields(pairs) -> dict:
-    """Whether the pairs of fields that are not both floats are equal, and
-    the largest difference of those that are."""
+    """Whether the pairs of fields that are not both finite floats are
+    equal as text, and the largest difference of those that are."""
     equal, diff = True, 0.0
     for x, y in pairs:
         u, v = _cell(x), _cell(y)
-        if isinstance(u, float) and isinstance(v, float):
+        if isinstance(u, float) and isinstance(v, float) and math.isfinite(u) and math.isfinite(v):
             diff = max(diff, abs(u - v))
         else:
-            equal &= u == v
+            equal &= x == y
     return {"other_equal": equal, "max_float_diff": diff}
 
 
@@ -167,33 +171,28 @@ def csv_columns(before: Path, after: Path) -> dict | None:
 
 
 def compare(before_dir: str, after_dir: str) -> int:
+    import artifact_digest
+
     def files(root):
         root = Path(root)
-        return {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+        return {(p.relative_to(root).as_posix(),): p for p in root.rglob("*") if p.is_file()}
 
     before, after = files(before_dir), files(after_dir)
-    names = sorted(before.keys() | after.keys())
-    differ = 0
-    for name in names:
-        b, a = before.get(name), after.get(name)
-        if b is not None and a is not None and b.read_bytes() == a.read_bytes():
-            continue
-        differ += 1
-        line = {"artifact": name, "bytes": [p and p.stat().st_size for p in (b, a)]}
-        if b is not None and a is not None and name.endswith(".csv"):
-            line["columns"] = csv_columns(b, a)
-        print(json.dumps(line))
-    print(json.dumps({"artifacts": len(names), "differ": differ}))
-    return differ
+
+    def columns(key):
+        both = key in before and key in after and key[0].endswith(".csv")
+        return {"columns": csv_columns(before[key], after[key])} if both else {}
+
+    def digests(paths):
+        return {key: artifact_digest.file_digest(path) for key, path in paths.items()}
+
+    return artifact_digest.report(("artifact",), digests(before), digests(after), columns)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="directory for the inputs and the run's artifacts")
     parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--papers", type=int, default=PAPERS)
-    parser.add_argument("--reviews", type=int, default=REVIEWS)
-    parser.add_argument("--reviewers", type=int, default=REVIEWERS)
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="list the files that differ between two output directories; "
                              "exit 1 if any does")
@@ -204,7 +203,7 @@ def main():
     elif args.out is None:
         parser.error("--out or --compare is required")
     else:
-        line = run_once(Path(args.out), args.seed, args.papers, args.reviews, args.reviewers)
+        line = run_once(Path(args.out), args.seed, PAPERS, REVIEWS, REVIEWERS)
         print(json.dumps(line))
 
 
