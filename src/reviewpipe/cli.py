@@ -33,7 +33,8 @@ from .calibration import GridSpec
 from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
 from .records import CONFLICT_SCHEMA, SIMILARITY_SCHEMA, TAG_SCHEMA, read_exports, read_keyed_csv
-from .records import _csv_fields, _csv_lines, _float_texts, _json_text, _show_key
+from .records import show_key
+from .report import csv_fields, csv_lines, float_texts, json_text
 from .scoring import DecisionConfig
 
 
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args) -> int:
     report = read_exports(args.input, args.format, args.meta).report
-    text = _json_text(report.to_dict())
+    text = json_text(report.to_dict())
     write_atomic(Path(args.out) / "validation.json", text)
     sys.stdout.write(text)
     return 0 if not report.rejected else 1
@@ -135,7 +136,7 @@ def _number(path, key, column, text) -> float | None:
     try:
         return float(text) if text else None
     except ValueError:
-        raise ValueError(f"{path}: {column} {text!r} of {_show_key(key)} is not a number") from None
+        raise ValueError(f"{path}: {column} {text!r} of {show_key(key)} is not a number") from None
 
 
 def cmd_assign(args) -> int:
@@ -146,7 +147,7 @@ def cmd_assign(args) -> int:
         try:
             sources[key] = SimilaritySources(*numbers)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc} in row {_show_key(key)}") from None
+            raise ValueError(f"{path}: {exc} in row {show_key(key)}") from None
     papers, reviewers = {p for _, p in sources}, {r for r, _ in sources}
     tags = {}
     if args.tags:
@@ -159,7 +160,7 @@ def cmd_assign(args) -> int:
             raise ValueError(f"{args.tags}: tag for a reviewer absent from {path}: {absent}")
     conflicts = read_keyed_csv(args.conflicts, CONFLICT_SCHEMA) if args.conflicts else {}
     absent = ", ".join(
-        _show_key(key) for key in conflicts if key[0] not in reviewers or key[1] not in papers
+        show_key(key) for key in conflicts if key[0] not in reviewers or key[1] not in papers
     )
     if absent:
         raise ValueError(
@@ -173,7 +174,7 @@ def cmd_assign(args) -> int:
     result = assign(sorted(papers), sorted(reviewers), sources, constraints, tags)
     write_atomic(
         Path(args.out) / "assignment.csv",
-        _csv_lines([["reviewer_id", "paper_id"], *map(_csv_fields, sorted(result.pairs))]),
+        csv_lines([["reviewer_id", "paper_id"], *map(csv_fields, sorted(result.pairs))]),
     )
     audit = {
         "total_similarity": result.total_similarity,
@@ -181,25 +182,25 @@ def cmd_assign(args) -> int:
         "shortfalls": result.shortfalls,
         "constraints": result.report.to_dict(),
     }
-    write_atomic(Path(args.out) / "assignment_audit.json", _json_text(audit))
+    write_atomic(Path(args.out) / "assignment_audit.json", json_text(audit))
     return 0 if result.feasible and result.report.ok else 1
 
 
 def cmd_dequantize(args) -> int:
     cfg = DequantConfig(lam=getattr(args, "lambda"))
     rows = read_exports(args.input, args.format)
-    write_atomic(Path(args.out) / "validation.json", _json_text(rows.report.to_dict()))
+    write_atomic(Path(args.out) / "validation.json", json_text(rows.report.to_dict()))
     s_dq = dequantize_rows(rows.paper, rows.s, cfg)
-    papers, reviewers = _csv_fields(rows.paper_ids), _csv_fields(rows.reviewer_ids)
+    papers, reviewers = csv_fields(rows.paper_ids), csv_fields(rows.reviewer_ids)
     columns = [
         map(papers.__getitem__, rows.paper.tolist()),
         map(reviewers.__getitem__, rows.reviewer.tolist()),
-        _float_texts(rows.s),
-        _float_texts(s_dq),
+        float_texts(rows.s),
+        float_texts(s_dq),
     ]
     write_atomic(
         Path(args.out) / "dequantized.csv",
-        _csv_lines([["paper_id", "reviewer_id", "s", "s_dq"], *zip(*columns)]),
+        csv_lines([["paper_id", "reviewer_id", "s", "s_dq"], *zip(*columns)]),
     )
     sys.stdout.write(
         f"dequantized {len(s_dq)} reviews, {len(rows.report.rejected)} rows rejected"

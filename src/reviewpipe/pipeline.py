@@ -21,14 +21,13 @@ import numpy as np
 
 from .calibration import CalibrationInputs, GridSpec, acceptance_probability, calibrate
 from .dequant import DequantConfig, dequantize_rows
-from .plots import histogram_artifact, scatter_artifact
-from .records import _json_text, read_exports
+from .records import read_exports
+from .report import histogram_artifact, json_text, report_texts, scatter_artifact
 from .scoring import (
     DecisionConfig,
     DecisionList,
     ScoreTable,
     rank_and_cut,
-    report_texts,
     score_index,
     score_table,
 )
@@ -153,9 +152,9 @@ def emit_plots(table: ScoreTable, mu_y, estimate, out_dir) -> list[str]:
     out_dir = Path(out_dir)
     written = []
 
-    def emit(name, artifact):
-        written.append(write_atomic(out_dir / f"{name}.csv", artifact.csv_text))
-        written.append(write_atomic(out_dir / f"{name}.svg", artifact.svg_text))
+    def emit(name, texts):
+        for suffix, text in zip(("csv", "svg"), texts):
+            written.append(write_atomic(out_dir / f"{name}.{suffix}", text))
 
     emit(
         "calibrated_score_histogram",
@@ -211,7 +210,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("load"):
         rows = read_exports(cfg.reviews_path, cfg.format, cfg.meta_path)
-        write("validation.json", _json_text(rows.report.to_dict()))
+        write("validation.json", json_text(rows.report.to_dict()))
 
     with _stage("score"):
         values = dequantize_rows(rows.paper, rows.s, cfg.dequant) if cfg.dequantize else rows.s
@@ -241,7 +240,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             fit_summary = dict(
                 review.summary, meta=meta.summary, n_samples=cfg.n_samples, seed=cfg.seed
             )
-            write("calibration_fit.json", _json_text(fit_summary))
+            write("calibration_fit.json", json_text(fit_summary))
 
     with _stage("rank"):
         decisions = rank_and_cut(table, cfg.decision)
@@ -255,7 +254,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         for name, text in report_texts(table, decisions, decisions_cal):
             write(name, text)
             del text  # the next text is built without this one
-        write("gray_area.json", _json_text(gray.to_dict()))
+        write("gray_area.json", json_text(gray.to_dict()))
         if cfg.calibrate:
             artifacts += emit_plots(table, review.mu_y, estimate, out_dir)
 

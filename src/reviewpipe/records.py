@@ -25,9 +25,9 @@ rejected row.  The loop codes ids in the order accepted rows first carry
 them; :func:`_read` then recodes them by sorted id once, sorts the rows,
 and audits the table.
 
-Every CSV the package writes, the exports included, takes its fields from
-:func:`_csv_fields`, which quotes a field holding , " CR or LF by RFC 4180's
-rule, so an export reads back as written, and refuses a lone surrogate.
+The exports write the records in the schemas' column order, labels
+canonical, under the text rules of :mod:`reviewpipe.report`, so an export
+reads back as written.
 
 Scores stay on an exact half-point lattice until aggregation: the Likert
 tables only contain multiples of 0.5, and downstream code that needs exact
@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .report import csv_fields, csv_lines, json_text, lone_surrogate
 
 __all__ = [
     "UnknownLabelError",
@@ -387,13 +389,13 @@ def read_keyed_csv(path, schema: CsvSchema) -> dict[tuple, tuple]:
                 repeated.add(key)
             rows[key] = values[schema.key :]
     if repeated:
-        what = _show_key([c.removesuffix("_id") for c in schema.required[: schema.key]])
-        named = ", ".join(map(_show_key, sorted(repeated)))
+        what = show_key([c.removesuffix("_id") for c in schema.required[: schema.key]])
+        named = ", ".join(map(show_key, sorted(repeated)))
         raise ValueError(f"{path}: repeated {what} rows: {named}")
     return rows
 
 
-def _show_key(ids) -> str:
+def show_key(ids) -> str:
     return ids[0] if len(ids) == 1 else f"({', '.join(ids)})"
 
 
@@ -422,7 +424,7 @@ def _json_fix(columns: list[str], row: dict):
     its UTF-8 decode refuses the file)."""
     values = list(map(row.get, columns))
     for name, value in zip(columns[:2], values):
-        if isinstance(value, str) and _lone_surrogate(value):
+        if isinstance(value, str) and lone_surrogate(value):
             return values, f"{name} {value!r} holds a lone surrogate"
     return values, None
 
@@ -661,10 +663,10 @@ def _audit(table: ReviewTable, metas_read: bool, min_reviews: int = 2):
     if metas_read:
         unmet = np.flatnonzero(np.bincount(table.meta_paper, minlength=len(ids)) == 0).tolist()
         report.findings += [("missing meta-review", f"paper {ids[i]}") for i in unmet]
-    report.findings += _spellings(table)
+    report.findings += spellings(table)
 
 
-def _spellings(table: ReviewTable) -> list[tuple[str, str]]:
+def spellings(table: ReviewTable) -> list[tuple[str, str]]:
     """A finding for each set of one role's sorted ids that are equal
     under NFC but differ in code points: one person or paper counted as
     two.  ASCII ids are NFC already, so only the NFC forms of the others
@@ -722,81 +724,22 @@ def _meta_row(f: MetaReviewForm) -> list:
     return [f.paper, f.metareviewer, _likert(f.recommendation, "recommendation")[1]]
 
 
-# The artifact writers make each column's CSV fields once, the exports each
-# row's fields as its line is joined; ",".join joins a row in about a sixth
-# of the time csv.writer takes.  RFC 4180 (section 2, rules 6 and 7) quotes
-# a field holding one of these; a field holding none is written as it is.
-_CSV_QUOTABLE = ',"\r\n'
-
-
-def _lone_surrogate(text: str) -> bool:
-    """Whether ``text`` holds a lone surrogate, which no UTF-8 file can
-    encode; an ASCII text is answered without encoding it."""
-    return not text.isascii() and text.encode(errors="replace").decode() != text
-
-
-def _csv_fields(texts: Sequence[str]) -> list[str]:
-    """Each text as its CSV field, by RFC 4180's rule: a text holding , "
-    CR or LF, a lone CR included, is quoted and its quotes doubled; any
-    other is its own field.  That is what csv.writer writes in the dialect
-    whose rows end in CR LF, on every Python version.  A text holding a
-    lone surrogate raises ``ValueError`` naming it."""
-    joined = "".join(texts)
-    if _lone_surrogate(joined):
-        text = next(filter(_lone_surrogate, texts))
-        raise ValueError(f"{text!r} holds a lone surrogate, which no UTF-8 file can hold")
-    if not any(c in joined for c in _CSV_QUOTABLE):
-        return list(texts)
-    return [
-        '"' + t.replace('"', '""') + '"' if any(c in t for c in _CSV_QUOTABLE) else t
-        for t in texts
-    ]
-
-
-def _float_texts(values) -> list[str]:
-    """Each float's ``repr``, as csv.writer writes it, made once per
-    distinct bit pattern: -0.0 and NaN keep their own texts."""
-    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.uint64), return_inverse=True)
-    texts = list(map(float.__repr__, bits.view(float).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
-
-
-# rows that the CSV writers join, and the score table formats, at a time, so
-# the text of one block is all that exists beside the finished part of the
-# output
-_BLOCK = 512
-
-
-def _csv_lines(rows) -> str:
-    """Rows of finished CSV fields as text, each row ended by ``\\n``,
-    joined ``_BLOCK`` rows at a time."""
-    lines, blocks = map(",".join, rows), []
-    while block := list(itertools.islice(lines, _BLOCK)):
-        blocks.append("\n".join([*block, ""]))
-    return "".join(blocks)
-
-
-def _json_text(obj) -> str:
-    """The artifact form of JSON: indented, keys sorted, newline-ended."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _review_fields(f: ReviewForm) -> list[str]:
     row = _review_row(f)
     row[-2] = str(row[-2])  # the award
-    return _csv_fields(row)
+    return csv_fields(row)
 
 
 def export_reviews_csv(reviews: list[ReviewForm]) -> str:
     """Canonical CSV text for review records (round-trips via read_exports);
     each row's fields are made as its line is joined, not held with it."""
     rows = map(_review_fields, reviews)
-    return _csv_lines(itertools.chain([REVIEW_SCHEMA.columns], rows))
+    return csv_lines(itertools.chain([REVIEW_SCHEMA.columns], rows))
 
 
 def export_metas_csv(metas: list[MetaReviewForm]) -> str:
-    rows = (_csv_fields(_meta_row(f)) for f in metas)
-    return _csv_lines(itertools.chain([META_SCHEMA.columns], rows))
+    rows = (csv_fields(_meta_row(f)) for f in metas)
+    return csv_lines(itertools.chain([META_SCHEMA.columns], rows))
 
 
 def _export_object(reviews: list[ReviewForm], metas: list[MetaReviewForm] | None) -> dict:
@@ -810,4 +753,4 @@ def _export_object(reviews: list[ReviewForm], metas: list[MetaReviewForm] | None
 
 def export_json(reviews: list[ReviewForm], metas: list[MetaReviewForm]) -> str:
     """Canonical JSON text mirroring the CSV schemas 1:1."""
-    return _json_text(_export_object(reviews, metas))
+    return json_text(_export_object(reviews, metas))

@@ -10,23 +10,20 @@ label tuple, into the :class:`reviewpipe.records.ReviewTable` that
 rejects a paper that lacks a review or a meta-review.  Reviewer
 confidence weights the aggregation, not the score itself.  Normalized
 reviewer and meta-reviewer scores are fused per paper with a harmonic mean,
-and the top floor(a% of P) papers are accepted.  One writer,
-:func:`report_texts`, formats the score table and the decision lists.
+and the top floor(a% of P) papers are accepted.  How the score table and
+the decision lists are written is :mod:`reviewpipe.report`'s.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .records import MetaReviewForm, ReviewForm, ReviewTable, _csv_fields, _csv_lines
-from .records import _BLOCK, _float_texts, _spellings, id_rank, label_score, review_table
+from .records import MetaReviewForm, ReviewForm, ReviewTable, id_rank, label_score, review_table
+from .records import spellings
 
 __all__ = [
     "ReviewScore",
@@ -41,7 +38,6 @@ __all__ = [
     "build_score_table",
     "score_table",
     "rank_and_cut",
-    "report_texts",
 ]
 
 class DegenerateScaleWarning(UserWarning):
@@ -161,7 +157,7 @@ def score_table(rows: ReviewTable, values=None) -> ScoreTable:
     n_papers = len(rows.paper_ids)
     if not n_papers:
         raise ValueError("no review was accepted: the table has no papers")
-    spelt = [text for _, text in _spellings(rows)]
+    spelt = [text for _, text in spellings(rows)]
     if spelt:
         raise ValueError(f"one paper or person under two spellings: {'; '.join(spelt)}")
     for paper, problem in (
@@ -251,78 +247,3 @@ def rank_and_cut(
     accept = [True] * k + [False] * (n - k)
     decisions = list(map(Decision, range(1, n + 1), papers, si[order].tolist(), accept))
     return DecisionList(decisions, n_accept=k, acceptance_rate=cfg.acceptance_rate)
-
-
-# how json spells the non-finite floats that repr() and csv spell nan, inf
-_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _join(pieces: list[str]) -> str:
-    """The pieces joined, the list emptied: a text yielded from it is the
-    only copy left, so the caller can let it go once it is written."""
-    text = "".join(pieces)
-    pieces.clear()
-    return text
-
-
-def report_texts(
-    table: ScoreTable, decisions: DecisionList, decisions_cal: DecisionList | None = None
-) -> Iterator[tuple[str, str]]:
-    """The name and text of ``score_table.csv``, ``score_table.json``,
-    ``decisions.csv`` and, with ``decisions_cal``, ``decisions_calibrated.csv``,
-    in that order.
-
-    The score table is formatted block by block.  Each float is formatted
-    once per distinct bit pattern in its block, by ``repr`` as csv formats
-    it, and each paper's id field once; the JSON text is that of
-    ``json.dumps({"papers": rows}, indent=2, sort_keys=True)`` plus a
-    newline, NaN and Infinity spelled as json spells them and the ids
-    passed through json's ASCII string escaper.  The decision lists take
-    the id fields and the ``SI`` and ``SI_cal`` texts in rank order.  A
-    caller that drops each text once it is written holds one text at a
-    time: none is kept here past the next step."""
-    names = ["s_p", "xi_p", "sR_norm", "sM_norm", "SI"]
-    if table.calibrated:
-        names += ["sR_cal", "sM_cal", "SI_cal"]
-    columns = {name: np.asarray(getattr(table, name), dtype=float) for name in names}
-    keys = sorted(["paper_id", *names])
-    # a JSON row is these parts with the values of ``keys`` between them
-    row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    },\n"
-    parts = row.split("%s")
-    fields = _csv_fields(table.papers)
-    lists = {"decisions.csv": (decisions, "SI")}
-    if decisions_cal is not None:
-        lists["decisions_calibrated.csv"] = (decisions_cal, "SI_cal")
-    kept = {column: [] for _, column in lists.values()}
-    csv_pieces, json_pieces = [_csv_lines([["paper_id", *names]])], []
-    for lo in range(0, len(fields), _BLOCK):
-        blocks = {name: col[lo : lo + _BLOCK] for name, col in columns.items()}
-        text = {name: _float_texts(block) for name, block in blocks.items()}
-        csv_pieces.append(_csv_lines(zip(fields[lo : lo + _BLOCK], *text.values())))
-        for name, texts in kept.items():
-            texts += text[name]
-        for name, block in blocks.items():
-            if not np.isfinite(block).all():
-                text[name] = [_JSON_FLOAT.get(x, x) for x in text[name]]
-        text["paper_id"] = map(json.encoder.encode_basestring_ascii, table.papers[lo : lo + _BLOCK])
-        cells = [itertools.repeat(parts[0])]
-        for key, part in zip(keys, parts[1:]):
-            cells += (text[key], itertools.repeat(part))
-        json_pieces.append("".join(itertools.chain.from_iterable(zip(*cells))))
-    yield "score_table.csv", _join(csv_pieces)
-    if json_pieces:
-        json_pieces[-1] = json_pieces[-1][:-2]  # no comma after the last row
-        json_pieces.insert(0, '{\n  "papers": [\n')
-        json_pieces.append("\n  ]\n}\n")
-        yield "score_table.json", _join(json_pieces)
-    else:
-        yield "score_table.json", '{\n  "papers": []\n}\n'
-    index = dict(zip(table.papers, range(len(fields))))
-    header = [["rank", "paper_id", "SI", "decision"]]
-    for name, (listed, column) in lists.items():
-        si, order = kept[column], [index[d.paper] for d in listed.decisions]
-        rows = (
-            (str(d.rank), fields[i], si[i], "accept" if d.accept else "reject")
-            for d, i in zip(listed.decisions, order)
-        )
-        yield name, _csv_lines(itertools.chain(header, rows))

@@ -25,7 +25,7 @@ from reviewpipe.pipeline import (
     run_pipeline,
     write_atomic,
 )
-from reviewpipe.plots import histogram_artifact, scatter_artifact
+from reviewpipe.report import histogram_artifact, scatter_artifact
 from reviewpipe.calibration import GridSpec, UnidentifiableModelWarning
 from reviewpipe.records import (
     DUPLICATE_PAIR,
@@ -86,10 +86,10 @@ class TestGrayArea:
 
 class TestPlots:
     def test_constant_values_single_occupied_bin(self):
-        artifact = histogram_artifact(np.full(50, 3.0), bins=10)
+        csv_text, _ = histogram_artifact(np.full(50, 3.0), bins=10)
         counts = [
             int(line.rsplit(",", 1)[1])
-            for line in artifact.csv_text.strip().splitlines()
+            for line in csv_text.strip().splitlines()
             if not line.startswith("#") and not line.startswith("bin_left")
         ]
         assert sum(1 for c in counts if c > 0) == 1
@@ -108,8 +108,8 @@ class TestPlots:
     def test_svg_is_deterministic(self):
         a = scatter_artifact([1.0, 2.0], [3.0, 4.0])
         b = scatter_artifact([1.0, 2.0], [3.0, 4.0])
-        assert a.svg_text == b.svg_text
-        assert a.svg_text.startswith("<svg ")
+        assert a[1] == b[1]
+        assert a[1].startswith("<svg ")
 
 
 def write_corpus(tmp_path, rng, n_papers=60, n_reviewers=25):

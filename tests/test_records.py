@@ -30,10 +30,10 @@ from reviewpipe.records import (
     label_score,
     likert_labels,
     read_exports,
-    _csv_fields,
     read_keyed_csv,
     validate,
 )
+from reviewpipe.report import csv_fields
 from reviewpipe.scoring import DegenerateScaleWarning, build_score_table, review_table, score_table
 
 from conftest import CONFS, CRITS, RECS, make_review
@@ -623,7 +623,7 @@ csv_texts = st.text(
 @given(st.lists(csv_texts, max_size=6))
 def test_csv_fields_are_csv_writers(texts):
     """The written-out RFC 4180 rule gives csv.writer's fields."""
-    assert _csv_fields(texts) == list(map(writer_field, texts))
+    assert csv_fields(texts) == list(map(writer_field, texts))
 
 
 @given(st.sampled_from(["recommendation", "criterion", "confidence"]), st.text(max_size=20))

@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from reviewpipe.records import DUPLICATE_PAIR, MetaReviewForm, ReviewForm, encode_likert
+from reviewpipe.report import report_texts
 from reviewpipe.scoring import (
     DecisionConfig,
     DegenerateScaleWarning,
@@ -19,7 +20,6 @@ from reviewpipe.scoring import (
     build_score_table,
     normalize,
     rank_and_cut,
-    report_texts,
     review_score,
     review_table,
     score_index,
