@@ -20,7 +20,8 @@ one accept-or-reject loop, :func:`_take`, which reads each input through
 its :class:`_Layout`.  A CSV row as long as its header reaches the loop as
 ``csv.reader`` gives it; a short or overlong row, and a JSON object, is
 first put in that form, and a JSON id holding a lone surrogate, which no
-file can encode, is rejected.  The report's dict is built only for a
+file can encode, or one that is neither a string nor a number, is
+rejected.  The report's dict is built only for a
 rejected row.  The loop codes ids in the order accepted rows first carry
 them; :func:`_read` then recodes them by sorted id once, sorts the rows,
 and audits the table.
@@ -47,6 +48,7 @@ import unicodedata
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -152,15 +154,24 @@ def _likert(label: str, scale: str) -> tuple[float, str]:
     return hit
 
 
+def _weight(label, scale: str) -> float:
+    """:func:`_likert`'s weight of ``label``; a label that is not a str is
+    unknown too, refused before the cache, which cannot hash a list."""
+    if not isinstance(label, str):
+        raise UnknownLabelError(f"unknown label {label!r} for scale {scale!r}")
+    return _likert(label, scale)[0]
+
+
 def encode_likert(label: str, scale: str) -> float:
     """Map a Likert label to its numeric weight on the named scale.
 
     ``scale`` is one of ``recommendation``, ``criterion``, ``confidence``.
-    Matching is case-insensitive after trimming; anything else raises
-    :class:`UnknownLabelError`.  Each raw spelling is looked up once in
-    the scale's one table, by :func:`_likert`; errors raise on every call.
+    Matching is case-insensitive after trimming; anything else, a label
+    that is not a str included, raises :class:`UnknownLabelError`.  Each
+    raw spelling is looked up once in the scale's one table, by
+    :func:`_likert`; errors raise on every call.
     """
-    return _likert(label, scale)[0]
+    return _weight(label, scale)
 
 
 def likert_labels(scale: str) -> list[str]:
@@ -173,14 +184,14 @@ def label_score(rec, c1, c2, c3, c4, conf, award) -> tuple[int, float]:
     the four criteria plus the award flag, each doubled -- and its
     confidence weight.  Checks the labels in that order, recommendation,
     c1-c4, confidence, raising :class:`UnknownLabelError` at the first
-    unknown one, then raises ``ValueError`` for an award other than the
+    unknown one, a label that is not a str included, then raises ``ValueError`` for an award other than the
     int 0 or 1: ``True``, ``1.0`` and ``np.int64(1)`` would not read back
     from a CSV export, or not be written as JSON.
     """
-    s_half = 2 * _likert(rec, "recommendation")[0]
-    s_half += int(2 * (_likert(c1, "criterion")[0] + _likert(c2, "criterion")[0]
-                       + _likert(c3, "criterion")[0] + _likert(c4, "criterion")[0]))
-    confidence = _likert(conf, "confidence")[0]
+    s_half = 2 * _weight(rec, "recommendation")
+    s_half += int(2 * (_weight(c1, "criterion") + _weight(c2, "criterion")
+                       + _weight(c3, "criterion") + _weight(c4, "criterion")))
+    confidence = _weight(conf, "confidence")
     if type(award) is not int or award not in (0, 1):
         raise ValueError(f"award flag must be 0 or 1, got {award!r}")
     return s_half + 2 * award, confidence
@@ -331,7 +342,9 @@ def _csv_rows(path, schema: CsvSchema):
     read if the header names every column; a short one is padded, and one
     with non-empty fields beyond the header is rejected.  The file is open
     while the context lasts; a byte-order mark is skipped, and text that is
-    not UTF-8 is a ``ValueError`` naming the file."""
+    not UTF-8, or that csv cannot parse, a field longer than
+    ``csv.field_size_limit()`` included, is a ``ValueError`` naming the
+    file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -347,6 +360,8 @@ def _csv_rows(path, schema: CsvSchema):
             )
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _csv_fix(n: int, pad: list, row: list[str]):
@@ -421,11 +436,15 @@ def _json_rows(payload: dict, key: str, schema: CsvSchema, path):
 def _json_fix(columns: list[str], row: dict):
     """A JSON row's values, and why it is rejected if an id holds a lone
     surrogate, which no output could encode (a CSV read cannot give one:
-    its UTF-8 decode refuses the file)."""
+    its UTF-8 decode refuses the file), or is neither a string nor a
+    number: a boolean, an array or an object names no paper or person."""
     values = list(map(row.get, columns))
     for name, value in zip(columns[:2], values):
-        if isinstance(value, str) and lone_surrogate(value):
-            return values, f"{name} {value!r} holds a lone surrogate"
+        if isinstance(value, str):
+            if lone_surrogate(value):
+                return values, f"{name} {value!r} holds a lone surrogate"
+        elif value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
+            return values, f"{name} {value!r} is not an id"
     return values, None
 
 

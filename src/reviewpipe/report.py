@@ -3,7 +3,7 @@ the score table and decision lists, and the figures.
 
 :func:`csv_fields` quotes a field holding , " CR or LF by RFC 4180's rule,
 so every CSV the package writes, the exports included, reads back as
-written; it refuses a lone surrogate.  :func:`report_texts` formats the
+written; it refuses a lone surrogate and a field longer than csv reads.  :func:`report_texts` formats the
 score table and the decision lists.  Each figure is a two-column CSV
 (re-renderable by any tool) and a self-contained SVG, written directly as
 text so identical inputs give byte-identical files; axes and bin
@@ -12,6 +12,7 @@ definitions are in the CSV header comments.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 from collections.abc import Iterator, Sequence
@@ -42,9 +43,17 @@ def csv_fields(texts: Sequence[str]) -> list[str]:
     """Each text as its CSV field, by RFC 4180's rule: a text holding , "
     CR or LF, a lone CR included, is quoted and its quotes doubled; any
     other is its own field.  That is what csv.writer writes in the dialect
-    whose rows end in CR LF, on every Python version.  A text holding a
-    lone surrogate raises ``ValueError`` naming it."""
+    whose rows end in CR LF, on every Python version.  A text that no read
+    could take back, one holding a lone surrogate or one longer than
+    ``csv.field_size_limit()``, raises ``ValueError`` naming it."""
     joined = "".join(texts)
+    if len(joined) > (limit := csv.field_size_limit()):
+        for text in texts:
+            if len(text) > limit:
+                raise ValueError(
+                    f"a field of {len(text)} characters, {text[:20]!r}..., is longer than "
+                    f"csv's field size limit of {limit}"
+                )
     if lone_surrogate(joined):
         text = next(filter(lone_surrogate, texts))
         raise ValueError(f"{text!r} holds a lone surrogate, which no UTF-8 file can hold")

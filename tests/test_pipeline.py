@@ -1061,6 +1061,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert f": {bad}: {message}" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["validate", "dequantize", "assign", "pipeline"])
+    def test_a_field_longer_than_csv_reads_names_the_file(self, tmp_path, capsys, command):
+        """A 200,000-character comment, or a 140,000-character tpms field,
+        ends the command with one line naming the file and the line."""
+        if command == "assign":
+            bad = tmp_path / "sim.csv"
+            bad.write_text(f"reviewer_id,paper_id,bid,subject_relevance,tpms\nR1,P1,0.5,0.8,"
+                           f"{'0' * 140_000}\n")
+            argv = ["assign", "--similarities", str(bad)]
+        else:
+            bad = tmp_path / "r.csv"
+            bad.write_text("paper_id,reviewer_id,recommendation,c1,c2,c3,c4,comments\n"
+                           f"P1,R1,Accept,Good,Good,Good,Good,{'x' * 200_000}\n")
+            argv = [command, "--input", str(bad)]
+        assert self.run([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        limit = csv.field_size_limit()
+        assert f": {bad}: line 2: field larger than field limit ({limit})\n" in err
+        assert err.count("\n") == 1
+
     def test_missing_meta_review_only_when_metas_read(self, tmp_path, capsys):
         rpath = tmp_path / "reviews.csv"
         rpath.write_text(

@@ -93,6 +93,20 @@ class TestEncodeLikert:
         with pytest.raises(ValueError):
             encode_likert("Good", "vibes")
 
+    def test_a_label_that_is_not_a_str_is_unknown(self):
+        """Not an AttributeError from the label's strip, nor a TypeError
+        from the cache's hash; the labels are still checked in order."""
+        with pytest.raises(UnknownLabelError, match="^unknown label 3 for scale 'recommendation'$"):
+            encode_likert(3, "recommendation")
+        with pytest.raises(UnknownLabelError, match=r"^unknown label \['Accept'\] for scale"):
+            MetaReviewForm("P1", "M1", ["Accept"])
+        with pytest.raises(UnknownLabelError, match="^unknown label None for scale"):
+            make_review("P1", "R1", rec=None)
+        with pytest.raises(UnknownLabelError, match=r"^unknown label \('Good',\) for scale 'crit"):
+            label_score("Accept", "Good", ("Good",), "Good", "Good", "Good", 0)
+        with pytest.raises(UnknownLabelError, match="^unknown label 'Maybe'"):
+            label_score("Maybe", ["Good"], "Good", "Good", "Good", "Good", 0)
+
     @pytest.mark.parametrize(
         "scale,count", [("recommendation", 7), ("criterion", 5), ("confidence", 5)]
     )
@@ -446,6 +460,33 @@ class TestValidate:
             assert [reason for _, reason in report.rejected] == reasons
             assert (report.n_papers, report.n_reviews, report.n_metareviews) == (1, 1, 1)
 
+    def test_json_ids_that_are_neither_strings_nor_numbers_are_rejected(self, tmp_path):
+        """A boolean, an array or an object names no paper or person: its
+        row is rejected naming the field, and a number reads as its text."""
+        labels = {"recommendation": "Accept", **dict.fromkeys(["c1", "c2", "c3", "c4"], "Good")}
+        reviews = [
+            dict(labels, paper_id=["P1"], reviewer_id="R1"),
+            dict(labels, paper_id="P1", reviewer_id={"x": 1}),
+            dict(labels, paper_id=True, reviewer_id="R1"),
+            dict(labels, paper_id=7, reviewer_id=1.5),
+        ]
+        metas = [
+            {"paper_id": "7", "metareviewer_id": False, "recommendation": "Accept"},
+            {"paper_id": 7, "metareviewer_id": "M1", "recommendation": "Accept"},
+        ]
+        path = tmp_path / "export.json"
+        path.write_text(json.dumps({"reviews": reviews, "meta_reviews": metas}), encoding="utf-8")
+        table = read_exports(path, format="json")
+        assert [reason for _, reason in table.report.rejected] == [
+            "paper_id ['P1'] is not an id",
+            "reviewer_id {'x': 1} is not an id",
+            "paper_id True is not an id",
+            "metareviewer_id False is not an id",
+        ]
+        assert (table.paper_ids, table.reviewer_ids, table.metareviewer_ids) == (
+            ["7"], ["1.5"], ["M1"]
+        )
+
     def test_mean_is_exact_ratio(self):
         reviews = [make_review(f"P{p}", f"R{r}") for p in range(4) for r in range(3)]
         report = validate(reviews)
@@ -589,6 +630,22 @@ class TestRoundTrip:
         assert not validate([review], [MetaReviewForm("P1", "M1", "Accept")]).rejected
         with pytest.raises(ValueError, match=r"^'x\\udc80y' holds a lone surrogate"):
             export_reviews_csv([review])
+
+    def test_review_export_refuses_a_field_longer_than_csv_reads(self, tmp_path):
+        """A comment as long as csv's field size limit reads back; one
+        character longer, which no read could take back, is refused."""
+        limit = csv.field_size_limit()
+        review = ReviewForm("P1", "R1", "Accept", ("Good",) * 4, "Good", comments="x" * limit)
+        path = tmp_path / "r.csv"
+        path.write_text(export_reviews_csv([review]), encoding="utf-8")
+        exports = read_exports(path)
+        assert not exports.report.rejected
+        assert_reads_as(exports, [review])
+        longer = ReviewForm("P1", "R1", "Accept", ("Good",) * 4, "Good", comments="x" * (limit + 1))
+        message = f"^a field of {limit + 1} characters, 'x+'..., is longer than csv's field size"
+        with pytest.raises(ValueError, match=message):
+            export_reviews_csv([longer])
+        assert csv_fields(["x" * limit, "y" * limit]) == ["x" * limit, "y" * limit]
 
     def test_meta_export_refuses_an_id_holding_a_lone_surrogate(self):
         with pytest.raises(ValueError, match=r"^'P\\ud8002' holds a lone surrogate"):

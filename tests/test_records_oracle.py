@@ -43,7 +43,16 @@ from reviewpipe.scoring import DegenerateScaleWarning, review_score, score_table
 # --- the oracle -------------------------------------------------------------
 
 
+def oracle_ids(row: dict, columns) -> None:
+    """A JSON id that is a boolean, an array or an object names no paper
+    or person; the reader names it before a missing field."""
+    for col in columns:
+        if isinstance(row.get(col), (bool, list, dict)):
+            raise UnknownLabelError(f"{col} {row[col]!r} is not an id")
+
+
 def oracle_review(row: dict) -> ReviewForm:
+    oracle_ids(row, ("paper_id", "reviewer_id"))
     for col in REVIEW_SCHEMA.required:
         if row.get(col) in (None, ""):
             raise UnknownLabelError(f"missing required field {col!r}")
@@ -67,6 +76,7 @@ def oracle_review(row: dict) -> ReviewForm:
 
 
 def oracle_meta(row: dict) -> MetaReviewForm:
+    oracle_ids(row, ("paper_id", "metareviewer_id"))
     for col in META_SCHEMA.columns:
         if row.get(col) in (None, ""):
             raise UnknownLabelError(f"missing required field {col!r}")
