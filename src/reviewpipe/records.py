@@ -21,10 +21,9 @@ its :class:`_Layout`.  A CSV row as long as its header reaches the loop as
 ``csv.reader`` gives it; a short or overlong row, and a JSON object, is
 first put in that form, and a JSON id holding a lone surrogate, which no
 file can encode, or one that is neither a string nor a number, is
-rejected.  The report's dict is built only for a
-rejected row.  The loop codes ids in the order accepted rows first carry
-them; :func:`_read` then recodes them by sorted id once, sorts the rows,
-and audits the table.
+rejected.  The report's dict is built only for a rejected row.  The loop
+codes ids in the order accepted rows first carry them; :func:`_read` then
+recodes them by sorted id once, sorts the rows, and audits the table.
 
 The exports write the records in the schemas' column order, labels
 canonical, under the text rules of :mod:`reviewpipe.report`, so an export
@@ -184,9 +183,10 @@ def label_score(rec, c1, c2, c3, c4, conf, award) -> tuple[int, float]:
     the four criteria plus the award flag, each doubled -- and its
     confidence weight.  Checks the labels in that order, recommendation,
     c1-c4, confidence, raising :class:`UnknownLabelError` at the first
-    unknown one, a label that is not a str included, then raises ``ValueError`` for an award other than the
-    int 0 or 1: ``True``, ``1.0`` and ``np.int64(1)`` would not read back
-    from a CSV export, or not be written as JSON.
+    unknown one, a label that is not a str included, then raises
+    ``ValueError`` for an award other than the int 0 or 1: ``True``,
+    ``1.0`` and ``np.int64(1)`` would not read back from a CSV export, or
+    not be written as JSON.
     """
     s_half = 2 * _weight(rec, "recommendation")
     s_half += int(2 * (_weight(c1, "criterion") + _weight(c2, "criterion")
@@ -411,6 +411,7 @@ def read_keyed_csv(path, schema: CsvSchema) -> dict[tuple, tuple]:
 
 
 def show_key(ids) -> str:
+    """A row's key as messages name it: its one id, or its ids in parentheses."""
     return ids[0] if len(ids) == 1 else f"({', '.join(ids)})"
 
 
