@@ -18,7 +18,8 @@ the similarities is bad input.  Bad input, a missing or unreadable file included
 command with a one-line message on stderr and exit status 2.  Every
 ``ValueError`` and ``OSError`` is reported that way, one raised by an
 internal consistency check included, so such a message can also point at
-a bug.
+a bug.  ``report`` renders every file a command writes; a command only
+writes it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .dequant import DequantConfig, dequantize_rows
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, write_atomic
 from .records import CONFLICT_SCHEMA, SIMILARITY_SCHEMA, TAG_SCHEMA, read_exports, read_keyed_csv
 from .records import show_key
-from .report import csv_fields, csv_lines, float_texts, json_text
+from .report import assignment_texts, dequantized_csv, json_text
 from .scoring import DecisionConfig
 
 
@@ -172,17 +173,8 @@ def cmd_assign(args) -> int:
         conflicts=frozenset(conflicts),
     )
     result = assign(sorted(papers), sorted(reviewers), sources, constraints, tags)
-    write_atomic(
-        Path(args.out) / "assignment.csv",
-        csv_lines([["reviewer_id", "paper_id"], *map(csv_fields, sorted(result.pairs))]),
-    )
-    audit = {
-        "total_similarity": result.total_similarity,
-        "feasible": result.feasible,
-        "shortfalls": result.shortfalls,
-        "constraints": result.report.to_dict(),
-    }
-    write_atomic(Path(args.out) / "assignment_audit.json", json_text(audit))
+    for name, text in assignment_texts(result):
+        write_atomic(Path(args.out) / name, text)
     return 0 if result.feasible and result.report.ok else 1
 
 
@@ -191,17 +183,7 @@ def cmd_dequantize(args) -> int:
     rows = read_exports(args.input, args.format)
     write_atomic(Path(args.out) / "validation.json", json_text(rows.report.to_dict()))
     s_dq = dequantize_rows(rows.paper, rows.s, cfg)
-    papers, reviewers = csv_fields(rows.paper_ids), csv_fields(rows.reviewer_ids)
-    columns = [
-        map(papers.__getitem__, rows.paper.tolist()),
-        map(reviewers.__getitem__, rows.reviewer.tolist()),
-        float_texts(rows.s),
-        float_texts(s_dq),
-    ]
-    write_atomic(
-        Path(args.out) / "dequantized.csv",
-        csv_lines([["paper_id", "reviewer_id", "s", "s_dq"], *zip(*columns)]),
-    )
+    write_atomic(Path(args.out) / "dequantized.csv", dequantized_csv(rows, s_dq))
     sys.stdout.write(
         f"dequantized {len(s_dq)} reviews, {len(rows.report.rejected)} rows rejected"
         f" (lambda={cfg.lam}) -> {args.out}\n"

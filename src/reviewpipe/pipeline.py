@@ -7,7 +7,8 @@ where the two rankings disagree are flagged for human adjudication and
 never auto-decided.
 
 All artifacts are written atomically (temp file + rename) and are
-byte-identical across runs with the same config and seed.
+byte-identical across runs with the same config and seed.  ``report``
+renders every file's text; this module only writes it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .calibration import CalibrationInputs, GridSpec, acceptance_probability, calibrate
 from .dequant import DequantConfig, dequantize_rows
 from .records import read_exports
-from .report import histogram_artifact, json_text, report_texts, scatter_artifact
+from .report import figure_texts, json_text, report_texts
 from .scoring import (
     DecisionConfig,
     DecisionList,
@@ -63,6 +64,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "seed"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.seed < 0:
@@ -126,63 +130,20 @@ def write_atomic(path, text: str) -> str:
 
 
 def gray_area(raw: DecisionList, calibrated: DecisionList) -> GrayAreaReport:
-    """Partition papers by agreement between the two decision lists."""
-    raw_papers = {d.paper for d in raw.decisions}
-    cal_papers = {d.paper for d in calibrated.decisions}
-    if raw_papers != cal_papers:
+    """Partition papers by agreement between the two decision lists:
+    accepted by both, rejected by both, accepted by one only."""
+    papers = {d.paper for d in raw.decisions}
+    if papers != {d.paper for d in calibrated.decisions}:
         raise ValueError("decision lists cover different paper sets")
-    report = GrayAreaReport()
-    cal_accepted = calibrated.accepted
-    for d in sorted(raw.decisions, key=lambda d: d.paper):
-        if d.accept and d.paper in cal_accepted:
-            report.agree_accept.append(d.paper)
-        elif not d.accept and d.paper not in cal_accepted:
-            report.agree_reject.append(d.paper)
-        else:
-            report.disagree.append(d.paper)
-    return report
+    a, c = raw.accepted, calibrated.accepted
+    return GrayAreaReport(sorted(a & c), sorted(papers - a - c), sorted(a ^ c))
 
 
 def emit_plots(table: ScoreTable, mu_y, estimate, out_dir) -> list[str]:
-    """Write the three figure artifacts (CSV + SVG each): calibrated-score
-    histogram, acceptance probability vs calibrated paper score, original
-    vs calibrated meta score."""
-    if table.sR_cal is None or table.sM_cal is None:
-        raise ValueError("plots need the calibrated score columns")
-    out_dir = Path(out_dir)
-    written = []
-
-    def emit(name, texts):
-        for suffix, text in zip(("csv", "svg"), texts):
-            written.append(write_atomic(out_dir / f"{name}.{suffix}", text))
-
-    emit(
-        "calibrated_score_histogram",
-        histogram_artifact(
-            mu_y, bins=30, title="Calibrated review scores", xlabel="calibrated score"
-        ),
-    )
-    emit(
-        "acceptance_probability",
-        scatter_artifact(
-            table.sR_cal,
-            estimate.probability,
-            title="Acceptance probability vs calibrated score",
-            xlabel="calibrated reviewer score",
-            ylabel="acceptance probability",
-        ),
-    )
-    emit(
-        "meta_calibration_scatter",
-        scatter_artifact(
-            table.sM_norm,
-            table.sM_cal,
-            title="Original vs calibrated meta-reviewer scores",
-            xlabel="normalized meta score",
-            ylabel="calibrated meta score",
-        ),
-    )
-    return written
+    """Write the figure files of :func:`report.figure_texts` (CSV + SVG
+    each) into ``out_dir``, one at a time; returns their paths."""
+    figures = figure_texts(table, mu_y, estimate)
+    return [write_atomic(Path(out_dir) / name, text) for name, text in figures]
 
 
 @contextmanager
@@ -258,10 +219,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         if cfg.calibrate:
             artifacts += emit_plots(table, review.mu_y, estimate, out_dir)
 
-    return PipelineResult(
-        table=table,
-        decisions=decisions,
-        gray=gray,
-        fit_summary=fit_summary,
-        artifacts=artifacts,
-    )
+    return PipelineResult(table, decisions, gray, fit_summary, artifacts)

@@ -210,6 +210,7 @@ class ReviewForm:
     comments: str = ""
 
     def __post_init__(self):
+        _refuse_non_str(self, "paper", "reviewer", "comments")
         if len(self.criteria) != 4:
             raise ValueError(f"criteria must be four labels, c1-c4, got {self.criteria!r}")
         label_score(self.recommendation, *self.criteria, self.confidence, self.award)
@@ -224,7 +225,17 @@ class MetaReviewForm:
     recommendation: str
 
     def __post_init__(self):
+        _refuse_non_str(self, "paper", "metareviewer")
         encode_likert(self.recommendation, "recommendation")
+
+
+def _refuse_non_str(form, *names: str):
+    """``ValueError`` naming the first of the form's fields ``names`` that
+    is not a str: the CSV exports could not join it, and JSON would write
+    it as another type."""
+    for name in names:
+        if not isinstance(value := getattr(form, name), str):
+            raise ValueError(f"{name} must be a str, got {value!r}")
 
 
 @dataclass

@@ -1,13 +1,17 @@
 """How every file the package writes looks: the CSV and JSON text rules,
-the score table and decision lists, and the figures.
+the score table and decision lists, the figures, ``dequantized.csv`` and
+the assignment files.
 
 :func:`csv_fields` quotes a field holding , " CR or LF by RFC 4180's rule,
 so every CSV the package writes, the exports included, reads back as
-written; it refuses a lone surrogate and a field longer than csv reads.  :func:`report_texts` formats the
-score table and the decision lists.  Each figure is a two-column CSV
-(re-renderable by any tool) and a self-contained SVG, written directly as
-text so identical inputs give byte-identical files; axes and bin
-definitions are in the CSV header comments.
+written; it refuses a lone surrogate and a field longer than csv reads.
+:func:`report_texts` formats the score table and the decision lists,
+:func:`figure_texts` the figures, :func:`dequantized_csv` the per-review
+dequantized scores and :func:`assignment_texts` the assignment and its
+audit; the callers write the texts and format nothing.  Each figure is a
+two-column CSV (re-renderable by any tool) and a self-contained SVG,
+written directly as text so identical inputs give byte-identical files;
+axes and bin definitions are in the CSV header comments.
 """
 
 from __future__ import annotations
@@ -20,11 +24,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+# the argument types only: ``records`` imports this module at run time
 if TYPE_CHECKING:
+    from .assignment import AssignmentResult
+    from .calibration import AcceptanceEstimate
+    from .records import ReviewTable
     from .scoring import DecisionList, ScoreTable
 
 __all__ = ["CSV_QUOTABLE", "BLOCK", "lone_surrogate", "csv_fields", "float_texts", "csv_lines",
-           "json_text", "report_texts", "histogram_artifact", "scatter_artifact"]
+           "json_text", "report_texts", "figure_texts", "dequantized_csv", "assignment_texts",
+           "histogram_artifact", "scatter_artifact"]
 
 # The artifact writers make each column's CSV fields once, the exports each
 # row's fields as its line is joined; ",".join joins a row in about a sixth
@@ -166,6 +175,58 @@ def report_texts(
             for d, i in zip(listed.decisions, order)
         )
         yield name, csv_lines(itertools.chain(header, rows))
+
+
+def dequantized_csv(rows: ReviewTable, s_dq) -> str:
+    """``dequantized.csv``: each review's paper and reviewer id, its score
+    and its dequantized score ``s_dq``, in the table's row order."""
+    papers, reviewers = csv_fields(rows.paper_ids), csv_fields(rows.reviewer_ids)
+    columns = [
+        map(papers.__getitem__, rows.paper.tolist()),
+        map(reviewers.__getitem__, rows.reviewer.tolist()),
+        float_texts(rows.s),
+        float_texts(s_dq),
+    ]
+    return csv_lines(itertools.chain([["paper_id", "reviewer_id", "s", "s_dq"]], zip(*columns)))
+
+
+def assignment_texts(result: AssignmentResult) -> Iterator[tuple[str, str]]:
+    """The name and text of ``assignment.csv``, the assigned (reviewer,
+    paper) pairs in sorted order, then of ``assignment_audit.json``."""
+    pairs = map(csv_fields, sorted(result.pairs))
+    yield "assignment.csv", csv_lines(itertools.chain([["reviewer_id", "paper_id"]], pairs))
+    audit = {
+        "total_similarity": result.total_similarity,
+        "feasible": result.feasible,
+        "shortfalls": result.shortfalls,
+        "constraints": result.report.to_dict(),
+    }
+    yield "assignment_audit.json", json_text(audit)
+
+
+def figure_texts(table: ScoreTable, mu_y, estimate: AcceptanceEstimate) -> Iterator[tuple[str, str]]:
+    """The name and text of each figure's CSV and SVG, one figure rendered
+    at a time: the histogram of the calibrated review scores ``mu_y``,
+    acceptance probability against the calibrated paper score, and the
+    original against the calibrated meta score.  A table without the
+    calibrated columns raises ``ValueError`` before any text is made."""
+    if table.sR_cal is None or table.sM_cal is None:
+        raise ValueError("plots need the calibrated score columns")
+    figures = {
+        "calibrated_score_histogram": lambda: histogram_artifact(
+            mu_y, 30, "Calibrated review scores", "calibrated score"
+        ),
+        "acceptance_probability": lambda: scatter_artifact(
+            table.sR_cal, estimate.probability, "Acceptance probability vs calibrated score",
+            "calibrated reviewer score", "acceptance probability",
+        ),
+        "meta_calibration_scatter": lambda: scatter_artifact(
+            table.sM_norm, table.sM_cal, "Original vs calibrated meta-reviewer scores",
+            "normalized meta score", "calibrated meta score",
+        ),
+    }
+    for name, render in figures.items():
+        yield from zip((f"{name}.csv", f"{name}.svg"), render())
 
 
 _W, _H = 640, 420

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +18,7 @@ from scipy.stats import spearmanr
 
 import reviewpipe.pipeline
 import reviewpipe.records
+import reviewpipe.report
 
 from reviewpipe.pipeline import (
     GrayAreaReport,
@@ -25,8 +28,8 @@ from reviewpipe.pipeline import (
     run_pipeline,
     write_atomic,
 )
-from reviewpipe.report import histogram_artifact, scatter_artifact
-from reviewpipe.calibration import GridSpec, UnidentifiableModelWarning
+from reviewpipe.report import figure_texts, histogram_artifact, scatter_artifact
+from reviewpipe.calibration import AcceptanceEstimate, GridSpec, UnidentifiableModelWarning
 from reviewpipe.records import (
     DUPLICATE_PAIR,
     MetaReviewForm,
@@ -105,6 +108,25 @@ class TestPlots:
             emit_plots(table, np.zeros(2), None, tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
+    def test_figures_are_rendered_one_at_a_time(self, monkeypatch):
+        """``figure_texts`` yields the six files in order and renders a
+        figure only once the files before it have been taken."""
+        rendered = []
+        monkeypatch.setattr(
+            reviewpipe.report, "scatter_artifact", lambda *args: rendered.append(args) or ("", "")
+        )
+        table = ScoreTable(["a", "b"], *np.zeros((8, 2)))
+        texts = figure_texts(table, np.zeros(2), AcceptanceEstimate(np.zeros(2), 1, 0))
+        first = [name for name, _ in itertools.islice(texts, 2)]
+        assert first == ["calibrated_score_histogram.csv", "calibrated_score_histogram.svg"]
+        assert rendered == []
+        assert [name for name, _ in itertools.islice(texts, 2)] == [
+            "acceptance_probability.csv", "acceptance_probability.svg"
+        ]
+        assert len(rendered) == 1
+        assert [name for name, _ in texts] == ["meta_calibration_scatter.csv", "meta_calibration_scatter.svg"]
+        assert len(rendered) == 2
+
     def test_svg_is_deterministic(self):
         a = scatter_artifact([1.0, 2.0], [3.0, 4.0])
         b = scatter_artifact([1.0, 2.0], [3.0, 4.0])
@@ -134,6 +156,21 @@ def count_label_scores(monkeypatch) -> list:
         if name.startswith("reviewpipe") and getattr(module, "label_score", None) is original:
             monkeypatch.setattr(module, "label_score", counted)
     return calls
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("seed", 1.5), ("seed", True), ("seed", np.int64(1)), ("n_samples", 2.5), ("n_samples", True)],
+)
+def test_config_takes_only_int_seed_and_sample_count(name, value):
+    """A seed or sample count that is not an int, a bool included, is
+    refused when the config is made, so before anything is written, as
+    the CLI's ``type=int`` refuses it as a flag.  Before, a float failed
+    only at stage 'calibrate' and a bool seed was written into
+    ``calibration_fit.json`` as ``true``."""
+    message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(reviews_path="reviews.csv", calibrate=True, **{name: value})
 
 
 class TestRunPipeline:

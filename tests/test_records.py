@@ -715,6 +715,27 @@ def test_review_form_needs_four_criteria():
         ReviewForm("P1", "R1", "Accept", ("Good", "Fair", "Poor"), "Good")
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ReviewForm(7, "R1", "Accept", ("Good",) * 4, "Good"), "paper must be a str, got 7"),
+        (lambda: ReviewForm("P1", None, "Accept", ("Good",) * 4, "Good"),
+         "reviewer must be a str, got None"),
+        (lambda: ReviewForm("P1", "R1", "Accept", ("Good",) * 4, "Good", comments=None),
+         "comments must be a str, got None"),
+        (lambda: MetaReviewForm(b"P1", "M1", "Accept"), "paper must be a str, got b'P1'"),
+        (lambda: MetaReviewForm("P1", 3, "Accept"), "metareviewer must be a str, got 3"),
+    ],
+    ids=["paper", "reviewer", "comments", "meta-paper", "metareviewer"],
+)
+def test_typed_forms_take_only_str_ids_and_comments(make, message):
+    """An id or comment that is not a str is refused where the form is
+    made, naming the field: the CSV exports could not join it, and
+    ``export_json`` would write it as another type."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_label_score():
     # 2 * (2 + 0 + 0.5 - 0.5 + 1 + 1): Accept, four criteria, the award
     assert label_score("Accept", "Good", "Very good", "Fair", "Excellent", "Poor", 1) == (8, 0.8)
